@@ -33,7 +33,7 @@ from pathlib import Path
 from . import pipeline, sdae
 from .errors import PopflowError, SchemaError, ValidationError
 from .grid import load_case
-from .ioutil import atomic_write_text
+from .ioutil import write_tsv
 from .sampling import CorrelationSpec
 
 EXIT_OK = 0
@@ -204,32 +204,24 @@ def cmd_popf(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = pipeline.output_labels(case)
+    stats_path = out_dir / "popf_stats.tsv"
     if result.n_samples < 2:
-        row = result.values[0]
-        lines = ["index\tmean\tstd"]
-        lines += [f"{lab}\t{row[j]:.17g}\tdegenerate" for j, lab in enumerate(labels)]
-        atomic_write_text(out_dir / "popf_stats.tsv", "\n".join(lines) + "\n")
+        write_tsv(stats_path, ["index", "mean", "std"],
+                  zip(labels, result.values[0], ["degenerate"] * len(labels)))
         print(f"1 sample evaluated in {result.seconds:.6g} s; std fields are degenerate")
         return EXIT_OK
 
-    stats = pipeline.compute_statistics(result.values, bins=bins)
-    lines = ["index\tmean\tstd"]
-    lines += [f"{lab}\t{stats.mean[j]:.17g}\t{stats.std[j]:.17g}"
-              for j, lab in enumerate(labels)]
-    atomic_write_text(out_dir / "popf_stats.tsv", "\n".join(lines) + "\n")
+    stats = pipeline.compute_statistics(result.values)
+    write_tsv(stats_path, ["index", "mean", "std"], zip(labels, stats.mean, stats.std))
 
     wanted = cfg.get("report", {}).get("density_indexes") or pipeline.default_density_labels(case)
     for label in wanted:
-        j = labels.index(label)
-        edges, dens = stats.densities[j]
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        rows = ["bin_center\tdensity"]
-        rows += [f"{c:.17g}\t{d:.17g}" for c, d in zip(centers, dens)]
-        atomic_write_text(out_dir / f"density_{label.replace(':', '_')}.tsv",
-                          "\n".join(rows) + "\n")
+        col = result.values[:, labels.index(label)]
+        edges, (dens,) = pipeline.histogram_densities([col], bins)
+        pipeline.save_density_table(out_dir, label, edges, {"density": dens})
 
     mode = f"converged at {result.n_samples}" if result.converged else f"{result.n_samples} samples"
-    print(f"{mode} in {result.seconds:.6g} s; statistics in {out_dir / 'popf_stats.tsv'}")
+    print(f"{mode} in {result.seconds:.6g} s; statistics in {stats_path}")
     print(f"cost mean {stats.mean[0]:.6g} $/h, std {stats.std[0]:.6g} $/h")
     return EXIT_OK
 

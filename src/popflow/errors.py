@@ -55,6 +55,10 @@ class Infeasible(PopflowError):
         super().__init__(message)
 
 
+class DispatchStalled(PopflowError):
+    """The dispatch active-set iteration hit its round cap without an optimum."""
+
+
 class NotPositiveDefinite(PopflowError):
     """A correlation matrix has no Cholesky factor."""
 

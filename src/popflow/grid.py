@@ -48,12 +48,17 @@ SRC_WIND = "wind"
 SRC_PV = "pv"
 SOURCE_KINDS = (SRC_GAUSSIAN_LOAD, SRC_WIND, SRC_PV)
 
-# params keys expected per source kind (all per-unit after parsing)
-_SOURCE_PARAM_KEYS = {
-    SRC_GAUSSIAN_LOAD: ("mean", "std", "power_factor"),
-    SRC_WIND: ("weibull_shape", "weibull_scale", "cut_in", "rated_speed", "cut_out", "rated"),
-    SRC_PV: ("alpha", "beta", "rated"),
+# file fields per source kind, in file order; an "_mw" field holds the
+# per-unit param named without the suffix (MW / base_mva)
+_SOURCE_FIELDS = {
+    SRC_GAUSSIAN_LOAD: ("mean_mw", "std_mw", "power_factor"),
+    SRC_WIND: ("weibull_shape", "weibull_scale", "cut_in", "rated_speed", "cut_out", "rated_mw"),
+    SRC_PV: ("alpha", "beta", "rated_mw"),
 }
+
+
+def _param_key(file_field: str) -> str:
+    return file_field.removesuffix("_mw")
 
 
 @dataclass(frozen=True)
@@ -267,27 +272,10 @@ def parse_case(text: str) -> NetworkCase:
         kind = _str(raw, "kind", path)
         if kind not in SOURCE_KINDS:
             raise SchemaError(f"{path}.kind", f"unknown source kind {kind!r}")
-        if kind == SRC_GAUSSIAN_LOAD:
-            params = {
-                "mean": _num(raw, "mean_mw", path) / base,
-                "std": _num(raw, "std_mw", path) / base,
-                "power_factor": _num(raw, "power_factor", path),
-            }
-        elif kind == SRC_WIND:
-            params = {
-                "weibull_shape": _num(raw, "weibull_shape", path),
-                "weibull_scale": _num(raw, "weibull_scale", path),
-                "cut_in": _num(raw, "cut_in", path),
-                "rated_speed": _num(raw, "rated_speed", path),
-                "cut_out": _num(raw, "cut_out", path),
-                "rated": _num(raw, "rated_mw", path) / base,
-            }
-        else:
-            params = {
-                "alpha": _num(raw, "alpha", path),
-                "beta": _num(raw, "beta", path),
-                "rated": _num(raw, "rated_mw", path) / base,
-            }
+        params = {}
+        for name in _SOURCE_FIELDS[kind]:
+            value = _num(raw, name, path)
+            params[_param_key(name)] = value / base if name.endswith("_mw") else value
         corr = raw.get("corr_group")
         if corr is not None and not isinstance(corr, str):
             raise SchemaError(f"{path}.corr_group", "must be a string when present")
@@ -331,16 +319,9 @@ def serialize_case(case: NetworkCase) -> str:
 
 def _serialize_source(s: StochasticSource, base: float) -> dict:
     out = {"bus": s.bus, "kind": s.kind}
-    p = s.params
-    if s.kind == SRC_GAUSSIAN_LOAD:
-        out.update(mean_mw=p["mean"] * base, std_mw=p["std"] * base,
-                   power_factor=p["power_factor"])
-    elif s.kind == SRC_WIND:
-        out.update(weibull_shape=p["weibull_shape"], weibull_scale=p["weibull_scale"],
-                   cut_in=p["cut_in"], rated_speed=p["rated_speed"],
-                   cut_out=p["cut_out"], rated_mw=p["rated"] * base)
-    else:
-        out.update(alpha=p["alpha"], beta=p["beta"], rated_mw=p["rated"] * base)
+    for name in _SOURCE_FIELDS[s.kind]:
+        value = s.params[_param_key(name)]
+        out[name] = value * base if name.endswith("_mw") else value
     if s.corr_group is not None:
         out["corr_group"] = s.corr_group
     return out
@@ -416,7 +397,7 @@ def validate_case(case: NetworkCase) -> list:
 def _source_violations(s: StochasticSource) -> list:
     p = s.params
     out = []
-    missing = [k for k in _SOURCE_PARAM_KEYS.get(s.kind, ()) if k not in p]
+    missing = [k for k in map(_param_key, _SOURCE_FIELDS.get(s.kind, ())) if k not in p]
     if missing:
         return [f"missing params {missing}"]
     if s.kind == SRC_GAUSSIAN_LOAD:

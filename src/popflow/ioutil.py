@@ -1,23 +1,45 @@
-"""Atomic file writes: temp file in place, then rename.
+"""Atomic file writes: unique temp file in place, fsync, then rename.
 
-An interrupted run never leaves a half-written output behind.
+An interrupted run never leaves a half-written output behind, and
+concurrent runs writing the same output never share a temp file.
 """
 
 from __future__ import annotations
 
 import os
+import secrets
 from pathlib import Path
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one rename; a failure leaves it as it was.
+
+    The temp file is opened exclusively under a random name rather than by
+    ``tempfile.mkstemp``, whose 0600 mode would make outputs owner-only; mode
+    0666 lets the umask decide, as for any plainly created file.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_tsv(path, header, rows) -> None:
+    """Tab-separated table, written atomically: a header line, then one line
+    per row. String cells are written as they are, numbers as ``.17g`` (which
+    round-trips a float64 exactly and prints small integers plainly)."""
+    lines = ["\t".join(header)]
+    lines += ["\t".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")

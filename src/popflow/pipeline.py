@@ -16,7 +16,6 @@ Method comparison runs three solvers over one seed-matched sample matrix:
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,12 +24,12 @@ import numpy as np
 
 from . import sdae
 from .errors import DimensionMismatch, PopflowError, TooManyRejections, ValidationError
-from .grid import PQ, SRC_GAUSSIAN_LOAD, NetworkCase, case_hash
+from .grid import PQ, NetworkCase, case_hash
 from .sampling import (ConvergenceState, CorrelationSpec,
                        sample_operating_conditions, update_convergence)
-from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, dc_opf, oracle_opf,
-                     ptdf_matrix, solution_layout)
-from .ioutil import atomic_write_text
+from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, _dispatch_qp, bus_loads, dc_opf,
+                     oracle_opf, solution_layout)
+from .ioutil import atomic_write_text, write_tsv
 
 # inference always walks the sample matrix in chunks of this many rows, so
 # predictions do not depend on how callers batch their queries
@@ -70,7 +69,6 @@ class PopfRunResult:
 class Statistics:
     mean: np.ndarray
     std: np.ndarray
-    densities: list  # per index: (bin_edges, density)
 
 
 @dataclass(frozen=True)
@@ -118,18 +116,7 @@ def operating_features(case: NetworkCase, sample_values: np.ndarray) -> np.ndarr
             raise ValidationError(
                 f"source {i}: bus {src.bus} is not PQ; the surrogate input cannot "
                 "observe it")
-    vals = np.atleast_2d(np.asarray(sample_values, dtype=float))
-    n = vals.shape[0]
-    p = np.tile(case.p_load_vector(), (n, 1))
-    q = np.tile(case.q_load_vector(), (n, 1))
-    for k, src in enumerate(case.sources):
-        col = vals[:, k]
-        if src.kind == SRC_GAUSSIAN_LOAD:
-            tan_phi = math.tan(math.acos(src.params["power_factor"]))
-            p[:, src.bus] = col
-            q[:, src.bus] = col * tan_phi
-        else:
-            p[:, src.bus] -= col
+    p, q = bus_loads(case, np.atleast_2d(np.asarray(sample_values, dtype=float)))
     return np.hstack([p[:, pq], q[:, pq]])
 
 
@@ -207,10 +194,10 @@ def generate_training_data(case: NetworkCase, n: int, seed: int,
 def save_dataset(ds: TrainingDataset, directory, case: NetworkCase) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_matrix(directory / "X.tsv", ds.x, feature_labels(case))
-    _write_matrix(directory / "Y.tsv", ds.y, output_labels(case))
-    _write_matrix(directory / "samples.tsv", ds.samples,
-                  [f"source{i}" for i in range(ds.samples.shape[1])])
+    write_tsv(directory / "X.tsv", feature_labels(case), ds.x)
+    write_tsv(directory / "Y.tsv", output_labels(case), ds.y)
+    write_tsv(directory / "samples.tsv",
+              [f"source{i}" for i in range(ds.samples.shape[1])], ds.samples)
     atomic_write_text(directory / "provenance.json", json.dumps(ds.provenance, indent=1) + "\n")
 
 
@@ -221,12 +208,6 @@ def load_dataset(directory) -> TrainingDataset:
     samples = _read_matrix(directory / "samples.tsv")
     provenance = json.loads((directory / "provenance.json").read_text(encoding="utf-8"))
     return TrainingDataset(x=x, y=y, samples=samples, provenance=provenance)
-
-
-def _write_matrix(path, matrix, labels) -> None:
-    lines = ["\t".join(labels)]
-    lines += ["\t".join(f"{v:.17g}" for v in row) for row in matrix]
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _read_matrix(path) -> np.ndarray:
@@ -305,7 +286,7 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
 
     Either a fixed sample count or convergence-driven: the run stops once the
     variance coefficient of every output index drops to the threshold, or at
-    the sample cap.
+    the sample cap. ``converged`` is true only when the threshold was met.
     """
     if converge:
         draw = sample_operating_conditions(case, max_samples, spec, seed)
@@ -326,8 +307,10 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
         return PopfRunResult(values=values, seconds=time.perf_counter() - start,
                              n_samples=values.shape[0], converged=None)
 
+    # the draw ends at the cap; a state capped there would report done at the
+    # last row even when the variance-coefficient test fails
     state = ConvergenceState.for_dim(model.output_dim, threshold=cv_threshold,
-                                     max_samples=max_samples)
+                                     max_samples=x.shape[0] + 1)
     collected = []
     done = False
     for chunk_start in range(0, x.shape[0], INFER_CHUNK):
@@ -350,24 +333,27 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
 # statistics
 
 
-def compute_statistics(values: np.ndarray, bins: int = 50) -> Statistics:
-    """Column means, sample stds, and unit-area histogram densities."""
+def compute_statistics(values: np.ndarray) -> Statistics:
+    """Column means and sample stds."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] < 2:
         raise ValueError("need at least 2 samples for statistics")
-    mean = values.mean(axis=0)
-    std = values.std(axis=0, ddof=1)
-    densities = [_density(values[:, j], bins) for j in range(values.shape[1])]
-    return Statistics(mean=mean, std=std, densities=densities)
+    return Statistics(mean=values.mean(axis=0), std=values.std(axis=0, ddof=1))
 
 
-def _density(col: np.ndarray, bins: int):
-    lo, hi = float(col.min()), float(col.max())
+def histogram_densities(columns, bins: int):
+    """Unit-area histogram densities of several columns over shared bins.
+
+    Returns the bin edges, spanning the smallest to the largest value of all
+    columns, and one density array per column.
+    """
+    lo = min(np.min(c) for c in columns)
+    hi = max(np.max(c) for c in columns)
     if lo == hi:
         # degenerate range: all mass in one unit-width bin
-        return np.array([lo - 0.5, lo + 0.5]), np.array([1.0])
-    density, edges = np.histogram(col, bins=bins, range=(lo, hi), density=True)
-    return edges, density
+        return np.array([lo - 0.5, lo + 0.5]), [np.array([1.0]) for _ in columns]
+    edges = np.histogram_bin_edges([], bins=bins, range=(lo, hi))
+    return edges, [np.histogram(c, bins=edges, density=True)[0] for c in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +378,8 @@ def error_metrics(reference: np.ndarray, candidate: np.ndarray, case: NetworkCas
     std0 = reference.std(axis=0, ddof=1)
     std1 = candidate.std(axis=0, ddof=1)
 
-    e_mean = np.empty_like(mean0)
-    e_std = np.empty_like(std0)
-    mean_flags, std_flags = [], []
-    for j in range(len(mean0)):
-        if abs(mean0[j]) < 1e-12:
-            e_mean[j] = abs(mean1[j] - mean0[j])
-            mean_flags.append(j)
-        else:
-            e_mean[j] = abs(mean1[j] - mean0[j]) / abs(mean0[j])
-        if abs(std0[j]) < 1e-12:
-            e_std[j] = abs(std1[j] - std0[j])
-            std_flags.append(j)
-        else:
-            e_std[j] = abs(std1[j] - std0[j]) / abs(std0[j])
+    e_mean, mean_flags = _relative_error(mean0, mean1)
+    e_std, std_flags = _relative_error(std0, std1)
 
     layout = solution_layout(case)
     err = np.abs(candidate - reference)
@@ -426,6 +400,15 @@ def error_metrics(reference: np.ndarray, candidate: np.ndarray, case: NetworkCas
     return ErrorMetrics(e_mean=e_mean, e_std=e_std,
                         absolute_mean_flags=mean_flags, absolute_std_flags=std_flags,
                         exceedance=pooled, exceedance_per_index=per_index)
+
+
+def _relative_error(reference: np.ndarray, candidate: np.ndarray):
+    """|candidate - reference| / |reference| per index, and the indexes where
+    the reference is ~0 and the error is left absolute."""
+    absolute = np.abs(reference) < 1e-12
+    err = np.abs(candidate - reference)
+    err[~absolute] /= np.abs(reference[~absolute])
+    return err, np.flatnonzero(absolute).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +467,7 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
         METHOD_SURROGATE: surrogate_vals,
         METHOD_DC_ONLY: dc_vals,
     }
-    stats = {m: compute_statistics(v, bins=bins) for m, v in method_values.items()}
+    stats = {m: compute_statistics(v) for m, v in method_values.items()}
     errors = {
         METHOD_SURROGATE: error_metrics(oracle_vals, surrogate_vals, case, thresholds),
         METHOD_DC_ONLY: error_metrics(oracle_vals, dc_vals, case, thresholds),
@@ -500,18 +483,8 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
     densities = {}
     for label in density_labels:
         j = labels.index(label)
-        cols = {m: v[:, j] for m, v in method_values.items()}
-        lo = min(np.min(c) for c in cols.values())
-        hi = max(np.max(c) for c in cols.values())
-        if lo == hi:
-            edges = np.array([lo - 0.5, lo + 0.5])
-            densities[label] = {"edges": edges, **{m: np.array([1.0]) for m in cols}}
-        else:
-            edges = np.histogram_bin_edges([], bins=bins, range=(lo, hi))
-            densities[label] = {"edges": edges}
-            for m, c in cols.items():
-                dens, _ = np.histogram(c, bins=edges, density=True)
-                densities[label][m] = dens
+        edges, dens = histogram_densities([v[:, j] for v in method_values.values()], bins)
+        densities[label] = {"edges": edges, **dict(zip(method_values, dens))}
 
     return PopfReport(n_samples=int(keep_mask.sum()), dropped=int((~keep_mask).sum()),
                       labels=labels, stats=stats, errors=errors, timings=timings,
@@ -533,19 +506,13 @@ def default_density_labels(case: NetworkCase) -> list:
 
 def _dc_only_outputs(case: NetworkCase, sample_values: np.ndarray) -> np.ndarray:
     """Linear-dispatch analog: DC cost/outputs/flows, voltages flat at 1.0."""
-    from .solver import apply_sample
-
-    n = sample_values.shape[0]
-    out = np.empty((n, case.solution_dim()))
-    ptdf = ptdf_matrix(case)
-    gen_map = np.zeros((case.n_bus, case.n_gen))
-    for i, gen in enumerate(case.generators):
-        gen_map[gen.bus, i] = 1.0
+    p_loads, _ = bus_loads(case, sample_values)
+    out = np.empty((len(p_loads), case.solution_dim()))
+    qp = _dispatch_qp(case)
     nb = case.n_bus
-    for i in range(n):
-        p_load, _ = apply_sample(case, sample_values[i])
+    for i, p_load in enumerate(p_loads):
         dispatch = dc_opf(case, p_load)
-        flows = ptdf @ (gen_map @ dispatch.p_gen - p_load)
+        flows = qp.ptdf @ (qp.gen_map @ dispatch.p_gen - p_load)
         out[i, 0] = dispatch.cost
         out[i, 1:1 + nb] = 1.0
         out[i, 1 + nb:1 + nb + case.n_gen] = dispatch.p_gen
@@ -586,11 +553,12 @@ def save_report(report: PopfReport, directory) -> None:
     }
     atomic_write_text(directory / "report.json", json.dumps(doc, indent=1) + "\n")
     for label, table in report.densities.items():
-        edges = table["edges"]
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        methods = [m for m in table if m != "edges"]
-        lines = ["bin_center\t" + "\t".join(methods)]
-        for k, c in enumerate(centers):
-            lines.append(f"{c:.17g}\t" + "\t".join(f"{table[m][k]:.17g}" for m in methods))
-        fname = "density_" + label.replace(":", "_") + ".tsv"
-        atomic_write_text(directory / fname, "\n".join(lines) + "\n")
+        save_density_table(directory, label, table["edges"],
+                           {m: d for m, d in table.items() if m != "edges"})
+
+
+def save_density_table(directory, label: str, edges: np.ndarray, densities: dict) -> None:
+    """``density_<label>.tsv``: bin centers, then one column per named density."""
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    write_tsv(Path(directory) / f"density_{label.replace(':', '_')}.tsv",
+              ["bin_center", *densities], zip(centers, *densities.values()))

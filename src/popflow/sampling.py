@@ -13,10 +13,8 @@ generated in any order (or in parallel) with identical output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import betaincinv, ndtr
@@ -158,28 +156,6 @@ def sample_operating_conditions(case: NetworkCase, n: int,
         values[:, j] = transform_marginal(z[:, j], src)
     labels = tuple(source_label(s) for s in case.sources)
     return SampleMatrix(values=values, seed=seed, columns=labels)
-
-
-# ---------------------------------------------------------------------------
-# sample files
-
-
-def save_samples(matrix: SampleMatrix, path) -> None:
-    path = Path(path)
-    header = "\t".join(matrix.columns)
-    rows = "\n".join("\t".join(f"{v:.17g}" for v in row) for row in matrix.values)
-    path.write_text(header + "\n" + rows + "\n", encoding="utf-8")
-    meta = {"seed": matrix.seed, "n_samples": int(matrix.n_samples), "columns": list(matrix.columns)}
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
-
-
-def load_samples(path) -> SampleMatrix:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    columns = tuple(lines[0].split("\t"))
-    values = np.array([[float(v) for v in line.split("\t")] for line in lines[1:]])
-    meta = json.loads(Path(str(path) + ".meta.json").read_text(encoding="utf-8"))
-    return SampleMatrix(values=values, seed=int(meta["seed"]), columns=columns)
 
 
 # ---------------------------------------------------------------------------

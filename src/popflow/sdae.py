@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (CorruptFile, DimensionMismatch, FormatVersionMismatch,
                      NonFiniteGradient, NonFiniteLoss)
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes, write_tsv
 
 CHECKPOINT_MAGIC = b"SDAEPOPF"
 CHECKPOINT_VERSION = 1
@@ -225,10 +225,7 @@ def mse_loss(y, y_hat) -> float:
 def batch_loss(y, y_hat) -> float:
     """Per-sample average of mse_loss over a batch."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    if y.shape != y_hat.shape:
-        raise DimensionMismatch(f"shape mismatch {y.shape} vs {y_hat.shape}")
-    return 0.5 * float(np.sum((y_hat - y) ** 2)) / y.shape[0]
+    return mse_loss(y, np.atleast_2d(np.asarray(y_hat, dtype=float))) / y.shape[0]
 
 
 def backward(model: SdaeModel, cache: dict, y_true: np.ndarray) -> list:
@@ -458,9 +455,7 @@ def finetune(model: SdaeModel, x_train, y_train, x_val, y_val,
 
 def save_history(history, path) -> None:
     """Delimited text: epoch, train loss, val loss."""
-    lines = ["epoch\ttrain_loss\tval_loss"]
-    lines += [f"{e}\t{tr:.17g}\t{va:.17g}" for e, tr, va in history]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    write_tsv(path, ["epoch", "train_loss", "val_loss"], history)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import Infeasible, NonConvergence, SingularJacobian
-from .grid import NetworkCase
+from .errors import DispatchStalled, Infeasible, NonConvergence, SingularJacobian
+from .grid import SRC_GAUSSIAN_LOAD, NetworkCase
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 30
@@ -27,14 +27,6 @@ NEWTON_MAX_ITER = 30
 _ACTIVE_TOL = 1e-9
 _MULT_TOL = 1e-9
 _STEP_TOL = 1e-11
-
-
-@dataclass(frozen=True)
-class AdmittanceMatrix:
-    """Dense complex bus admittance matrix."""
-
-    n: int
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,8 +75,8 @@ def solution_layout(case: NetworkCase) -> dict:
 # admittance matrix
 
 
-def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
-    """Assemble the dense bus admittance matrix (pi-model, shunt split 50/50)."""
+def build_ybus(case: NetworkCase) -> np.ndarray:
+    """Assemble the dense complex bus admittance matrix (pi-model, shunt split 50/50)."""
     n = case.n_bus
     Y = np.zeros((n, n), dtype=complex)
     for br in case.branches:
@@ -95,7 +87,7 @@ def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
         Y[t, f] -= ys
         Y[f, f] += ys + ysh
         Y[t, t] += ys + ysh
-    return AdmittanceMatrix(n=n, entries=Y)
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +103,7 @@ def ac_power_flow(case: NetworkCase, p_inj: np.ndarray, q_inj: np.ndarray,
     those quantities are outputs of the solve.
     """
     n = case.n_bus
-    ybus = build_ybus(case).entries
+    ybus = build_ybus(case)
     slack = case.slack_index
     pv = case.pv_indices()
     pq = case.pq_indices()
@@ -199,7 +191,7 @@ def series_losses(case: NetworkCase, vm: np.ndarray, va: np.ndarray) -> float:
 
 def power_flow_mismatch(case: NetworkCase, p_inj, q_inj, vm, va) -> float:
     """Residual of the mismatch equations at a candidate solution."""
-    ybus = build_ybus(case).entries
+    ybus = build_ybus(case)
     v = vm * np.exp(1j * va)
     s_calc = v * np.conj(ybus @ v)
     pv = case.pv_indices()
@@ -238,6 +230,51 @@ def ptdf_matrix(case: NetworkCase) -> np.ndarray:
 # quadratic dispatch (active-set QP)
 
 
+@dataclass(frozen=True)
+class _DispatchQP:
+    """Generator data and the inequality rows ``G p <= h`` of the dispatch QP.
+
+    Rows: -p <= -p_min, p <= p_max, then the PTDF flow limits, upper and
+    lower. Only ``h`` depends on the load vector.
+    """
+
+    p_min: np.ndarray
+    p_max: np.ndarray
+    cost_a: np.ndarray
+    cost_b: np.ndarray
+    gen_map: np.ndarray   # (n_bus, n_gen): 1 where generator i sits on a bus
+    ptdf: np.ndarray
+    limits: np.ndarray
+    G: np.ndarray
+    names: tuple
+
+    def h(self, loads: np.ndarray) -> np.ndarray:
+        base_flow = -(self.ptdf @ loads)
+        return np.concatenate([-self.p_min, self.p_max,
+                               self.limits - base_flow, self.limits + base_flow])
+
+
+def _dispatch_qp(case: NetworkCase) -> _DispatchQP:
+    gens = case.generators
+    ng = len(gens)
+    gen_map = np.zeros((case.n_bus, ng))
+    for i, gen in enumerate(gens):
+        gen_map[gen.bus, i] = 1.0
+    ptdf = ptdf_matrix(case)
+    sens = ptdf @ gen_map
+    names = [f"p_min[{i}]" for i in range(ng)] + [f"p_max[{i}]" for i in range(ng)]
+    names += [f"flow_upper[{i}]" for i in range(case.n_branch)]
+    names += [f"flow_lower[{i}]" for i in range(case.n_branch)]
+    return _DispatchQP(p_min=np.array([g.p_min for g in gens]),
+                       p_max=np.array([g.p_max for g in gens]),
+                       cost_a=np.array([g.cost_a for g in gens]),
+                       cost_b=np.array([g.cost_b for g in gens]),
+                       gen_map=gen_map, ptdf=ptdf,
+                       limits=np.array([br.p_limit for br in case.branches]),
+                       G=np.vstack([-np.eye(ng), np.eye(ng), sens, -sens]),
+                       names=tuple(names))
+
+
 def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
     """Minimum-cost dispatch under balance, generator, and PTDF flow limits.
 
@@ -251,11 +288,8 @@ def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
     if case.n_gen == 0:
         raise Infeasible("case has no generators")
 
-    ng = case.n_gen
-    p_min = np.array([g.p_min for g in case.generators])
-    p_max = np.array([g.p_max for g in case.generators])
-    cost_a = np.array([g.cost_a for g in case.generators])
-    cost_b = np.array([g.cost_b for g in case.generators])
+    qp = _dispatch_qp(case)
+    p_min, p_max = qp.p_min, qp.p_max
     total = float(loads.sum())
 
     if total > p_max.sum() + 1e-12:
@@ -265,36 +299,16 @@ def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
         raise Infeasible(f"total load {total:.6f} pu below total minimum output {p_min.sum():.6f} pu",
                          violated=("minimum_output",))
 
-    H = np.diag(2.0 * cost_a)
-    g_lin = cost_b.copy()
-    a_eq = np.ones((1, ng))
+    H = np.diag(2.0 * qp.cost_a)
+    a_eq = np.ones((1, case.n_gen))
+    G, h = qp.G, qp.h(loads)
 
-    # inequality rows: -p <= -p_min, p <= p_max, then flow limits both signs
-    G = [-np.eye(ng), np.eye(ng)]
-    h = [-p_min, p_max]
-    names = [f"p_min[{i}]" for i in range(ng)] + [f"p_max[{i}]" for i in range(ng)]
+    p0 = _feasible_start(p_min, p_max, total, G, h, qp.names)
+    p_opt = _active_set_qp(H, qp.cost_b, a_eq, np.array([total]), G, h, p0)
 
-    if case.n_branch:
-        ptdf = ptdf_matrix(case)
-        gen_map = np.zeros((case.n_bus, ng))
-        for i, gen in enumerate(case.generators):
-            gen_map[gen.bus, i] = 1.0
-        sens = ptdf @ gen_map
-        base_flow = -(ptdf @ loads)
-        limits = np.array([br.p_limit for br in case.branches])
-        G += [sens, -sens]
-        h += [limits - base_flow, limits + base_flow]
-        names += [f"flow_upper[{i}]" for i in range(case.n_branch)]
-        names += [f"flow_lower[{i}]" for i in range(case.n_branch)]
-
-    G = np.vstack(G)
-    h = np.concatenate(h)
-
-    p0 = _feasible_start(p_min, p_max, total, G, h, names)
-    p_opt = _active_set_qp(H, g_lin, a_eq, np.array([total]), G, h, p0)
-
-    cost = float(np.sum(cost_a * p_opt ** 2 + cost_b * p_opt) + sum(g.cost_c for g in case.generators))
-    binding = tuple(names[i] for i in np.flatnonzero(G @ p_opt - h >= -_ACTIVE_TOL))
+    cost = float(np.sum(qp.cost_a * p_opt ** 2 + qp.cost_b * p_opt)
+                 + sum(g.cost_c for g in case.generators))
+    binding = tuple(qp.names[i] for i in np.flatnonzero(G @ p_opt - h >= -_ACTIVE_TOL))
     return DispatchSolution(p_gen=p_opt, cost=cost, binding=binding)
 
 
@@ -373,7 +387,7 @@ def _active_set_qp(H, g, a_eq, b_eq, G, h, x):
             working.append(blocker)
             working.sort()
 
-    raise RuntimeError("active-set iteration did not terminate")
+    raise DispatchStalled(f"active-set iteration did not terminate in {max_rounds} rounds")
 
 
 def _eqp_direction(H, grad, C):
@@ -408,28 +422,11 @@ def dispatch_kkt_residual(case: NetworkCase, loads: np.ndarray, sol: DispatchSol
     """Max violation over the KKT conditions of the dispatch QP."""
     ng = case.n_gen
     p = sol.p_gen
-    p_min = np.array([g.p_min for g in case.generators])
-    p_max = np.array([g.p_max for g in case.generators])
-    cost_a = np.array([g.cost_a for g in case.generators])
-    cost_b = np.array([g.cost_b for g in case.generators])
     loads = np.asarray(loads, dtype=float)
+    qp = _dispatch_qp(case)
+    G, h = qp.G, qp.h(loads)
 
-    G = [-np.eye(ng), np.eye(ng)]
-    h = [-p_min, p_max]
-    if case.n_branch:
-        ptdf = ptdf_matrix(case)
-        gen_map = np.zeros((case.n_bus, ng))
-        for i, gen in enumerate(case.generators):
-            gen_map[gen.bus, i] = 1.0
-        sens = ptdf @ gen_map
-        base_flow = -(ptdf @ loads)
-        limits = np.array([br.p_limit for br in case.branches])
-        G += [sens, -sens]
-        h += [limits - base_flow, limits + base_flow]
-    G = np.vstack(G)
-    h = np.concatenate(h)
-
-    grad = 2.0 * cost_a * p + cost_b
+    grad = 2.0 * qp.cost_a * p + qp.cost_b
     primal_eq = abs(p.sum() - loads.sum())
     primal_ineq = float(np.max(np.clip(G @ p - h, 0.0, None), initial=0.0))
 
@@ -446,24 +443,25 @@ def dispatch_kkt_residual(case: NetworkCase, loads: np.ndarray, sol: DispatchSol
 # composed oracle
 
 
-def apply_sample(case: NetworkCase, sample: np.ndarray):
-    """Effective per-bus loads (P, Q per-unit) for one source realization.
+def bus_loads(case: NetworkCase, samples: np.ndarray):
+    """Effective per-bus loads (P, Q per-unit), one row per source realization.
 
-    Gaussian-load samples replace the bus load (Q follows from the constant
-    power factor); wind and PV samples inject against the local load.
+    ``samples`` is an (n, n_sources) matrix; the result is two (n, n_bus)
+    arrays. Gaussian-load samples replace the bus load (Q follows from the
+    constant power factor); wind and PV samples inject against the local load.
     """
-    sample = np.asarray(sample, dtype=float)
-    if sample.shape != (case.n_sources,):
-        raise ValueError(f"sample must have shape ({case.n_sources},)")
-    p_load = case.p_load_vector()
-    q_load = case.q_load_vector()
-    for value, src in zip(sample, case.sources):
-        if src.kind == "gaussian_load":
-            pf = src.params["power_factor"]
-            p_load[src.bus] = value
-            q_load[src.bus] = value * math.tan(math.acos(pf))
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != case.n_sources:
+        raise ValueError(f"samples must have shape (n, {case.n_sources}), got {samples.shape}")
+    n = samples.shape[0]
+    p_load = np.tile(case.p_load_vector(), (n, 1))
+    q_load = np.tile(case.q_load_vector(), (n, 1))
+    for k, src in enumerate(case.sources):
+        if src.kind == SRC_GAUSSIAN_LOAD:
+            p_load[:, src.bus] = samples[:, k]
+            q_load[:, src.bus] = samples[:, k] * math.tan(math.acos(src.params["power_factor"]))
         else:
-            p_load[src.bus] -= value
+            p_load[:, src.bus] -= samples[:, k]
     return p_load, q_load
 
 
@@ -475,7 +473,8 @@ def oracle_opf(case: NetworkCase, sample: np.ndarray,
     PV buses and the slack absorbing losses. Cost is recomputed from the
     final outputs, slack included.
     """
-    p_load, q_load = apply_sample(case, sample)
+    p_rows, q_rows = bus_loads(case, np.asarray(sample, dtype=float)[None])
+    p_load, q_load = p_rows[0], q_rows[0]
     dispatch = dc_opf(case, p_load)
 
     slack = case.slack_index

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,45 @@ def two_bus_case(load=0.5, x=0.1, limit=4.0):
         generators=[make_gen(0, p_max=6.0, a=0.02, b=30.0)],
         sources=[gaussian_source(1, mean=load, std=0.1 * load)],
     )
+
+
+def apply_sample_reference(case, sample):
+    """Scalar reference for solver.bus_loads: per-bus (P, Q) of one sample row.
+
+    Gaussian-load samples replace the bus load (Q follows from the constant
+    power factor); wind and PV samples inject against the local load.
+    """
+    p_load = case.p_load_vector()
+    q_load = case.q_load_vector()
+    for value, src in zip(np.asarray(sample, dtype=float), case.sources):
+        if src.kind == SRC_GAUSSIAN_LOAD:
+            pf = src.params["power_factor"]
+            p_load[src.bus] = value
+            q_load[src.bus] = value * math.tan(math.acos(pf))
+        else:
+            p_load[src.bus] -= value
+    return p_load, q_load
+
+
+def stall_dispatch(monkeypatch, stalled=lambda call: True):
+    """Run the chosen solver.dc_opf calls (numbered from 1) into the
+    active-set round cap: a tiny fixed step never reaches a stationary point."""
+    from popflow import solver
+
+    calls = [0]
+    real_dc_opf, real_direction = solver.dc_opf, solver._eqp_direction
+
+    def counted_dc_opf(case, loads):
+        calls[0] += 1
+        return real_dc_opf(case, loads)
+
+    def direction(H, grad, C):
+        if stalled(calls[0]):
+            return np.full(len(grad), 1e-9), False
+        return real_direction(H, grad, C)
+
+    monkeypatch.setattr(solver, "dc_opf", counted_dc_opf)
+    monkeypatch.setattr(solver, "_eqp_direction", direction)
 
 
 @pytest.fixture(scope="session")

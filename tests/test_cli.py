@@ -10,7 +10,7 @@ from popflow.cli import main
 from popflow.grid import case_hash, load_case, serialize_case
 from popflow.sdae import TrainConfig
 
-from conftest import two_bus_case
+from conftest import stall_dispatch, two_bus_case
 
 
 def write_case(tmp_path, case=None, name="case.json"):
@@ -198,6 +198,14 @@ def test_popf_converge_near_zero_variance(tmp_path, capsys):
     assert main(["popf", "-c", str(cfg), "--converge"]) == 0
     out = capsys.readouterr().out
     assert "converged at 2" in out
+
+
+def test_gen_data_stalled_dispatch_exit_one(tmp_path, capsys, monkeypatch):
+    """A dispatch round-cap failure reaches the CLI as a domain error."""
+    stall_dispatch(monkeypatch)
+    cfg = write_config(tmp_path, write_case(tmp_path))
+    assert main(["gen-data", "-c", str(cfg), "--set", "sampling.n_train=4"]) == 1
+    assert "TooManyRejections" in capsys.readouterr().err
 
 
 def test_popf_missing_checkpoint_fails(generated):

@@ -1,0 +1,98 @@
+"""Atomic writes and the shared TSV writer: failure safety and exact bytes."""
+
+import os
+
+import numpy as np
+import pytest
+
+from popflow import ioutil, sdae
+from popflow.ioutil import atomic_write_bytes, atomic_write_text, write_tsv
+from popflow.pipeline import TrainingDataset, save_dataset
+
+from conftest import two_bus_case
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_failed_replace_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    target = tmp_path / "stats.tsv"
+    target.write_text("old\n", encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(ioutil.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        atomic_write_text(target, "new\n")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["stats.tsv"]
+
+
+def test_temp_files_are_unique_per_write(tmp_path, monkeypatch):
+    """Two writers of one target never share a temp file."""
+    seen = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        seen.append(os.fspath(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(ioutil.os, "replace", recording_replace)
+    atomic_write_bytes(tmp_path / "model.ckpt", b"a")
+    atomic_write_bytes(tmp_path / "model.ckpt", b"b")
+    assert len(set(seen)) == 2
+    assert all(os.path.dirname(s) == str(tmp_path) and s.endswith(".tmp") for s in seen)
+    assert (tmp_path / "model.ckpt").read_bytes() == b"b"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_written_file_mode_follows_umask(tmp_path):
+    mask = os.umask(0o027)
+    try:
+        atomic_write_text(tmp_path / "report.json", "{}\n")
+    finally:
+        os.umask(mask)
+    assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o640
+
+
+# ---------------------------------------------------------------------------
+# TSV bytes
+
+
+def test_dataset_matrix_bytes(tmp_path):
+    case = two_bus_case()
+    ds = TrainingDataset(
+        x=np.array([[0.1, -2.5e-17]]),
+        y=np.array([[7285.5, 1.0, 0.99, 1 / 3, 123456789.123]]),
+        samples=np.array([[0.5]]),
+        provenance={"seed": 0},
+    )
+    save_dataset(ds, tmp_path, case)
+    assert (tmp_path / "X.tsv").read_bytes() == (
+        b"p@bus1\tq@bus1\n0.10000000000000001\t-2.4999999999999999e-17\n")
+    assert (tmp_path / "Y.tsv").read_bytes() == (
+        b"cost\tv_mag:0\tv_mag:1\tp_gen:0\tp_branch:0\n"
+        b"7285.5\t1\t0.98999999999999999\t0.33333333333333331\t123456789.123\n")
+    assert (tmp_path / "samples.tsv").read_bytes() == b"source0\n0.5\n"
+
+
+def test_history_bytes_keep_integer_epochs(tmp_path):
+    path = tmp_path / "model.history.tsv"
+    sdae.save_history([(0, 0.5, 0.25), (1, 0.1, 1 / 3), (12, np.float64(2.0), 1e300)], path)
+    assert path.read_bytes() == (
+        b"epoch\ttrain_loss\tval_loss\n"
+        b"0\t0.5\t0.25\n"
+        b"1\t0.10000000000000001\t0.33333333333333331\n"
+        b"12\t2\t1.0000000000000001e+300\n")
+
+
+def test_degenerate_stats_rows_bytes(tmp_path):
+    """The single-sample popf_stats.tsv layout: one value, then a text cell."""
+    labels = ["cost", "v_mag:0"]
+    path = tmp_path / "popf_stats.tsv"
+    write_tsv(path, ["index", "mean", "std"],
+              zip(labels, np.array([7285.5, 1.0]), ["degenerate"] * len(labels)))
+    assert path.read_bytes() == (
+        b"index\tmean\tstd\ncost\t7285.5\tdegenerate\nv_mag:0\t1\tdegenerate\n")

@@ -3,6 +3,8 @@ batched inference, statistics, error metrics, and method comparison."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from popflow import pipeline, sdae
@@ -10,15 +12,16 @@ from popflow.errors import (DimensionMismatch, TooManyRejections,
                             ValidationError)
 from popflow.pipeline import (ExceedanceThresholds, compare_methods,
                               compute_statistics, error_metrics,
-                              generate_training_data, infer, load_dataset,
-                              operating_features, output_labels, run_popf,
-                              save_dataset, save_report, split_indices,
-                              train_popf_model)
+                              generate_training_data, histogram_densities,
+                              infer, load_dataset, operating_features,
+                              output_labels, run_popf, save_dataset,
+                              save_report, split_indices, train_popf_model)
 from popflow.sampling import sample_operating_conditions
-from popflow.solver import apply_sample, oracle_opf
+from popflow.solver import oracle_opf
 
-from conftest import (gaussian_source, make_branch, make_bus, make_case,
-                      make_gen, two_bus_case)
+from conftest import (apply_sample_reference, gaussian_source, make_branch,
+                      make_bus, make_case, make_gen, stall_dispatch,
+                      two_bus_case)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +45,7 @@ def test_features_match_per_sample_application(case14):
     x = operating_features(case14, draw.values)
     pq = case14.pq_indices()
     for i, row in enumerate(draw.values):
-        p_load, q_load = apply_sample(case14, row)
+        p_load, q_load = apply_sample_reference(case14, row)
         assert np.array_equal(x[i, : len(pq)], p_load[pq])
         assert np.array_equal(x[i, len(pq):], q_load[pq])
 
@@ -66,6 +69,14 @@ def test_feature_width_is_twice_pq_count(case14):
 
 # ---------------------------------------------------------------------------
 # training data
+
+
+def test_stalled_dispatch_counts_as_dropped(monkeypatch):
+    """A dispatch that hits its round cap drops the sample and is redrawn."""
+    stall_dispatch(monkeypatch, stalled=lambda call: call == 1)
+    ds = generate_training_data(two_bus_case(), 20, seed=4)
+    assert ds.n_rows == 20
+    assert ds.provenance["dropped"] == 1
 
 
 def test_zero_variance_dataset_rows_identical():
@@ -196,6 +207,14 @@ def test_run_popf_convergence_zero_variance():
     assert result.n_samples == 2  # cv is exactly zero once two samples agree
 
 
+def test_run_popf_sample_cap_is_not_convergence(tiny_trained):
+    """Stopping at max_samples, before the cv test holds, reports converged False."""
+    case, _, _, model, _ = tiny_trained
+    result = run_popf(model, case, seed=3, converge=True, cv_threshold=1e-4, max_samples=50)
+    assert result.n_samples == 50
+    assert result.converged is False
+
+
 def test_run_popf_mean_cost_close_to_oracle(tiny_trained):
     """Surrogate MCS mean vs seed-matched oracle MCS mean on the toy case."""
     case, _, _, model, _ = tiny_trained
@@ -210,17 +229,17 @@ def test_run_popf_mean_cost_close_to_oracle(tiny_trained):
 
 
 def test_statistics_basic():
-    stats = compute_statistics(np.array([[1.0], [2.0], [3.0]]), bins=4)
+    stats = compute_statistics(np.array([[1.0], [2.0], [3.0]]))
     assert stats.mean[0] == pytest.approx(2.0)
     assert stats.std[0] == pytest.approx(1.0)
 
 
 def test_statistics_constant_column_degenerate_density():
-    stats = compute_statistics(np.full((10, 1), 7.0))
-    edges, density = stats.densities[0]
+    edges, (density,) = histogram_densities([np.full(10, 7.0)], bins=50)
     width = edges[1] - edges[0]
     assert density.shape == (1,)
     assert density[0] * width == pytest.approx(1.0)
+    assert np.array_equal(edges, [6.5, 7.5])
 
 
 def test_statistics_requires_two_samples():
@@ -230,15 +249,37 @@ def test_statistics_requires_two_samples():
 
 def test_densities_integrate_to_one(rng):
     values = rng.normal(size=(5000, 3)) * [1.0, 5.0, 0.1] + [0, 10, -3]
-    stats = compute_statistics(values, bins=50)
-    for edges, density in stats.densities:
+    for j in range(3):
+        edges, (density,) = histogram_densities([values[:, j]], bins=50)
         assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, abs=1e-9)
+    # shared bins span every column, and each density still has unit area
+    edges, dens = histogram_densities(list(values.T), bins=50)
+    assert edges[0] == values.min() and edges[-1] == values.max()
+    for density in dens:
+        assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                min_size=1, max_size=200),
+       st.integers(min_value=1, max_value=60))
+def test_single_column_density_is_numpy_histogram(values, bins):
+    """One column through the shared-bin path equals the single-column
+    histogram over its own range, byte for byte."""
+    col = np.array(values)
+    edges, (density,) = histogram_densities([col], bins)
+    lo, hi = col.min(), col.max()
+    if lo == hi:
+        assert np.array_equal(edges, [lo - 0.5, lo + 0.5]) and np.array_equal(density, [1.0])
+        return
+    ref_density, ref_edges = np.histogram(col, bins, range=(lo, hi), density=True)
+    assert edges.tobytes() == ref_edges.tobytes()
+    assert density.tobytes() == ref_density.tobytes()
 
 
 def test_density_matches_normal_pdf():
     z = np.random.Generator(np.random.PCG64(17)).normal(size=100_000)
-    stats = compute_statistics(z[:, None], bins=50)
-    edges, density = stats.densities[0]
+    edges, (density,) = histogram_densities([z], bins=50)
     centers = 0.5 * (edges[:-1] + edges[1:])
     inside = np.abs(centers) <= 2.0
     assert np.max(np.abs(density[inside] - norm.pdf(centers[inside]))) < 0.02

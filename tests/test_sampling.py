@@ -1,6 +1,5 @@
 """Monte-Carlo sampling: determinism, correlation, marginals, stopping rule."""
 
-import json
 import math
 
 import numpy as np
@@ -161,21 +160,6 @@ def test_sampling_reproducible_hash(case14):
     b = sample_operating_conditions(case14, 500, None, seed=21)
     assert np.array_equal(a.values, b.values)
     assert a.columns == b.columns
-
-
-def test_sample_files_round_trip(tmp_path, case14):
-    from popflow.sampling import load_samples, save_samples
-
-    sm = sample_operating_conditions(case14, 60, None, seed=12)
-    path = tmp_path / "samples.tsv"
-    save_samples(sm, path)
-    again = load_samples(path)
-    assert np.allclose(again.values, sm.values, rtol=0, atol=0)
-    assert again.seed == sm.seed
-    assert again.columns == sm.columns
-    # seed lives in the sidecar metadata document
-    meta = json.loads((tmp_path / "samples.tsv.meta.json").read_text())
-    assert meta["seed"] == 12
 
 
 def test_sampling_mean_clt_bound():

@@ -10,15 +10,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import popflow
-from popflow.errors import Infeasible, NonConvergence
-from popflow.grid import PQ, PV, SLACK
-from popflow.solver import (ac_power_flow, build_ybus, dc_opf,
+from popflow.errors import DispatchStalled, Infeasible, NonConvergence
+from popflow.grid import PQ, PV, SLACK, SRC_PV, SRC_WIND, StochasticSource
+from popflow.solver import (ac_power_flow, build_ybus, bus_loads, dc_opf,
                             dispatch_kkt_residual, oracle_opf,
                             power_flow_mismatch, series_losses, solution_layout)
 
-from conftest import make_branch, make_bus, make_case, make_gen, two_bus_case
+from conftest import (apply_sample_reference, gaussian_source, make_branch,
+                      make_bus, make_case, make_gen, stall_dispatch, two_bus_case)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,7 @@ def _dc_flows_from_angles(case, p_matrix, loads):
 
 def test_ybus_single_branch():
     case = two_bus_case()
-    y = build_ybus(case).entries
+    y = build_ybus(case)
     expected = np.array([[-10j, 10j], [10j, -10j]])
     assert np.allclose(y, expected, atol=1e-12)
 
@@ -111,7 +113,7 @@ def test_ybus_unconnected_pair_is_zero():
         branches=[make_branch(0, 1), make_branch(1, 2)],
         generators=[make_gen(0)],
     )
-    y = build_ybus(case).entries
+    y = build_ybus(case)
     assert y[0, 2] == 0 and y[2, 0] == 0
 
 
@@ -122,7 +124,7 @@ def test_ybus_triangle_symmetry():
                   make_branch(0, 2, r=0.01, x=0.1)],
         generators=[make_gen(0)],
     )
-    y = build_ybus(case).entries
+    y = build_ybus(case)
     assert np.allclose(y, y.T, atol=1e-15)
     assert y[0, 1] == pytest.approx(y[1, 2])
     assert y[0, 1] == pytest.approx(y[0, 2])
@@ -130,7 +132,7 @@ def test_ybus_triangle_symmetry():
 
 def test_ybus_row_sums_equal_shunt(case14):
     """Kirchhoff structure: series terms cancel in each row sum."""
-    y = build_ybus(case14).entries
+    y = build_ybus(case14)
     shunt = np.zeros(case14.n_bus, dtype=complex)
     for br in case14.branches:
         shunt[br.from_bus] += 0.5j * br.b_sh
@@ -224,6 +226,14 @@ def test_dispatch_infeasible_overload():
         dc_opf(case, np.array([1.0]))
 
 
+def test_dispatch_round_cap_raises_domain_error(monkeypatch):
+    from popflow import solver
+
+    stall_dispatch(monkeypatch)
+    with pytest.raises(DispatchStalled, match="did not terminate"):
+        solver.dc_opf(two_bus_case(), np.array([0.0, 0.5]))
+
+
 def three_bus_limited_case(limit=0.4):
     """Cheap generation at bus 0 separated from the load by a tight line."""
     return make_case(
@@ -304,6 +314,60 @@ def test_dispatch_matches_grid_search_on_random_cases():
 # composed oracle
 
 
+def assert_bus_loads_match_reference(case, samples):
+    p, q = bus_loads(case, samples)
+    assert p.shape == q.shape == (len(samples), case.n_bus)
+    for i, row in enumerate(samples):
+        p_ref, q_ref = apply_sample_reference(case, row)
+        assert np.array_equal(p[i], p_ref) and np.array_equal(q[i], q_ref)
+
+
+def load_bus_case(sources, n_pq=3):
+    buses = [make_bus(0, SLACK)] + [make_bus(i, PQ, p=0.1 * i, q=0.03 * i)
+                                    for i in range(1, n_pq + 1)]
+    return make_case(buses=buses, branches=[make_branch(0, i) for i in range(1, n_pq + 1)],
+                     generators=[make_gen(0)], sources=sources)
+
+
+def test_bus_loads_two_sources_on_one_bus():
+    """Sources apply in case order: a Gaussian load replaces the bus load,
+    then wind on the same bus injects against it; two PV plants stack."""
+    case = load_bus_case([gaussian_source(1, 0.5, 0.1, pf=0.9),
+                          StochasticSource(bus=1, kind=SRC_WIND, params={}),
+                          StochasticSource(bus=2, kind=SRC_PV, params={}),
+                          StochasticSource(bus=2, kind=SRC_PV, params={})])
+    samples = np.array([[0.6, 0.2, 0.05, 0.07], [0.4, 0.0, 0.0, 0.3]])
+    assert_bus_loads_match_reference(case, samples)
+    p, q = bus_loads(case, samples)
+    assert p[0, 1] == pytest.approx(0.6 - 0.2)
+    assert q[0, 1] == pytest.approx(0.6 * math.tan(math.acos(0.9)))
+    assert p[0, 2] == pytest.approx(0.2 - 0.05 - 0.07)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["gaussian_load", SRC_WIND, SRC_PV]),
+                          st.integers(min_value=1, max_value=3),
+                          st.floats(min_value=0.5, max_value=1.0)),
+                min_size=1, max_size=6),
+       st.data())
+def test_bus_loads_match_scalar_reference(specs, data):
+    sources = [gaussian_source(bus, 0.3, 0.05, pf=pf) if kind == "gaussian_load"
+               else StochasticSource(bus=bus, kind=kind, params={})
+               for kind, bus, pf in specs]
+    case = load_bus_case(sources)
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    flat = data.draw(st.lists(st.floats(min_value=-2.0, max_value=2.0),
+                              min_size=n * len(sources), max_size=n * len(sources)))
+    assert_bus_loads_match_reference(case, np.array(flat).reshape(n, len(sources)))
+
+
+def test_bus_loads_reject_wrong_sample_width(case14):
+    with pytest.raises(ValueError, match="shape"):
+        bus_loads(case14, np.zeros((2, case14.n_sources + 1)))
+    with pytest.raises(ValueError, match="shape"):
+        oracle_opf(case14, np.zeros(case14.n_sources - 1))
+
+
 def test_oracle_zero_variance_deterministic(case14):
     sample = np.array([s.params.get("mean", 0.1) for s in case14.sources])
     a = oracle_opf(case14, sample)
@@ -338,7 +402,7 @@ def test_oracle_golden_fixture(case14):
     from pathlib import Path
 
     from popflow.sampling import sample_operating_conditions
-    from popflow.solver import apply_sample, power_flow_mismatch
+    from popflow.solver import power_flow_mismatch
 
     golden = json.loads((Path(__file__).parent / "golden" / "case14_seed0.json").read_text())
     sample = sample_operating_conditions(case14, 1, None, seed=0).values[0]
@@ -351,7 +415,7 @@ def test_oracle_golden_fixture(case14):
     assert np.allclose(sol.p_branch, golden["p_branch"], atol=1e-10)
 
     # live re-checks: dispatch optimality conditions and the AC residual
-    p_load, q_load = apply_sample(case14, sample)
+    p_load, q_load = apply_sample_reference(case14, sample)
     dispatch = dc_opf(case14, p_load)
     assert dispatch_kkt_residual(case14, p_load, dispatch) <= 1e-8
     p_inj = -p_load.copy()
@@ -366,7 +430,7 @@ def test_oracle_golden_fixture(case14):
 def test_oracle_cost_covers_slack_adjustment(case14):
     """Recomputed cost reflects final outputs, not the linear dispatch."""
     sample = np.array([s.params.get("mean", 0.1) for s in case14.sources])
-    p_load, _ = popflow.solver.apply_sample(case14, sample)
+    p_load, _ = apply_sample_reference(case14, sample)
     dispatch = dc_opf(case14, p_load)
     sol = oracle_opf(case14, sample)
     assert sol.cost != pytest.approx(dispatch.cost, abs=1e-6)
