@@ -16,7 +16,9 @@ Method comparison runs three solvers over one seed-matched sample matrix:
 from __future__ import annotations
 
 import json
+import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from .errors import DimensionMismatch, PopflowError, TooManyRejections, Validati
 from .grid import PQ, NetworkCase, case_hash
 from .sampling import (ConvergenceState, CorrelationSpec,
                        sample_operating_conditions, update_convergence)
-from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, _dispatch_qp, bus_loads, dc_opf,
+from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, bus_loads, compile_case, dc_opf,
                      oracle_opf, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
 
@@ -35,8 +37,10 @@ from .ioutil import atomic_write_text, write_tsv
 # predictions do not depend on how callers batch their queries
 INFER_CHUNK = 512
 
-# offset between successive redraw rounds of the training-data seed stream
-_REDRAW_SEED_STRIDE = 1_000_003
+# first chunk of a convergence-driven run; later chunks double
+_CONVERGE_FIRST_DRAW = 4 * INFER_CHUNK
+
+log = logging.getLogger("popflow")
 
 METHOD_ORACLE = "oracle"
 METHOD_SURROGATE = "surrogate"
@@ -144,39 +148,39 @@ def generate_training_data(case: NetworkCase, n: int, seed: int,
     """Sample operating conditions and label them with the oracle.
 
     Samples whose oracle solve fails (infeasible dispatch or non-convergent
-    power flow) are dropped and replaced from a fresh seed-offset draw; the
-    drop count lands in the provenance. Raises TooManyRejections once more
-    than half of all draws have failed.
+    power flow) are dropped and replaced from a fresh redraw round (see
+    ``sample_operating_conditions``); the drop count lands in the
+    provenance. Raises TooManyRejections once more than half of all draws
+    have failed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     kept_samples = []
     kept_y = []
-    drawn = 0
-    failed = 0
+    work = _OracleWork()
     round_no = 0
     while sum(len(s) for s in kept_samples) < n:
         missing = n - sum(len(s) for s in kept_samples)
-        batch = sample_operating_conditions(case, missing, spec,
-                                            seed + _REDRAW_SEED_STRIDE * round_no)
+        batch = sample_operating_conditions(case, missing, spec, seed, redraw=round_no)
         ok_rows = []
         y_rows = []
         for row in batch.values:
-            drawn += 1
             try:
                 sol = oracle_opf(case, row, tol=tol, max_iter=max_iter)
-            except PopflowError:
-                failed += 1
+            except PopflowError as exc:
+                work.drop(exc)
                 continue
+            work.add(sol)
             ok_rows.append(row)
             y_rows.append(sol.as_vector())
         if ok_rows:
             kept_samples.append(np.array(ok_rows))
             kept_y.append(np.array(y_rows))
-        if failed > drawn / 2:
+        if work.failed > work.attempts / 2:
             raise TooManyRejections(
-                f"{failed} of {drawn} oracle labelling attempts failed")
+                f"{work.failed} of {work.attempts} oracle labelling attempts failed")
         round_no += 1
+    work.log("gen-data")
 
     samples = np.vstack(kept_samples)[:n]
     y = np.vstack(kept_y)[:n]
@@ -185,10 +189,42 @@ def generate_training_data(case: NetworkCase, n: int, seed: int,
         "case_hash": case_hash(case),
         "seed": seed,
         "n": n,
-        "dropped": failed,
+        "dropped": work.failed,
         "oracle": {"newton_tol": tol, "newton_max_iter": max_iter},
     }
     return TrainingDataset(x=x, y=y, samples=samples, provenance=provenance)
+
+
+class _OracleWork:
+    """How hard the oracle worked over a run of solves, for the debug log."""
+
+    def __init__(self):
+        self.solves = 0
+        self.warm_hits = 0
+        self.newton_iterations = 0
+        self.drops = Counter()
+
+    @property
+    def failed(self) -> int:
+        return sum(self.drops.values())
+
+    @property
+    def attempts(self) -> int:
+        return self.solves + self.failed
+
+    def add(self, sol) -> None:
+        self.solves += 1
+        self.warm_hits += sol.dispatch_rounds == 0
+        self.newton_iterations += sol.newton_iterations
+
+    def drop(self, exc: Exception) -> None:
+        self.drops[type(exc).__name__] += 1
+
+    def log(self, stage: str) -> None:
+        log.debug("%s: %d oracle solves, %d warm dispatch hits, %d active-set fallbacks, "
+                  "%.3g Newton iterations per solve, drops %s",
+                  stage, self.solves, self.warm_hits, self.solves - self.warm_hits,
+                  self.newton_iterations / max(self.solves, 1), dict(self.drops))
 
 
 def save_dataset(ds: TrainingDataset, directory, case: NetworkCase) -> None:
@@ -288,45 +324,60 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     variance coefficient of every output index drops to the threshold, or at
     the sample cap. ``converged`` is true only when the threshold was met.
     """
-    if converge:
-        draw = sample_operating_conditions(case, max_samples, spec, seed)
-    else:
+    if not converge:
         if n_samples is None or n_samples < 1:
             raise ValueError("n_samples must be at least 1 when not convergence-driven")
-        draw = sample_operating_conditions(case, n_samples, spec, seed)
-
-    x = operating_features(case, draw.values)
-    if x.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"case yields {x.shape[1]} features but the model was trained on "
-            f"{model.input_dim}; was the model trained on a different case?")
-
-    start = time.perf_counter()
-    if not converge:
+        x = _model_features(model, case,
+                            sample_operating_conditions(case, n_samples, spec, seed).values)
+        start = time.perf_counter()
         values = infer(model, x)
         return PopfRunResult(values=values, seconds=time.perf_counter() - start,
                              n_samples=values.shape[0], converged=None)
 
-    # the draw ends at the cap; a state capped there would report done at the
-    # last row even when the variance-coefficient test fails
+    # Rows are drawn in chunks that double in size: each round draws the
+    # prefix that ends with the new chunk and featurizes only the new rows.
+    # Column streams are prefix-stable, so the rows equal those of one
+    # max_samples draw; every chunk but the capped last one is a multiple of
+    # INFER_CHUNK, so inference chunks stay aligned.
+    # The state's cap lies past the last row: a state capped there would
+    # report done at that row even when the variance-coefficient test fails.
     state = ConvergenceState.for_dim(model.output_dim, threshold=cv_threshold,
-                                     max_samples=x.shape[0] + 1)
+                                     max_samples=max_samples + 1)
     collected = []
     done = False
-    for chunk_start in range(0, x.shape[0], INFER_CHUNK):
-        block = infer(model, x[chunk_start:chunk_start + INFER_CHUNK])
-        for row_no, row in enumerate(block):
-            state, done = update_convergence(state, row)
-            if done:
-                collected.append(block[: row_no + 1])
-                break
-        else:
+    seconds = 0.0
+    drawn = 0
+    chunk = _CONVERGE_FIRST_DRAW
+    while drawn < max_samples and not done:
+        end = min(drawn + chunk, max_samples)
+        chunk *= 2
+        rows = sample_operating_conditions(case, end, spec, seed).values[drawn:]
+        x = _model_features(model, case, rows)
+        drawn = end
+        start = time.perf_counter()
+        for chunk_start in range(0, x.shape[0], INFER_CHUNK):
+            block = infer(model, x[chunk_start:chunk_start + INFER_CHUNK])
+            for row_no, row in enumerate(block):
+                state, done = update_convergence(state, row)
+                if done:
+                    block = block[: row_no + 1]
+                    break
             collected.append(block)
-            continue
-        break
+            if done:
+                break
+        seconds += time.perf_counter() - start
     values = np.vstack(collected)
-    return PopfRunResult(values=values, seconds=time.perf_counter() - start,
+    return PopfRunResult(values=values, seconds=seconds,
                          n_samples=values.shape[0], converged=done)
+
+
+def _model_features(model: sdae.SdaeModel, case: NetworkCase, sample_values) -> np.ndarray:
+    x = operating_features(case, sample_values)
+    if x.shape[1] != model.input_dim:
+        raise DimensionMismatch(
+            f"case yields {x.shape[1]} features but the model was trained on "
+            f"{model.input_dim}; was the model trained on a different case?")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +487,20 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
     oracle_rows = []
     keep_mask = np.ones(draw.n_samples, dtype=bool)
     failures = {}
+    work = _OracleWork()
     t0 = time.perf_counter()
     for i, row in enumerate(draw.values):
         try:
-            oracle_rows.append(oracle_opf(case, row).as_vector())
+            sol = oracle_opf(case, row)
         except PopflowError as exc:
             keep_mask[i] = False
             failures[i] = f"{type(exc).__name__}: {exc}"
+            work.drop(exc)
+            continue
+        work.add(sol)
+        oracle_rows.append(sol.as_vector())
     oracle_time = time.perf_counter() - t0
+    work.log("compare")
     if not oracle_rows:
         raise TooManyRejections("every oracle sample failed; nothing to compare")
     oracle_vals = np.array(oracle_rows)
@@ -508,7 +565,7 @@ def _dc_only_outputs(case: NetworkCase, sample_values: np.ndarray) -> np.ndarray
     """Linear-dispatch analog: DC cost/outputs/flows, voltages flat at 1.0."""
     p_loads, _ = bus_loads(case, sample_values)
     out = np.empty((len(p_loads), case.solution_dim()))
-    qp = _dispatch_qp(case)
+    qp = compile_case(case).qp
     nb = case.n_bus
     for i, p_load in enumerate(p_loads):
         dispatch = dc_opf(case, p_load)

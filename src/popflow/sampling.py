@@ -8,7 +8,11 @@ is hit.
 
 Reproducibility contract: the generator is PCG64 and column ``j`` of a draw
 uses the stream ``SeedSequence(seed, spawn_key=(j,))``, so columns can be
-generated in any order (or in parallel) with identical output.
+generated in any order (or in parallel) with identical output. Redraw round
+``r >= 1`` (replacements for samples the oracle could not label) uses
+``spawn_key=(j, r)``. SeedSequence pads seeds below 2**128 to four words
+ahead of the key, so for such seeds a redraw stream is one word longer than
+every round-0 stream, and no round-0 draw can reproduce it.
 """
 
 from __future__ import annotations
@@ -72,13 +76,14 @@ def source_label(src: StochasticSource) -> str:
 # drawing and correlating
 
 
-def draw_standard_normals(n: int, d: int, seed: int) -> np.ndarray:
+def draw_standard_normals(n: int, d: int, seed: int, redraw: int = 0) -> np.ndarray:
     """n x d standard normals, one PCG64 stream per column (see module doc)."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     out = np.empty((n, d))
     for j in range(d):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
+        key = (j, redraw) if redraw else (j,)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
         out[:, j] = rng.standard_normal(n)
     return out
 
@@ -143,12 +148,15 @@ def wind_power_curve(speed, params):
 
 def sample_operating_conditions(case: NetworkCase, n: int,
                                 spec: CorrelationSpec | None = None,
-                                seed: int = 0) -> SampleMatrix:
-    """Draw, correlate, and marginal-transform n operating conditions."""
+                                seed: int = 0, redraw: int = 0) -> SampleMatrix:
+    """Draw, correlate, and marginal-transform n operating conditions.
+
+    ``redraw`` selects the streams of a redraw round (see module doc).
+    """
     d = case.n_sources
     if d == 0:
         raise ValueError("case has no stochastic sources to sample")
-    z = draw_standard_normals(n, d, seed)
+    z = draw_standard_normals(n, d, seed, redraw)
     if spec is not None and spec.groups:
         z = correlate(z, spec)
     values = np.empty_like(z)

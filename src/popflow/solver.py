@@ -7,14 +7,20 @@ losses the linear dispatch cannot see, and the operating cost is recomputed
 from the final generator outputs.
 
 All quantities per-unit. Slack and PV buses regulate 1.0 pu voltage.
+
+Per-case constants (Ybus, PTDF, constraint rows, index grids) live in a
+``CompiledCase`` that ``compile_case`` builds once per case object.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.optimize import linprog
 
 from .errors import DispatchStalled, Infeasible, NonConvergence, SingularJacobian
@@ -27,6 +33,10 @@ NEWTON_MAX_ITER = 30
 _ACTIVE_TOL = 1e-9
 _MULT_TOL = 1e-9
 _STEP_TOL = 1e-11
+# largest stationarity residual of an accepted KKT solve
+_KKT_TOL = 1e-9
+# verified active sets a compiled case remembers, most recent first
+_WARM_SETS = 8
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,7 @@ class DispatchSolution:
     p_gen: np.ndarray
     cost: float
     binding: tuple
+    rounds: int = 0   # active-set rounds; 0 when a remembered active set was verified
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,8 @@ class OpfSolution:
     v_mag: np.ndarray
     p_gen: np.ndarray
     p_branch: np.ndarray
+    dispatch_rounds: int = 0
+    newton_iterations: int = 0
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.cost], self.v_mag, self.p_gen, self.p_branch))
@@ -72,7 +85,7 @@ def solution_layout(case: NetworkCase) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# admittance matrix
+# network matrices
 
 
 def build_ybus(case: NetworkCase) -> np.ndarray:
@@ -88,122 +101,6 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
         Y[f, f] += ys + ysh
         Y[t, t] += ys + ysh
     return Y
-
-
-# ---------------------------------------------------------------------------
-# Newton-Raphson AC power flow
-
-
-def ac_power_flow(case: NetworkCase, p_inj: np.ndarray, q_inj: np.ndarray,
-                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> PowerFlowSolution:
-    """Full Newton on the polar mismatch equations, flat start.
-
-    ``p_inj``/``q_inj`` are net per-bus injections (generation minus load).
-    The P entry at the slack bus and Q entries at slack/PV buses are ignored;
-    those quantities are outputs of the solve.
-    """
-    n = case.n_bus
-    ybus = build_ybus(case)
-    slack = case.slack_index
-    pv = case.pv_indices()
-    pq = case.pq_indices()
-    pvpq = np.concatenate([pv, pq]).astype(int)
-    npv, npq = len(pv), len(pq)
-
-    vm = np.ones(n)
-    va = np.zeros(n)
-
-    p_inj = np.asarray(p_inj, dtype=float)
-    q_inj = np.asarray(q_inj, dtype=float)
-    if p_inj.shape != (n,) or q_inj.shape != (n,):
-        raise ValueError(f"injection vectors must have shape ({n},)")
-
-    iterations = 0
-    for iterations in range(max_iter + 1):
-        v = vm * np.exp(1j * va)
-        s_calc = v * np.conj(ybus @ v)
-        mis_p = s_calc.real[pvpq] - p_inj[pvpq]
-        mis_q = s_calc.imag[pq] - q_inj[pq]
-        mismatch = np.concatenate([mis_p, mis_q])
-        max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
-        if max_mis <= tol:
-            return _finish_power_flow(case, ybus, vm, va, slack, iterations, max_mis)
-        if iterations == max_iter or not np.isfinite(max_mis):
-            raise NonConvergence(iterations, max_mis)
-
-        ibus = ybus @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_vnorm = np.diag(v / np.abs(v))
-        ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
-
-        try:
-            dx = np.linalg.solve(jac, -mismatch)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Jacobian factorization failed at iteration {iterations}: {exc}") from None
-        if not np.all(np.isfinite(dx)):
-            raise SingularJacobian(f"Jacobian produced a non-finite step at iteration {iterations}")
-
-        va[pvpq] += dx[: npv + npq]
-        vm[pq] += dx[npv + npq:]
-
-    raise NonConvergence(max_iter, float("nan"))
-
-
-def _finish_power_flow(case, ybus, vm, va, slack, iterations, max_mis):
-    v = vm * np.exp(1j * va)
-    s_slack = v[slack] * np.conj(ybus[slack] @ v)
-    p_branch = branch_flows(case, vm, va)
-    return PowerFlowSolution(v_mag=vm.copy(), v_ang=va.copy(), p_branch=p_branch,
-                             p_slack=float(s_slack.real), q_slack=float(s_slack.imag),
-                             iterations=iterations, max_mismatch=max_mis)
-
-
-def branch_flows(case: NetworkCase, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
-    """Sending-end active power of every branch."""
-    v = vm * np.exp(1j * va)
-    out = np.empty(case.n_branch)
-    for i, br in enumerate(case.branches):
-        ys = 1.0 / complex(br.r, br.x)
-        vf, vt = v[br.from_bus], v[br.to_bus]
-        i_from = ys * (vf - vt) + 0.5j * br.b_sh * vf
-        out[i] = (vf * np.conj(i_from)).real
-    return out
-
-
-def series_losses(case: NetworkCase, vm: np.ndarray, va: np.ndarray) -> float:
-    """Total I^2 R loss over all branches (shunts are lossless)."""
-    v = vm * np.exp(1j * va)
-    total = 0.0
-    for br in case.branches:
-        ys = 1.0 / complex(br.r, br.x)
-        i_series = ys * (v[br.from_bus] - v[br.to_bus])
-        total += float(np.abs(i_series) ** 2 * br.r)
-    return total
-
-
-def power_flow_mismatch(case: NetworkCase, p_inj, q_inj, vm, va) -> float:
-    """Residual of the mismatch equations at a candidate solution."""
-    ybus = build_ybus(case)
-    v = vm * np.exp(1j * va)
-    s_calc = v * np.conj(ybus @ v)
-    pv = case.pv_indices()
-    pq = case.pq_indices()
-    pvpq = np.concatenate([pv, pq]).astype(int)
-    parts = [s_calc.real[pvpq] - np.asarray(p_inj)[pvpq], s_calc.imag[pq] - np.asarray(q_inj)[pq]]
-    res = np.concatenate(parts)
-    return float(np.max(np.abs(res))) if res.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# DC network sensitivities
 
 
 def ptdf_matrix(case: NetworkCase) -> np.ndarray:
@@ -227,7 +124,7 @@ def ptdf_matrix(case: NetworkCase) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quadratic dispatch (active-set QP)
+# compiled case
 
 
 @dataclass(frozen=True)
@@ -242,16 +139,36 @@ class _DispatchQP:
     p_max: np.ndarray
     cost_a: np.ndarray
     cost_b: np.ndarray
+    cost_c: float         # sum of the constant cost terms
     gen_map: np.ndarray   # (n_bus, n_gen): 1 where generator i sits on a bus
     ptdf: np.ndarray
     limits: np.ndarray
     G: np.ndarray
+    H: np.ndarray         # Hessian of the cost, diag(2 a)
     names: tuple
 
     def h(self, loads: np.ndarray) -> np.ndarray:
         base_flow = -(self.ptdf @ loads)
         return np.concatenate([-self.p_min, self.p_max,
                                self.limits - base_flow, self.limits + base_flow])
+
+    def active_set(self, working) -> "_ActiveSet":
+        """Rows ``working`` of G held at equality, with their KKT matrix
+        ``[[H, C^T], [C, 0]]`` where ``C`` is the balance row over those rows."""
+        rows = np.array(working, dtype=int)
+        C = np.vstack([np.ones((1, len(self.p_min))), self.G[rows]])
+        k = C.shape[0]
+        outside = np.ones(self.G.shape[0], dtype=bool)
+        outside[rows] = False
+        return _ActiveSet(rows=tuple(working), index=rows, outside=outside,
+                          kkt=np.block([[self.H, C.T], [C, np.zeros((k, k))]]))
+
+
+class _ActiveSet(NamedTuple):
+    rows: tuple
+    index: np.ndarray
+    outside: np.ndarray   # mask of the rows not held at equality
+    kkt: np.ndarray
 
 
 def _dispatch_qp(case: NetworkCase) -> _DispatchQP:
@@ -262,25 +179,214 @@ def _dispatch_qp(case: NetworkCase) -> _DispatchQP:
         gen_map[gen.bus, i] = 1.0
     ptdf = ptdf_matrix(case)
     sens = ptdf @ gen_map
+    cost_a = np.array([g.cost_a for g in gens])
     names = [f"p_min[{i}]" for i in range(ng)] + [f"p_max[{i}]" for i in range(ng)]
     names += [f"flow_upper[{i}]" for i in range(case.n_branch)]
     names += [f"flow_lower[{i}]" for i in range(case.n_branch)]
     return _DispatchQP(p_min=np.array([g.p_min for g in gens]),
                        p_max=np.array([g.p_max for g in gens]),
-                       cost_a=np.array([g.cost_a for g in gens]),
+                       cost_a=cost_a,
                        cost_b=np.array([g.cost_b for g in gens]),
+                       cost_c=float(sum(g.cost_c for g in gens)),
                        gen_map=gen_map, ptdf=ptdf,
                        limits=np.array([br.p_limit for br in case.branches]),
                        G=np.vstack([-np.eye(ng), np.eye(ng), sens, -sens]),
+                       H=np.diag(2.0 * cost_a),
                        names=tuple(names))
+
+
+@dataclass(eq=False)
+class CompiledCase:
+    """Per-case constants of the oracle, plus the dispatch warm-start sets.
+
+    Everything but ``warm_sets`` is fixed at compile time. ``warm_sets`` is
+    a most-recent-first tuple of the dispatch QP's active sets that passed
+    the strict KKT test. Reassigning the tuple is atomic, so threads sharing
+    a case at worst lose an entry; results never depend on the tuple.
+    """
+
+    ybus: np.ndarray
+    slack: int
+    pq: np.ndarray
+    pvpq: np.ndarray
+    jac_index: np.ndarray   # (m, m) flat indices into the float view of [dS/dVa | dS/dVm]
+    diag_va: np.ndarray     # flat indices of the dS/dVa diagonal in that stack
+    diag_vm: np.ndarray     # flat indices of the dS/dVm diagonal
+    br_from: np.ndarray
+    br_to: np.ndarray
+    br_series: np.ndarray   # series admittance per branch
+    br_shunt: np.ndarray    # half line charging per branch, as 0.5j * b_sh
+    qp: _DispatchQP
+    slack_gens: np.ndarray  # generators at the slack bus
+    inj_map: np.ndarray     # gen_map with the slack generators' columns zeroed
+    warm_sets: tuple = ()
+
+
+_COMPILED: dict = {}
+
+
+def compile_case(case: NetworkCase) -> CompiledCase:
+    """The compiled form of ``case``, built on first use and kept while the
+    case object lives.
+
+    Keyed by object identity: equal but separate case objects compile
+    separately and do not share warm-start sets.
+    """
+    compiled = _COMPILED.get(id(case))
+    if compiled is None:
+        compiled = _compile(case)
+        _COMPILED[id(case)] = compiled
+        weakref.finalize(case, _COMPILED.pop, id(case), None).atexit = False
+    return compiled
+
+
+def _compile(case: NetworkCase) -> CompiledCase:
+    n = case.n_bus
+    pv, pq = case.pv_indices(), case.pq_indices()
+    pvpq = np.concatenate([pv, pq]).astype(int)
+    # J = [[Re dS/dVa, Re dS/dVm], [Im dS/dVa, Im dS/dVm]] over (pvpq | pq) rows and
+    # (pvpq angles | pq magnitudes) columns, read from the (n, 4n) float view of the
+    # complex (n, 2n) stack [dS/dVa | dS/dVm]: entry (r, c) part p sits at r*4n + 2c + p
+    rows = np.concatenate([pvpq, pq])
+    part = np.concatenate([np.zeros(len(pvpq), dtype=int), np.ones(len(pq), dtype=int)])
+    cols = 2 * np.concatenate([pvpq, n + pq])
+    jac_index = rows[:, None] * 4 * n + cols[None, :] + part[:, None]
+    bus = np.arange(n)
+
+    slack = case.slack_index
+    gen_bus = np.array([g.bus for g in case.generators], dtype=int)
+    slack_gens = np.flatnonzero(gen_bus == slack)
+    qp = _dispatch_qp(case)
+    inj_map = qp.gen_map.copy()
+    inj_map[:, slack_gens] = 0.0
+    return CompiledCase(
+        ybus=build_ybus(case), slack=slack, pq=pq, pvpq=pvpq,
+        jac_index=jac_index, diag_va=bus * 2 * n + bus, diag_vm=bus * 2 * n + n + bus,
+        br_from=np.array([br.from_bus for br in case.branches], dtype=int),
+        br_to=np.array([br.to_bus for br in case.branches], dtype=int),
+        br_series=np.array([1.0 / complex(br.r, br.x) for br in case.branches], dtype=complex),
+        br_shunt=np.array([0.5j * br.b_sh for br in case.branches], dtype=complex),
+        qp=qp, slack_gens=slack_gens, inj_map=inj_map)
+
+
+# ---------------------------------------------------------------------------
+# Newton-Raphson AC power flow
+
+
+def ac_power_flow(case: NetworkCase, p_inj: np.ndarray, q_inj: np.ndarray,
+                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> PowerFlowSolution:
+    """Full Newton on the polar mismatch equations, flat start.
+
+    ``p_inj``/``q_inj`` are net per-bus injections (generation minus load).
+    The P entry at the slack bus and Q entries at slack/PV buses are ignored;
+    those quantities are outputs of the solve.
+    """
+    n = case.n_bus
+    p_inj = np.asarray(p_inj, dtype=float)
+    q_inj = np.asarray(q_inj, dtype=float)
+    if p_inj.shape != (n,) or q_inj.shape != (n,):
+        raise ValueError(f"injection vectors must have shape ({n},)")
+    cc = compile_case(case)
+    ybus, pvpq, pq = cc.ybus, cc.pvpq, cc.pq
+    n_angles = len(pvpq)
+    spec = np.concatenate([p_inj[pvpq], q_inj[pq]])
+
+    vm = np.ones(n)
+    va = np.zeros(n)
+
+    iterations = 0
+    for iterations in range(max_iter + 1):
+        v = vm * np.exp(1j * va)
+        ibus = ybus @ v
+        s_calc = v * np.conj(ibus)
+        mismatch = np.concatenate([s_calc.real[pvpq], s_calc.imag[pq]]) - spec
+        max_mis = float(np.abs(mismatch).max()) if mismatch.size else 0.0
+        if max_mis <= tol:
+            s_slack = s_calc[cc.slack]
+            return PowerFlowSolution(v_mag=vm, v_ang=va, p_branch=_branch_flows(cc, v),
+                                     p_slack=float(s_slack.real), q_slack=float(s_slack.imag),
+                                     iterations=iterations, max_mismatch=max_mis)
+        if iterations == max_iter or not np.isfinite(max_mis):
+            raise NonConvergence(iterations, max_mis)
+
+        *_, dx, info = dgesv(_jacobian(cc, v, ibus), -mismatch)
+        if info > 0:
+            raise SingularJacobian(f"Jacobian factorization failed at iteration {iterations}: "
+                                   f"zero pivot in column {info}")
+        if not np.all(np.isfinite(dx)):
+            raise SingularJacobian(f"Jacobian produced a non-finite step at iteration {iterations}")
+
+        va[pvpq] += dx[:n_angles]
+        vm[pq] += dx[n_angles:]
+
+    raise NonConvergence(max_iter, float("nan"))
+
+
+def _jacobian(cc: CompiledCase, v: np.ndarray, ibus: np.ndarray) -> np.ndarray:
+    """Power-flow Jacobian at voltages ``v`` with bus currents ``ibus = Ybus v``.
+
+    Elementwise form of MATPOWER's ``dSbus_dV``: with
+    ``A[i, k] = V[i] conj(Y[i, k] Vn[k])`` and ``Vn = V / |V|``,
+    ``dS/dVm = A + diag(conj(I) Vn)`` and
+    ``dS/dVa = j (diag(V conj(I)) - A diag(|V|))``.
+    """
+    n = len(v)
+    vm = np.abs(v)
+    a = v[:, None] * np.conj(cc.ybus * (v / vm))
+    stack = np.empty((n, 2 * n), dtype=complex)
+    np.multiply(a, -1j * vm, out=stack[:, :n])
+    stack[:, n:] = a
+    flat = stack.reshape(-1)
+    i_conj = np.conj(ibus)
+    flat[cc.diag_va] += 1j * v * i_conj
+    flat[cc.diag_vm] += i_conj * (v / vm)
+    return stack.view(float).reshape(-1).take(cc.jac_index)
+
+
+def _branch_flows(cc: CompiledCase, v: np.ndarray) -> np.ndarray:
+    """Sending-end active power of every branch."""
+    vf = v[cc.br_from]
+    i_from = cc.br_series * (vf - v[cc.br_to]) + cc.br_shunt * vf
+    return (vf * np.conj(i_from)).real
+
+
+def series_losses(case: NetworkCase, vm: np.ndarray, va: np.ndarray) -> float:
+    """Total I^2 R loss over all branches (shunts are lossless)."""
+    v = vm * np.exp(1j * va)
+    total = 0.0
+    for br in case.branches:
+        ys = 1.0 / complex(br.r, br.x)
+        i_series = ys * (v[br.from_bus] - v[br.to_bus])
+        total += float(np.abs(i_series) ** 2 * br.r)
+    return total
+
+
+def power_flow_mismatch(case: NetworkCase, p_inj, q_inj, vm, va) -> float:
+    """Residual of the mismatch equations at a candidate solution."""
+    cc = compile_case(case)
+    v = vm * np.exp(1j * va)
+    s_calc = v * np.conj(cc.ybus @ v)
+    parts = [s_calc.real[cc.pvpq] - np.asarray(p_inj)[cc.pvpq],
+             s_calc.imag[cc.pq] - np.asarray(q_inj)[cc.pq]]
+    res = np.concatenate(parts)
+    return float(np.max(np.abs(res))) if res.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# quadratic dispatch (active-set QP)
 
 
 def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
     """Minimum-cost dispatch under balance, generator, and PTDF flow limits.
 
-    Solved by primal active-set iteration on the equality-reduced KKT system;
-    exact for convex quadratic costs, deterministic (constraint ties broken by
-    lowest index). Raises Infeasible when the limits cannot be met.
+    The compiled case remembers recently verified active sets; each is tried
+    with one KKT solve and accepted only under the strict test of
+    ``_verified_kkt``. Otherwise the primal active-set iteration runs on the
+    equality-reduced KKT system (exact for convex quadratic costs, constraint
+    ties broken by lowest index). Its final set, when it passes the same
+    test, is solved and remembered. A set that passes is the unique strictly
+    complementary optimal set, so the result does not depend on which sets
+    were remembered. Raises Infeasible when the limits cannot be met.
     """
     loads = np.asarray(loads, dtype=float)
     if loads.shape != (case.n_bus,):
@@ -288,7 +394,8 @@ def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
     if case.n_gen == 0:
         raise Infeasible("case has no generators")
 
-    qp = _dispatch_qp(case)
+    cc = compile_case(case)
+    qp = cc.qp
     p_min, p_max = qp.p_min, qp.p_max
     total = float(loads.sum())
 
@@ -299,17 +406,58 @@ def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
         raise Infeasible(f"total load {total:.6f} pu below total minimum output {p_min.sum():.6f} pu",
                          violated=("minimum_output",))
 
-    H = np.diag(2.0 * qp.cost_a)
-    a_eq = np.ones((1, case.n_gen))
     G, h = qp.G, qp.h(loads)
+    p_opt, rounds = _warm_dispatch(cc, total, h), 0
+    if p_opt is None:
+        p0 = _feasible_start(p_min, p_max, total, G, h, qp.names)
+        x, working, rounds = _active_set_qp(qp.H, qp.cost_b, np.ones((1, case.n_gen)),
+                                            np.array([total]), G, h, p0)
+        active = qp.active_set(working)
+        p_opt = _verified_kkt(qp, active, total, h)
+        if p_opt is None:
+            p_opt = x   # degenerate optimum: keep the iteration's point
+        else:
+            cc.warm_sets = (active, *(a for a in cc.warm_sets
+                                      if a.rows != active.rows))[:_WARM_SETS]
 
-    p0 = _feasible_start(p_min, p_max, total, G, h, qp.names)
-    p_opt = _active_set_qp(H, qp.cost_b, a_eq, np.array([total]), G, h, p0)
-
-    cost = float(np.sum(qp.cost_a * p_opt ** 2 + qp.cost_b * p_opt)
-                 + sum(g.cost_c for g in case.generators))
+    cost = float(np.sum(qp.cost_a * p_opt ** 2 + qp.cost_b * p_opt) + qp.cost_c)
     binding = tuple(qp.names[i] for i in np.flatnonzero(G @ p_opt - h >= -_ACTIVE_TOL))
-    return DispatchSolution(p_gen=p_opt, cost=cost, binding=binding)
+    return DispatchSolution(p_gen=p_opt, cost=cost, binding=binding, rounds=rounds)
+
+
+def _warm_dispatch(cc: CompiledCase, total: float, h: np.ndarray):
+    """The solution on the first remembered set that passes the strict test,
+    which moves to the front; None when none does."""
+    warm = cc.warm_sets
+    for k, active in enumerate(warm):
+        p = _verified_kkt(cc.qp, active, total, h)
+        if p is not None:
+            if k:
+                cc.warm_sets = (active, *warm[:k], *warm[k + 1:])
+            return p
+    return None
+
+
+def _verified_kkt(qp: _DispatchQP, active: _ActiveSet, total: float, h: np.ndarray):
+    """Minimizer with the rows of ``active`` held at equality, or None unless
+    it is the strictly complementary optimum: primal feasible, every
+    multiplier of those rows above ``_MULT_TOL``, every other row's slack
+    above ``_ACTIVE_TOL``, and stationarity to ``_KKT_TOL``. A singular KKT
+    matrix fails."""
+    ng = len(qp.p_min)
+    rhs = np.concatenate([-qp.cost_b, [total], h[active.index]])
+    *_, sol, info = dgesv(active.kkt, rhs)
+    if info > 0:
+        return None
+    p = sol[:ng]
+    slack = h - qp.G @ p
+    mults = sol[ng + 1:]
+    if (slack.min() >= -_ACTIVE_TOL
+            and mults.min(initial=np.inf) > _MULT_TOL
+            and slack[active.outside].min(initial=np.inf) > _ACTIVE_TOL
+            and np.abs(active.kkt[:ng] @ sol - rhs[:ng]).max() <= _KKT_TOL):
+        return p
+    return None
 
 
 def _feasible_start(p_min, p_max, total, G, h, names):
@@ -347,12 +495,15 @@ def _feasible_start(p_min, p_max, total, G, h, names):
 
 
 def _active_set_qp(H, g, a_eq, b_eq, G, h, x):
-    """Primal active-set for convex QP; handles semidefinite H (linear costs)."""
-    n = len(x)
+    """Primal active-set for convex QP; handles semidefinite H (linear costs).
+
+    Returns the solution, the final working set (sorted row indices) and the
+    number of rounds taken.
+    """
     working = [int(i) for i in np.flatnonzero(G @ x - h >= -_ACTIVE_TOL)]
     max_rounds = 100 + 20 * len(h)
 
-    for _ in range(max_rounds):
+    for rounds in range(1, max_rounds + 1):
         C = np.vstack([a_eq, G[working]]) if working else a_eq
         grad = H @ x + g
         d, unbounded = _eqp_direction(H, grad, C)
@@ -361,7 +512,7 @@ def _active_set_qp(H, g, a_eq, b_eq, G, h, x):
             mults, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
             lam = mults[a_eq.shape[0]:]
             if lam.size == 0 or lam.min() >= -_MULT_TOL:
-                return x
+                return x, working, rounds
             # ties resolved toward the lowest constraint index
             worst = lam.min()
             candidates = [k for k, v in enumerate(lam) if v <= worst + 1e-12]
@@ -423,7 +574,7 @@ def dispatch_kkt_residual(case: NetworkCase, loads: np.ndarray, sol: DispatchSol
     ng = case.n_gen
     p = sol.p_gen
     loads = np.asarray(loads, dtype=float)
-    qp = _dispatch_qp(case)
+    qp = compile_case(case).qp
     G, h = qp.G, qp.h(loads)
 
     grad = 2.0 * qp.cost_a * p + qp.cost_b
@@ -477,24 +628,19 @@ def oracle_opf(case: NetworkCase, sample: np.ndarray,
     p_load, q_load = p_rows[0], q_rows[0]
     dispatch = dc_opf(case, p_load)
 
-    slack = case.slack_index
-    slack_gens = [i for i, g in enumerate(case.generators) if g.bus == slack]
-    if not slack_gens:
+    cc = compile_case(case)
+    slack_gens = cc.slack_gens
+    if not len(slack_gens):
         raise Infeasible("no generator at the slack bus to absorb losses")
 
-    p_inj = -p_load
-    q_inj = -q_load
-    for i, gen in enumerate(case.generators):
-        if gen.bus != slack:
-            p_inj[gen.bus] += dispatch.p_gen[i]
-
-    flow = ac_power_flow(case, p_inj, q_inj, tol=tol, max_iter=max_iter)
+    p_inj = cc.inj_map @ dispatch.p_gen - p_load
+    flow = ac_power_flow(case, p_inj, -q_load, tol=tol, max_iter=max_iter)
 
     p_gen = dispatch.p_gen.copy()
-    needed = flow.p_slack + p_load[slack]
-    delta = needed - sum(p_gen[i] for i in slack_gens)
-    for i in slack_gens:
-        p_gen[i] += delta / len(slack_gens)
+    delta = flow.p_slack + p_load[cc.slack] - p_gen[slack_gens].sum()
+    p_gen[slack_gens] += delta / len(slack_gens)
 
-    cost = float(sum(g.cost(p_gen[i]) for i, g in enumerate(case.generators)))
-    return OpfSolution(cost=cost, v_mag=flow.v_mag, p_gen=p_gen, p_branch=flow.p_branch)
+    qp = cc.qp
+    cost = float(np.sum(qp.cost_a * p_gen * p_gen + qp.cost_b * p_gen) + qp.cost_c)
+    return OpfSolution(cost=cost, v_mag=flow.v_mag, p_gen=p_gen, p_branch=flow.p_branch,
+                       dispatch_rounds=dispatch.rounds, newton_iterations=flow.iterations)

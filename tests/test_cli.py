@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from popflow.cli import main
-from popflow.grid import case_hash, load_case, serialize_case
+from popflow.grid import bundled_case, case_hash, load_case, serialize_case
+from popflow.pipeline import load_dataset
 from popflow.sdae import TrainConfig
+from popflow.solver import oracle_opf
 
 from conftest import stall_dispatch, two_bus_case
 
@@ -86,6 +88,19 @@ def test_gen_data_deterministic_bytes(tmp_path):
     second = {f.name: f.read_bytes() for f in dataset_dir.iterdir()}
     assert first == second
     assert {"X.tsv", "Y.tsv", "samples.tsv", "provenance.json"} <= set(first)
+
+
+def test_gen_data_rows_equal_solves_alone(tmp_path, capsys):
+    """A row labelled in a gen-data run equals the same sample solved alone
+    on a freshly loaded case, bit for bit; the run logs nothing by default."""
+    case_path = write_case(tmp_path, bundled_case("case14"))
+    cfg = write_config(tmp_path, case_path)
+    assert main(["gen-data", "-c", str(cfg), "--set", "sampling.n_train=40"]) == 0
+    assert capsys.readouterr().err == ""
+    ds = load_dataset(tmp_path / "out" / "dataset")
+    for i in (0, 17, 39):
+        alone = oracle_opf(load_case(case_path), ds.samples[i])
+        assert np.array_equal(alone.as_vector(), ds.y[i])
 
 
 def test_gen_data_zero_samples_usage_error(tmp_path):

@@ -1,6 +1,8 @@
 """Pipeline orchestration: features, dataset generation, training wrapper,
 batched inference, statistics, error metrics, and method comparison."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,36 @@ def test_stalled_dispatch_counts_as_dropped(monkeypatch):
     ds = generate_training_data(two_bus_case(), 20, seed=4)
     assert ds.n_rows == 20
     assert ds.provenance["dropped"] == 1
+
+
+def test_redraw_rounds_use_their_own_streams(monkeypatch):
+    """The replacement for a dropped sample comes from the round-1 streams,
+    not from the round-0 streams of another seed."""
+    stall_dispatch(monkeypatch, stalled=lambda call: call == 1)
+    case = two_bus_case()
+    ds = generate_training_data(case, 20, seed=4)
+    assert ds.provenance["dropped"] == 1
+    first_round = sample_operating_conditions(case, 20, None, 4).values
+    assert np.array_equal(ds.samples[:-1], first_round[1:])
+    replacement = ds.samples[-1]
+    assert np.array_equal(replacement,
+                          sample_operating_conditions(case, 1, None, 4, redraw=1).values[0])
+    assert not np.array_equal(replacement,
+                              sample_operating_conditions(case, 1, None, 4 + 1_000_003).values[0])
+
+
+def test_oracle_work_goes_to_the_debug_log(caplog, monkeypatch):
+    stall_dispatch(monkeypatch, stalled=lambda call: call == 1)
+    with caplog.at_level(logging.DEBUG, logger="popflow"):
+        ds = generate_training_data(two_bus_case(), 30, seed=6)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "popflow"]
+    # the first solve stalls, the second runs the active-set iteration, and
+    # the rest reuse the set it found
+    assert line.startswith("gen-data: 30 oracle solves, 29 warm dispatch hits, "
+                           "1 active-set fallbacks, ")
+    assert line.endswith("drops {'DispatchStalled': 1}")
+    assert ds.provenance["dropped"] == 1
+    assert set(ds.provenance) == {"case_hash", "seed", "n", "dropped", "oracle"}
 
 
 def test_zero_variance_dataset_rows_identical():
@@ -213,6 +245,20 @@ def test_run_popf_sample_cap_is_not_convergence(tiny_trained):
     result = run_popf(model, case, seed=3, converge=True, cv_threshold=1e-4, max_samples=50)
     assert result.n_samples == 50
     assert result.converged is False
+
+
+@pytest.mark.parametrize("threshold, cap", [(0.002, 50_000), (1e-4, 5_000), (1e-4, 100)])
+def test_run_popf_converge_equals_one_draw(tiny_trained, threshold, cap):
+    """Chunked drawing returns the rows of a single draw of the used length,
+    whether the rule fires after the first chunk or the cap stops the run."""
+    case, _, _, model, _ = tiny_trained
+    result = run_popf(model, case, seed=8, converge=True, cv_threshold=threshold,
+                      max_samples=cap)
+    n_used = result.n_samples
+    assert result.converged == (n_used < cap)
+    assert n_used > pipeline.INFER_CHUNK * 4 or cap == 100
+    draw = sample_operating_conditions(case, n_used, None, 8)
+    assert np.array_equal(result.values, infer(model, operating_features(case, draw.values)))
 
 
 def test_run_popf_mean_cost_close_to_oracle(tiny_trained):
@@ -360,9 +406,12 @@ def test_mw_thresholds_convert_per_unit():
 # method comparison
 
 
-def test_compare_methods_report_structure(tiny_trained, tmp_path):
+def test_compare_methods_report_structure(tiny_trained, tmp_path, caplog):
     case, _, _, model, _ = tiny_trained
-    report = compare_methods(case, model, seed=13, n_samples=300, bins=20)
+    with caplog.at_level(logging.DEBUG, logger="popflow"):
+        report = compare_methods(case, model, seed=13, n_samples=300, bins=20)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "popflow"]
+    assert line.startswith(f"compare: {report.n_samples} oracle solves, ")
     assert report.n_samples + report.dropped == 300
     assert set(report.stats) == {"oracle", "surrogate", "dc_only"}
     assert set(report.errors) == {"surrogate", "dc_only"}

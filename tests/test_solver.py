@@ -4,8 +4,10 @@ Independent oracles used here:
 - closed-form two-bus feeder voltage (quadratic in V^2)
 - brute-force grid search over feasible dispatches, with branch flows
   recomputed from bus angles (not via the solver's PTDF path)
+- MATPOWER's dense dSbus_dV matrix products for the Newton Jacobian
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 
 from popflow.errors import DispatchStalled, Infeasible, NonConvergence
 from popflow.grid import PQ, PV, SLACK, SRC_PV, SRC_WIND, StochasticSource
-from popflow.solver import (ac_power_flow, build_ybus, bus_loads, dc_opf,
-                            dispatch_kkt_residual, oracle_opf,
-                            power_flow_mismatch, series_losses, solution_layout)
+from popflow.solver import (_jacobian, ac_power_flow, build_ybus, bus_loads,
+                            compile_case, dc_opf, dispatch_kkt_residual,
+                            oracle_opf, power_flow_mismatch, series_losses,
+                            solution_layout)
 
 from conftest import (apply_sample_reference, gaussian_source, make_branch,
                       make_bus, make_case, make_gen, stall_dispatch, two_bus_case)
@@ -94,6 +97,27 @@ def _dc_flows_from_angles(case, p_matrix, loads):
     for i, br in enumerate(case.branches):
         flows[:, i] = (theta[:, br.from_bus] - theta[:, br.to_bus]) / br.x
     return flows
+
+
+def dense_jacobian_reference(ybus, v, pv, pq):
+    """Newton Jacobian from MATPOWER's dSbus_dV in dense matrix form."""
+    pvpq = np.concatenate([pv, pq]).astype(int)
+    ibus = ybus @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(ibus)
+    diag_vnorm = np.diag(v / np.abs(v))
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    j11 = ds_dva[np.ix_(pvpq, pvpq)].real
+    j12 = ds_dvm[np.ix_(pvpq, pq)].real
+    j21 = ds_dva[np.ix_(pq, pvpq)].imag
+    j22 = ds_dvm[np.ix_(pq, pq)].imag
+    return np.block([[j11, j12], [j21, j22]])
+
+
+def fresh_copy(case):
+    """An equal but separate case object: it compiles anew, with no warm sets."""
+    return dataclasses.replace(case)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +215,38 @@ def test_power_conservation_random_injections(case14, rng):
         assert abs(total_inj - series_losses(case14, sol.v_mag, sol.v_ang)) <= 1e-7
 
 
+def lossy_meshed_case():
+    """Four buses, resistive lines with charging, two PV generators."""
+    return make_case(
+        buses=[make_bus(0, SLACK), make_bus(1, PV), make_bus(2, PQ, p=0.4, q=0.1),
+               make_bus(3, PV)],
+        branches=[make_branch(0, 1, r=0.02, x=0.1, b_sh=0.04),
+                  make_branch(1, 2, r=0.01, x=0.08, b_sh=0.02),
+                  make_branch(0, 2, r=0.03, x=0.2),
+                  make_branch(2, 3, r=0.015, x=0.12, b_sh=0.03)],
+        generators=[make_gen(0), make_gen(1), make_gen(3)],
+    )
+
+
+@pytest.mark.parametrize("which", ["case14", "meshed"])
+def test_elementwise_jacobian_matches_dense_reference(which, case14, rng):
+    case = case14 if which == "case14" else lossy_meshed_case()
+    cc = compile_case(case)
+    for _ in range(5):
+        v = rng.uniform(0.8, 1.2, case.n_bus) * np.exp(1j * rng.uniform(-0.5, 0.5, case.n_bus))
+        ref = dense_jacobian_reference(cc.ybus, v, case.pv_indices(), case.pq_indices())
+        jac = _jacobian(cc, v, cc.ybus @ v)
+        assert jac.shape == ref.shape
+        assert np.max(np.abs(jac - ref)) <= 1e-12
+
+
+def test_equal_cases_compile_separately():
+    a, b = two_bus_case(), two_bus_case()
+    assert a == b
+    assert compile_case(a) is compile_case(a)
+    assert compile_case(a) is not compile_case(b)
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -284,6 +340,58 @@ def _random_small_case(rng):
     return make_case(buses=buses, branches=branches, generators=gens), loads
 
 
+def test_remembered_active_set_skips_the_iteration():
+    case = three_bus_limited_case()
+    loads = np.array([0.0, 0.0, 1.0])
+    first = dc_opf(case, loads)
+    warm = dc_opf(case, 1.01 * loads)
+    cold = dc_opf(fresh_copy(case), 1.01 * loads)
+    assert first.rounds > 0 and cold.rounds > 0
+    assert warm.rounds == 0
+    assert np.array_equal(warm.p_gen, cold.p_gen)
+    assert warm.cost == cold.cost and warm.binding == cold.binding
+
+
+def test_stale_active_set_is_rejected():
+    """A remembered set that is feasible at a new load but has a negative
+    multiplier there must not be accepted."""
+    case = single_bus_case([make_gen(0, 0.0, 2.0, a=1.0, b=10.0),
+                            make_gen(0, 0.0, 2.0, a=1.0, b=11.0)])
+    low = dc_opf(case, np.array([0.3]))
+    assert low.binding == ("p_min[1]",)
+    high = dc_opf(case, np.array([1.5]))
+    assert high.rounds > 0 and high.binding == ()
+    assert high.p_gen == pytest.approx([1.0, 0.5], abs=1e-12)
+    assert np.array_equal(high.p_gen, dc_opf(fresh_copy(case), np.array([1.5])).p_gen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.lists(st.floats(min_value=0.2, max_value=1.3), min_size=1, max_size=6))
+def test_dispatch_is_independent_of_warm_sets(seed, linear, scalings):
+    """dc_opf gives the same bits from an empty and a primed warm-set list."""
+    case, loads = _random_small_case(np.random.Generator(np.random.PCG64(seed)))
+    if linear:
+        case = dataclasses.replace(case, generators=tuple(
+            dataclasses.replace(g, cost_a=0.0) for g in case.generators))
+    for scale in [*np.linspace(0.2, 1.3, 12), *scalings]:   # prime the warm sets of `case`
+        try:
+            dc_opf(case, scale * loads)
+        except Infeasible:
+            pass
+    for scale in scalings:
+        try:
+            cold = dc_opf(fresh_copy(case), scale * loads)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                dc_opf(case, scale * loads)
+            continue
+        warm = dc_opf(case, scale * loads)
+        assert np.array_equal(warm.p_gen, cold.p_gen)
+        assert warm.cost == cold.cost and warm.binding == cold.binding
+        assert dispatch_kkt_residual(case, scale * loads, warm) <= 1e-8
+
+
 def test_dispatch_matches_grid_search_on_random_cases():
     rng = np.random.Generator(np.random.PCG64(42))
     solved = 0
@@ -373,6 +481,21 @@ def test_oracle_zero_variance_deterministic(case14):
     a = oracle_opf(case14, sample)
     b = oracle_opf(case14, sample)
     assert np.array_equal(a.as_vector(), b.as_vector())
+
+
+def test_oracle_reports_its_work(case14):
+    sample = np.array([s.params.get("mean", 0.1) for s in case14.sources])
+    case = fresh_copy(case14)
+    first = oracle_opf(case, sample)
+    again = oracle_opf(case, sample)
+    assert first.dispatch_rounds > 0 and again.dispatch_rounds == 0
+    assert np.array_equal(first.as_vector(), again.as_vector())
+    p_load, q_load = apply_sample_reference(case14, sample)
+    p_inj = -p_load
+    for i, gen in enumerate(case14.generators):
+        if gen.bus != case14.slack_index:
+            p_inj[gen.bus] += first.p_gen[i]
+    assert first.newton_iterations == ac_power_flow(case14, p_inj, -q_load).iterations > 0
 
 
 def test_oracle_lossless_network_conserves_power():
