@@ -6,9 +6,11 @@ consumption at every PQ bus, so all stochastic sources must sit on PQ buses
 Outputs are flattened OPF solution vectors: cost, bus voltage magnitudes,
 generator outputs, branch flows.
 
-Method comparison runs three solvers over one seed-matched sample matrix:
+Method comparison runs three solvers over one seed-matched sample matrix and
+pools their errors at the fixed ``EXCEEDANCE_THRESHOLDS``:
 
-- ``oracle``      dispatch + AC power flow per sample (the reference)
+- ``oracle``      dispatch + AC power flow per sample (the reference), by the
+                  ``_label`` pass that also labels the training data
 - ``surrogate``   batched network inference
 - ``dc_only``     linear dispatch alone, voltages pinned at 1.0 pu
 """
@@ -27,10 +29,10 @@ import numpy as np
 from . import sdae
 from .errors import DimensionMismatch, PopflowError, TooManyRejections, ValidationError
 from .grid import PQ, NetworkCase, case_hash
-from .sampling import (ConvergenceState, CorrelationSpec,
-                       sample_operating_conditions, update_convergence)
-from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, bus_loads, compile_case, dc_opf,
-                     oracle_opf, solution_layout)
+from .sampling import (DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, ConvergenceState,
+                       CorrelationSpec, sample_operating_conditions, update_convergence)
+from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OpfSolution, bus_loads, compile_case,
+                     dc_opf, oracle_opf, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
 
 # inference always walks the sample matrix in chunks of this many rows, so
@@ -45,6 +47,15 @@ log = logging.getLogger("popflow")
 METHOD_ORACLE = "oracle"
 METHOD_SURROGATE = "surrogate"
 METHOD_DC_ONLY = "dc_only"
+
+# per-sample absolute-error thresholds of the pooled exceedance probabilities,
+# class -> (block of the solution vector, thresholds, unit); MW pools as pu
+EXCEEDANCE_THRESHOLDS = {
+    "voltage": ("v_mag", (0.01, 0.001), "pu"),
+    "generator": ("p_gen", (3.0,), "MW"),
+    "branch": ("p_branch", (3.0,), "MW"),
+    "cost": ("cost", (1000.0, 3000.0), "$/h"),
+}
 
 
 @dataclass(frozen=True)
@@ -75,16 +86,6 @@ class Statistics:
     std: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExceedanceThresholds:
-    """Per-sample absolute-error thresholds, by output class."""
-
-    voltage_pu: tuple = (0.01, 0.001)
-    gen_mw: tuple = (3.0,)
-    branch_mw: tuple = (3.0,)
-    cost_dollars: tuple = (1000.0, 3000.0)
-
-
 @dataclass
 class ErrorMetrics:
     e_mean: np.ndarray          # relative error of the mean, per output index
@@ -92,7 +93,6 @@ class ErrorMetrics:
     absolute_mean_flags: list   # indexes where the reference mean was ~0
     absolute_std_flags: list
     exceedance: dict            # class -> {threshold: pooled probability}
-    exceedance_per_index: dict  # class -> {threshold: ndarray of per-index probs}
 
 
 @dataclass
@@ -142,9 +142,7 @@ def output_labels(case: NetworkCase) -> list:
 
 
 def generate_training_data(case: NetworkCase, n: int, seed: int,
-                           spec: CorrelationSpec | None = None,
-                           tol: float = NEWTON_TOL,
-                           max_iter: int = NEWTON_MAX_ITER) -> TrainingDataset:
+                           spec: CorrelationSpec | None = None) -> TrainingDataset:
     """Sample operating conditions and label them with the oracle.
 
     Samples whose oracle solve fails (infeasible dispatch or non-convergent
@@ -155,44 +153,48 @@ def generate_training_data(case: NetworkCase, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    kept_samples = []
-    kept_y = []
+    samples = np.empty((0, case.n_sources))
+    y = np.empty((0, case.solution_dim()))
     work = _OracleWork()
     round_no = 0
-    while sum(len(s) for s in kept_samples) < n:
-        missing = n - sum(len(s) for s in kept_samples)
-        batch = sample_operating_conditions(case, missing, spec, seed, redraw=round_no)
-        ok_rows = []
-        y_rows = []
-        for row in batch.values:
-            try:
-                sol = oracle_opf(case, row, tol=tol, max_iter=max_iter)
-            except PopflowError as exc:
-                work.drop(exc)
-                continue
-            work.add(sol)
-            ok_rows.append(row)
-            y_rows.append(sol.as_vector())
-        if ok_rows:
-            kept_samples.append(np.array(ok_rows))
-            kept_y.append(np.array(y_rows))
+    while len(samples) < n:
+        batch = sample_operating_conditions(case, n - len(samples), spec, seed,
+                                            redraw=round_no).values
+        solved, labels = _label(case, batch, work)
+        samples = np.vstack([samples, batch[solved]])
+        y = np.vstack([y, labels])
         if work.failed > work.attempts / 2:
             raise TooManyRejections(
                 f"{work.failed} of {work.attempts} oracle labelling attempts failed")
         round_no += 1
     work.log("gen-data")
 
-    samples = np.vstack(kept_samples)[:n]
-    y = np.vstack(kept_y)[:n]
-    x = operating_features(case, samples)
     provenance = {
         "case_hash": case_hash(case),
         "seed": seed,
         "n": n,
         "dropped": work.failed,
-        "oracle": {"newton_tol": tol, "newton_max_iter": max_iter},
+        "oracle": {"newton_tol": NEWTON_TOL, "newton_max_iter": NEWTON_MAX_ITER},
     }
-    return TrainingDataset(x=x, y=y, samples=samples, provenance=provenance)
+    return TrainingDataset(x=operating_features(case, samples), y=y, samples=samples,
+                           provenance=provenance)
+
+
+def _label(case: NetworkCase, values: np.ndarray, work: _OracleWork):
+    """Oracle-solve every sample row: the mask of the rows solved and their
+    solution vectors. Each failure is counted in ``work``."""
+    solved = np.zeros(len(values), dtype=bool)
+    y = np.empty((len(values), case.solution_dim()))
+    for i, row in enumerate(values):
+        try:
+            sol = oracle_opf(case, row)
+        except PopflowError as exc:
+            work.drop(exc)
+            continue
+        work.add(sol)
+        solved[i] = True
+        y[i] = sol.as_vector()
+    return solved, y[solved]
 
 
 class _OracleWork:
@@ -202,11 +204,11 @@ class _OracleWork:
         self.solves = 0
         self.warm_hits = 0
         self.newton_iterations = 0
-        self.drops = Counter()
+        self.failures = []   # (exception type name, message) of each failed solve, in order
 
     @property
     def failed(self) -> int:
-        return sum(self.drops.values())
+        return len(self.failures)
 
     @property
     def attempts(self) -> int:
@@ -218,13 +220,14 @@ class _OracleWork:
         self.newton_iterations += sol.newton_iterations
 
     def drop(self, exc: Exception) -> None:
-        self.drops[type(exc).__name__] += 1
+        self.failures.append((type(exc).__name__, str(exc)))
 
     def log(self, stage: str) -> None:
         log.debug("%s: %d oracle solves, %d warm dispatch hits, %d active-set fallbacks, "
                   "%.3g Newton iterations per solve, drops %s",
                   stage, self.solves, self.warm_hits, self.solves - self.warm_hits,
-                  self.newton_iterations / max(self.solves, 1), dict(self.drops))
+                  self.newton_iterations / max(self.solves, 1),
+                  dict(Counter(name for name, _ in self.failures)))
 
 
 def save_dataset(ds: TrainingDataset, directory, case: NetworkCase) -> None:
@@ -316,8 +319,8 @@ def infer(model: sdae.SdaeModel, x: np.ndarray) -> np.ndarray:
 
 def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = None,
              spec: CorrelationSpec | None = None, seed: int = 0,
-             converge: bool = False, cv_threshold: float = 0.05,
-             max_samples: int = 50_000) -> PopfRunResult:
+             converge: bool = False, cv_threshold: float = DEFAULT_CV_THRESHOLD,
+             max_samples: int = DEFAULT_MAX_SAMPLES) -> PopfRunResult:
     """Monte-Carlo POPF by batched surrogate inference.
 
     Either a fixed sample count or convergence-driven: the run stops once the
@@ -411,14 +414,13 @@ def histogram_densities(columns, bins: int):
 # error metrics
 
 
-def error_metrics(reference: np.ndarray, candidate: np.ndarray, case: NetworkCase,
-                  thresholds: ExceedanceThresholds | None = None) -> ErrorMetrics:
+def error_metrics(reference: np.ndarray, candidate: np.ndarray,
+                  case: NetworkCase) -> ErrorMetrics:
     """Relative mean/std errors and pooled exceedance probabilities.
 
     ``reference`` and ``candidate`` must be seed-matched sample sets of equal
     shape: row i of both came from the same operating condition.
     """
-    thresholds = thresholds or ExceedanceThresholds()
     reference = np.asarray(reference, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
     if reference.shape != candidate.shape:
@@ -434,23 +436,16 @@ def error_metrics(reference: np.ndarray, candidate: np.ndarray, case: NetworkCas
 
     layout = solution_layout(case)
     err = np.abs(candidate - reference)
-    base = case.base_mva
-    class_thresholds = {
-        "voltage": (layout["v_mag"], tuple(thresholds.voltage_pu)),
-        "generator": (layout["p_gen"], tuple(t / base for t in thresholds.gen_mw)),
-        "branch": (layout["p_branch"], tuple(t / base for t in thresholds.branch_mw)),
-        "cost": (layout["cost"], tuple(thresholds.cost_dollars)),
-    }
     pooled = {}
-    per_index = {}
-    for name, (sl, taus) in class_thresholds.items():
-        block = err[:, sl]
-        pooled[name] = {tau: float(np.mean(block > tau)) for tau in taus}
-        per_index[name] = {tau: np.mean(block > tau, axis=0) for tau in taus}
+    for name, (block, taus, unit) in EXCEEDANCE_THRESHOLDS.items():
+        if unit == "MW":
+            taus = tuple(t / case.base_mva for t in taus)
+        block_err = err[:, layout[block]]
+        pooled[name] = {tau: float(np.mean(block_err > tau)) for tau in taus}
 
     return ErrorMetrics(e_mean=e_mean, e_std=e_std,
                         absolute_mean_flags=mean_flags, absolute_std_flags=std_flags,
-                        exceedance=pooled, exceedance_per_index=per_index)
+                        exceedance=pooled)
 
 
 def _relative_error(reference: np.ndarray, candidate: np.ndarray):
@@ -470,41 +465,28 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
                     spec: CorrelationSpec | None = None, seed: int = 0,
                     n_samples: int = 10_000, bins: int = 50,
                     density_labels: list | None = None,
-                    thresholds: ExceedanceThresholds | None = None,
                     self_check: bool = False) -> PopfReport:
     """Run oracle, surrogate, and dc-only on one seed-matched sample matrix.
 
     Oracle failures drop the sample from every method so per-sample errors
-    stay attributable; timings wrap each method's solve loop only.
+    stay attributable, and ``failures`` maps each dropped row of the draw to
+    its "Type: message"; timings wrap each method's solve loop only.
 
     ``self_check`` substitutes the oracle's own outputs for the surrogate's
     (no inference): every surrogate error column must then come out zero,
     which exercises the metric plumbing end to end.
     """
-    draw = sample_operating_conditions(case, n_samples, spec, seed)
+    draw = sample_operating_conditions(case, n_samples, spec, seed).values
     labels = output_labels(case)
 
-    oracle_rows = []
-    keep_mask = np.ones(draw.n_samples, dtype=bool)
-    failures = {}
     work = _OracleWork()
     t0 = time.perf_counter()
-    for i, row in enumerate(draw.values):
-        try:
-            sol = oracle_opf(case, row)
-        except PopflowError as exc:
-            keep_mask[i] = False
-            failures[i] = f"{type(exc).__name__}: {exc}"
-            work.drop(exc)
-            continue
-        work.add(sol)
-        oracle_rows.append(sol.as_vector())
+    solved, oracle_vals = _label(case, draw, work)
     oracle_time = time.perf_counter() - t0
     work.log("compare")
-    if not oracle_rows:
+    if not solved.any():
         raise TooManyRejections("every oracle sample failed; nothing to compare")
-    oracle_vals = np.array(oracle_rows)
-    kept = draw.values[keep_mask]
+    kept = draw[solved]
 
     if self_check:
         surrogate_vals = oracle_vals.copy()
@@ -526,8 +508,8 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
     }
     stats = {m: compute_statistics(v) for m, v in method_values.items()}
     errors = {
-        METHOD_SURROGATE: error_metrics(oracle_vals, surrogate_vals, case, thresholds),
-        METHOD_DC_ONLY: error_metrics(oracle_vals, dc_vals, case, thresholds),
+        METHOD_SURROGATE: error_metrics(oracle_vals, surrogate_vals, case),
+        METHOD_DC_ONLY: error_metrics(oracle_vals, dc_vals, case),
     }
     timings = {
         METHOD_ORACLE: oracle_time,
@@ -543,7 +525,9 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
         edges, dens = histogram_densities([v[:, j] for v in method_values.values()], bins)
         densities[label] = {"edges": edges, **dict(zip(method_values, dens))}
 
-    return PopfReport(n_samples=int(keep_mask.sum()), dropped=int((~keep_mask).sum()),
+    failures = {row: f"{name}: {message}" for row, (name, message)
+                in zip(np.flatnonzero(~solved).tolist(), work.failures)}
+    return PopfReport(n_samples=len(kept), dropped=work.failed,
                       labels=labels, stats=stats, errors=errors, timings=timings,
                       densities=densities, failures=failures, self_check=self_check)
 
@@ -566,14 +550,11 @@ def _dc_only_outputs(case: NetworkCase, sample_values: np.ndarray) -> np.ndarray
     p_loads, _ = bus_loads(case, sample_values)
     out = np.empty((len(p_loads), case.solution_dim()))
     qp = compile_case(case).qp
-    nb = case.n_bus
+    flat = np.ones(case.n_bus)
     for i, p_load in enumerate(p_loads):
         dispatch = dc_opf(case, p_load)
-        flows = qp.ptdf @ (qp.gen_map @ dispatch.p_gen - p_load)
-        out[i, 0] = dispatch.cost
-        out[i, 1:1 + nb] = 1.0
-        out[i, 1 + nb:1 + nb + case.n_gen] = dispatch.p_gen
-        out[i, 1 + nb + case.n_gen:] = flows
+        out[i] = OpfSolution(cost=dispatch.cost, v_mag=flat, p_gen=dispatch.p_gen,
+                             p_branch=qp.ptdf @ (qp.gen_map @ dispatch.p_gen - p_load)).as_vector()
     return out
 
 

@@ -39,12 +39,6 @@ class SampleMatrix:
     """Realized per-unit active injections, one row per MCS draw."""
 
     values: np.ndarray
-    seed: int
-    columns: tuple
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -66,10 +60,6 @@ class CorrelationSpec:
                     f"{matrix.shape[0]}x{matrix.shape[1]} matrix")
             groups[name] = (members, matrix)
         return cls(groups=groups)
-
-
-def source_label(src: StochasticSource) -> str:
-    return f"{src.kind}@bus{src.bus}"
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +152,7 @@ def sample_operating_conditions(case: NetworkCase, n: int,
     values = np.empty_like(z)
     for j, src in enumerate(case.sources):
         values[:, j] = transform_marginal(z[:, j], src)
-    labels = tuple(source_label(s) for s in case.sources)
-    return SampleMatrix(values=values, seed=seed, columns=labels)
+    return SampleMatrix(values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,6 @@ class OptState:
     prev: list
     eta: float
     momentum: float
-    rho: float = RHO
-    eps: float = EPSILON
-    t: int = 0
 
 
 def init_opt_state(params: list, eta: float, momentum: float) -> OptState:
@@ -294,13 +291,12 @@ def rmsprop_momentum_step(params: list, grads: list, opt: OptState):
     for p, g, rr, prev in zip(params, grads, opt.rr, opt.prev):
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient("gradient contains NaN or infinity")
-        rr *= opt.rho
-        rr += (1.0 - opt.rho) * g * g
-        raw = opt.eta / np.sqrt(opt.eps + rr) * g
+        rr *= RHO
+        rr += (1.0 - RHO) * g * g
+        raw = opt.eta / np.sqrt(EPSILON + rr) * g
         applied = opt.momentum * raw + (1.0 - opt.momentum) * prev
         p -= applied
         prev[...] = applied
-    opt.t += 1
     return params, opt
 
 

@@ -45,7 +45,6 @@ class PowerFlowSolution:
     v_ang: np.ndarray
     p_branch: np.ndarray
     p_slack: float
-    q_slack: float
     iterations: int
     max_mismatch: float
 
@@ -302,9 +301,8 @@ def ac_power_flow(case: NetworkCase, p_inj: np.ndarray, q_inj: np.ndarray,
         mismatch = np.concatenate([s_calc.real[pvpq], s_calc.imag[pq]]) - spec
         max_mis = float(np.abs(mismatch).max()) if mismatch.size else 0.0
         if max_mis <= tol:
-            s_slack = s_calc[cc.slack]
             return PowerFlowSolution(v_mag=vm, v_ang=va, p_branch=_branch_flows(cc, v),
-                                     p_slack=float(s_slack.real), q_slack=float(s_slack.imag),
+                                     p_slack=float(s_calc[cc.slack].real),
                                      iterations=iterations, max_mismatch=max_mis)
         if iterations == max_iter or not np.isfinite(max_mis):
             raise NonConvergence(iterations, max_mis)
@@ -350,28 +348,6 @@ def _branch_flows(cc: CompiledCase, v: np.ndarray) -> np.ndarray:
     return (vf * np.conj(i_from)).real
 
 
-def series_losses(case: NetworkCase, vm: np.ndarray, va: np.ndarray) -> float:
-    """Total I^2 R loss over all branches (shunts are lossless)."""
-    v = vm * np.exp(1j * va)
-    total = 0.0
-    for br in case.branches:
-        ys = 1.0 / complex(br.r, br.x)
-        i_series = ys * (v[br.from_bus] - v[br.to_bus])
-        total += float(np.abs(i_series) ** 2 * br.r)
-    return total
-
-
-def power_flow_mismatch(case: NetworkCase, p_inj, q_inj, vm, va) -> float:
-    """Residual of the mismatch equations at a candidate solution."""
-    cc = compile_case(case)
-    v = vm * np.exp(1j * va)
-    s_calc = v * np.conj(cc.ybus @ v)
-    parts = [s_calc.real[cc.pvpq] - np.asarray(p_inj)[cc.pvpq],
-             s_calc.imag[cc.pq] - np.asarray(q_inj)[cc.pq]]
-    res = np.concatenate(parts)
-    return float(np.max(np.abs(res))) if res.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # quadratic dispatch (active-set QP)
 
@@ -406,12 +382,10 @@ def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
         raise Infeasible(f"total load {total:.6f} pu below total minimum output {p_min.sum():.6f} pu",
                          violated=("minimum_output",))
 
-    G, h = qp.G, qp.h(loads)
+    h = qp.h(loads)
     p_opt, rounds = _warm_dispatch(cc, total, h), 0
     if p_opt is None:
-        p0 = _feasible_start(p_min, p_max, total, G, h, qp.names)
-        x, working, rounds = _active_set_qp(qp.H, qp.cost_b, np.ones((1, case.n_gen)),
-                                            np.array([total]), G, h, p0)
+        x, working, rounds = _active_set_qp(qp, h, _feasible_start(qp, total, h))
         active = qp.active_set(working)
         p_opt = _verified_kkt(qp, active, total, h)
         if p_opt is None:
@@ -421,7 +395,7 @@ def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
                                       if a.rows != active.rows))[:_WARM_SETS]
 
     cost = float(np.sum(qp.cost_a * p_opt ** 2 + qp.cost_b * p_opt) + qp.cost_c)
-    binding = tuple(qp.names[i] for i in np.flatnonzero(G @ p_opt - h >= -_ACTIVE_TOL))
+    binding = tuple(qp.names[i] for i in np.flatnonzero(qp.G @ p_opt - h >= -_ACTIVE_TOL))
     return DispatchSolution(p_gen=p_opt, cost=cost, binding=binding, rounds=rounds)
 
 
@@ -460,7 +434,8 @@ def _verified_kkt(qp: _DispatchQP, active: _ActiveSet, total: float, h: np.ndarr
     return None
 
 
-def _feasible_start(p_min, p_max, total, G, h, names):
+def _feasible_start(qp: _DispatchQP, total: float, h: np.ndarray) -> np.ndarray:
+    p_min, p_max, G = qp.p_min, qp.p_max, qp.G
     span = p_max - p_min
     frac = (total - p_min.sum()) / span.sum() if span.sum() > 0 else 0.0
     p0 = p_min + np.clip(frac, 0.0, 1.0) * span
@@ -481,7 +456,7 @@ def _feasible_start(p_min, p_max, total, G, h, names):
     if res.status != 0 or res.fun > 1e-8:
         bad = ()
         if res.status == 0:
-            bad = tuple(names[2 * ng + i] for i in np.flatnonzero(res.x[ng:] > 1e-8))
+            bad = tuple(qp.names[2 * ng + i] for i in np.flatnonzero(res.x[ng:] > 1e-8))
         raise Infeasible("flow limits cannot be met together with balance and generator limits",
                          violated=bad)
     p0 = res.x[:ng]
@@ -494,12 +469,14 @@ def _feasible_start(p_min, p_max, total, G, h, names):
     return p0
 
 
-def _active_set_qp(H, g, a_eq, b_eq, G, h, x):
-    """Primal active-set for convex QP; handles semidefinite H (linear costs).
+def _active_set_qp(qp: _DispatchQP, h: np.ndarray, x: np.ndarray):
+    """Primal active-set for the dispatch QP from the feasible point ``x``;
+    handles semidefinite H (linear costs).
 
     Returns the solution, the final working set (sorted row indices) and the
     number of rounds taken.
     """
+    H, g, G, a_eq = qp.H, qp.cost_b, qp.G, np.ones((1, len(qp.cost_b)))
     working = [int(i) for i in np.flatnonzero(G @ x - h >= -_ACTIVE_TOL)]
     max_rounds = 100 + 20 * len(h)
 
@@ -510,7 +487,7 @@ def _active_set_qp(H, g, a_eq, b_eq, G, h, x):
 
         if np.linalg.norm(d) <= _STEP_TOL:
             mults, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
-            lam = mults[a_eq.shape[0]:]
+            lam = mults[1:]
             if lam.size == 0 or lam.min() >= -_MULT_TOL:
                 return x, working, rounds
             # ties resolved toward the lowest constraint index
@@ -563,31 +540,9 @@ def _eqp_direction(H, grad, C):
         k = int(np.argmax(np.abs(proj) * null))
         ray = -np.sign(proj[k]) * (Z @ V[:, k])
         return ray, True
-    dz = np.zeros_like(gz)
     pos = ~null
     dz = -(V[:, pos] @ (proj[pos] / w[pos]))
     return Z @ dz, False
-
-
-def dispatch_kkt_residual(case: NetworkCase, loads: np.ndarray, sol: DispatchSolution) -> float:
-    """Max violation over the KKT conditions of the dispatch QP."""
-    ng = case.n_gen
-    p = sol.p_gen
-    loads = np.asarray(loads, dtype=float)
-    qp = compile_case(case).qp
-    G, h = qp.G, qp.h(loads)
-
-    grad = 2.0 * qp.cost_a * p + qp.cost_b
-    primal_eq = abs(p.sum() - loads.sum())
-    primal_ineq = float(np.max(np.clip(G @ p - h, 0.0, None), initial=0.0))
-
-    active = np.flatnonzero(G @ p - h >= -1e-7)
-    C = np.vstack([np.ones((1, ng)), G[active]])
-    mults, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
-    stationarity = float(np.max(np.abs(C.T @ mults + grad)))
-    lam = mults[1:]
-    dual = float(max(0.0, -lam.min()) if lam.size else 0.0)
-    return max(primal_eq, primal_ineq, stationarity, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +571,7 @@ def bus_loads(case: NetworkCase, samples: np.ndarray):
     return p_load, q_load
 
 
-def oracle_opf(case: NetworkCase, sample: np.ndarray,
-               tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> OpfSolution:
+def oracle_opf(case: NetworkCase, sample: np.ndarray) -> OpfSolution:
     """Reference OPF solution for one realized operating condition.
 
     Dispatch by dc_opf, then an AC power flow with the dispatched outputs at
@@ -634,7 +588,7 @@ def oracle_opf(case: NetworkCase, sample: np.ndarray,
         raise Infeasible("no generator at the slack bus to absorb losses")
 
     p_inj = cc.inj_map @ dispatch.p_gen - p_load
-    flow = ac_power_flow(case, p_inj, -q_load, tol=tol, max_iter=max_iter)
+    flow = ac_power_flow(case, p_inj, -q_load)
 
     p_gen = dispatch.p_gen.copy()
     delta = flow.p_slack + p_load[cc.slack] - p_gen[slack_gens].sum()

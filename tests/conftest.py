@@ -9,6 +9,7 @@ import pytest
 
 from popflow.grid import (PQ, SLACK, SRC_GAUSSIAN_LOAD, Branch, Bus,
                           Generator, NetworkCase, StochasticSource, bundled_case)
+from popflow.solver import DispatchSolution, compile_case
 
 
 def make_bus(i, kind, p=0.0, q=0.0, v_min=0.9, v_max=1.1):
@@ -60,6 +61,53 @@ def apply_sample_reference(case, sample):
         else:
             p_load[src.bus] -= value
     return p_load, q_load
+
+
+# ---------------------------------------------------------------------------
+# reference checks of solver results
+
+
+def series_losses(case: NetworkCase, vm: np.ndarray, va: np.ndarray) -> float:
+    """Total I^2 R loss over all branches (shunts are lossless)."""
+    v = vm * np.exp(1j * va)
+    total = 0.0
+    for br in case.branches:
+        ys = 1.0 / complex(br.r, br.x)
+        i_series = ys * (v[br.from_bus] - v[br.to_bus])
+        total += float(np.abs(i_series) ** 2 * br.r)
+    return total
+
+
+def power_flow_mismatch(case: NetworkCase, p_inj, q_inj, vm, va) -> float:
+    """Residual of the mismatch equations at a candidate solution."""
+    cc = compile_case(case)
+    v = vm * np.exp(1j * va)
+    s_calc = v * np.conj(cc.ybus @ v)
+    parts = [s_calc.real[cc.pvpq] - np.asarray(p_inj)[cc.pvpq],
+             s_calc.imag[cc.pq] - np.asarray(q_inj)[cc.pq]]
+    res = np.concatenate(parts)
+    return float(np.max(np.abs(res))) if res.size else 0.0
+
+
+def dispatch_kkt_residual(case: NetworkCase, loads: np.ndarray, sol: DispatchSolution) -> float:
+    """Max violation over the KKT conditions of the dispatch QP."""
+    ng = case.n_gen
+    p = sol.p_gen
+    loads = np.asarray(loads, dtype=float)
+    qp = compile_case(case).qp
+    G, h = qp.G, qp.h(loads)
+
+    grad = 2.0 * qp.cost_a * p + qp.cost_b
+    primal_eq = abs(p.sum() - loads.sum())
+    primal_ineq = float(np.max(np.clip(G @ p - h, 0.0, None), initial=0.0))
+
+    active = np.flatnonzero(G @ p - h >= -1e-7)
+    C = np.vstack([np.ones((1, ng)), G[active]])
+    mults, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
+    stationarity = float(np.max(np.abs(C.T @ mults + grad)))
+    lam = mults[1:]
+    dual = float(max(0.0, -lam.min()) if lam.size else 0.0)
+    return max(primal_eq, primal_ineq, stationarity, dual)
 
 
 def stall_dispatch(monkeypatch, stalled=lambda call: True):

@@ -20,8 +20,9 @@ from popflow.sampling import ConvergenceState, update_convergence
 from popflow.sdae import (TrainConfig, backward, batch_loss, denormalize,
                           forward, init_model, init_opt_state, model_params,
                           normalize, rmsprop_momentum_step)
-from popflow.solver import ac_power_flow, dc_opf, dispatch_kkt_residual
+from popflow.solver import ac_power_flow, dc_opf
 
+from conftest import dispatch_kkt_residual
 from test_sampling import brute_cv_converged_at
 from test_sdae import transcribed_scalar_run
 from test_solver import _random_small_case, closed_form_two_bus, grid_search_dispatch

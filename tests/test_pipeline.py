@@ -12,8 +12,9 @@ from scipy.stats import norm
 from popflow import pipeline, sdae
 from popflow.errors import (DimensionMismatch, TooManyRejections,
                             ValidationError)
-from popflow.pipeline import (ExceedanceThresholds, compare_methods,
-                              compute_statistics, error_metrics,
+from popflow.grid import bundled_case
+from popflow.pipeline import (EXCEEDANCE_THRESHOLDS, compare_methods,
+                              compute_statistics, error_metrics, feature_labels,
                               generate_training_data, histogram_densities,
                               infer, load_dataset, operating_features,
                               output_labels, run_popf, save_dataset,
@@ -356,11 +357,12 @@ def test_exceedance_fraction_example():
 
 
 def test_exceedance_threshold_defaults():
-    thresholds = ExceedanceThresholds()
-    assert thresholds.voltage_pu == (0.01, 0.001)
-    assert thresholds.gen_mw == (3.0,)
-    assert thresholds.branch_mw == (3.0,)
-    assert thresholds.cost_dollars == (1000.0, 3000.0)
+    assert EXCEEDANCE_THRESHOLDS == {
+        "voltage": ("v_mag", (0.01, 0.001), "pu"),
+        "generator": ("p_gen", (3.0,), "MW"),
+        "branch": ("p_branch", (3.0,), "MW"),
+        "cost": ("cost", (1000.0, 3000.0), "$/h"),
+    }
 
 
 def test_zero_reference_mean_flagged_absolute():
@@ -383,9 +385,6 @@ def test_exceedance_per_index_breakdown():
     candidate = reference.copy()
     candidate[:, 1] += 0.02   # one voltage column exceeds 0.01 pu everywhere
     metrics = error_metrics(reference, candidate, case)
-    per_index = metrics.exceedance_per_index["voltage"][0.01]
-    assert per_index.shape == (case.n_bus,)
-    assert per_index[0] == 1.0 and per_index[1] == 0.0
     # pooled probability averages the class
     assert metrics.exceedance["voltage"][0.01] == pytest.approx(0.5)
 
@@ -441,6 +440,39 @@ def test_compare_methods_self_check_zero_errors(tiny_trained):
     assert np.all(err.e_mean == 0.0)
     assert np.all(err.e_std == 0.0)
     assert all(p == 0.0 for probs in err.exceedance.values() for p in probs.values())
+
+
+def test_compare_drops_failed_rows_like_gen_data(monkeypatch):
+    """A failed oracle solve drops its row from compare, which names it in
+    ``failures``; the oracle rows compare keeps are gen-data's labels for the
+    same seed, row 0 dropped in both."""
+    n, seed = 12, 5
+    references = []
+    real_error_metrics = pipeline.error_metrics
+
+    def recording_error_metrics(reference, candidate, case):
+        references.append(reference)
+        return real_error_metrics(reference, candidate, case)
+
+    monkeypatch.setattr(pipeline, "error_metrics", recording_error_metrics)
+    case = bundled_case("case14")   # a fresh object: no remembered active sets
+    rng = np.random.Generator(np.random.PCG64(0))
+    model = sdae.init_model(len(feature_labels(case)), (4,), case.solution_dim(), 0.0, rng)
+    with monkeypatch.context() as mp:
+        stall_dispatch(mp, stalled=lambda call: call == 1)
+        report = compare_methods(case, model, seed=seed, n_samples=n, self_check=True)
+    assert report.dropped == 1 and report.n_samples == n - 1
+    assert list(report.failures) == [0]
+    assert report.failures[0].startswith("DispatchStalled: ")
+
+    with monkeypatch.context() as mp:
+        stall_dispatch(mp, stalled=lambda call: call == 1)
+        ds = generate_training_data(bundled_case("case14"), n, seed=seed)
+    assert ds.provenance["dropped"] == 1
+    # gen-data appends a redraw for row 0; its first n - 1 rows are rows 1..n-1
+    draw = sample_operating_conditions(case, n, None, seed).values
+    assert np.array_equal(ds.samples[:n - 1], draw[1:])
+    assert np.array_equal(references[0], ds.y[:n - 1])
 
 
 def test_compare_density_labels_cover_all_output_classes(tiny_trained):

@@ -159,7 +159,6 @@ def test_sampling_reproducible_hash(case14):
     a = sample_operating_conditions(case14, 500, None, seed=21)
     b = sample_operating_conditions(case14, 500, None, seed=21)
     assert np.array_equal(a.values, b.values)
-    assert a.columns == b.columns
 
 
 def test_sampling_mean_clt_bound():

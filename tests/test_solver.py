@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 from popflow.errors import DispatchStalled, Infeasible, NonConvergence
 from popflow.grid import PQ, PV, SLACK, SRC_PV, SRC_WIND, StochasticSource
 from popflow.solver import (_jacobian, ac_power_flow, build_ybus, bus_loads,
-                            compile_case, dc_opf, dispatch_kkt_residual,
-                            oracle_opf, power_flow_mismatch, series_losses,
-                            solution_layout)
+                            compile_case, dc_opf, oracle_opf, solution_layout)
 
-from conftest import (apply_sample_reference, gaussian_source, make_branch,
-                      make_bus, make_case, make_gen, stall_dispatch, two_bus_case)
+from conftest import (apply_sample_reference, dispatch_kkt_residual, gaussian_source,
+                      make_branch, make_bus, make_case, make_gen, power_flow_mismatch,
+                      series_losses, stall_dispatch, two_bus_case)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +524,6 @@ def test_oracle_golden_fixture(case14):
     from pathlib import Path
 
     from popflow.sampling import sample_operating_conditions
-    from popflow.solver import power_flow_mismatch
 
     golden = json.loads((Path(__file__).parent / "golden" / "case14_seed0.json").read_text())
     sample = sample_operating_conditions(case14, 1, None, seed=0).values[0]
