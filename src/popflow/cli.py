@@ -165,16 +165,16 @@ def cmd_train(args) -> int:
         raise UsageError(f"cannot read dataset in {dataset_dir}: {exc}")
 
     start = time.perf_counter()
-    model, history = pipeline.train_popf_model(dataset, train_cfg)
+    model, history, pretrain_losses = pipeline.train_popf_model(dataset, train_cfg)
     elapsed = time.perf_counter() - start
 
     checkpoint.parent.mkdir(parents=True, exist_ok=True)
     sdae.save_model(model, checkpoint)
     sdae.save_history(history, checkpoint.with_suffix(".history.tsv"))
+    sdae.save_pretrain_losses(pretrain_losses, checkpoint.with_suffix(".pretrain.tsv"))
+    sdae.save_stop(history, train_cfg.patience, checkpoint.with_suffix(".stop.tsv"))
 
-    best_epoch = min(history, key=lambda row: row[2])[0]
-    stopped_early = len(history) < train_cfg.epochs_sup
-    reason = "early stop" if stopped_early else "epoch cap"
+    best_epoch, reason = sdae.early_stop(history, train_cfg.patience)
     final = history[-1]
     print(f"trained {len(history)} epochs in {elapsed:.6g} s ({reason}); "
           f"best validation epoch {best_epoch}")

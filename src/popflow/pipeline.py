@@ -267,10 +267,13 @@ def split_indices(n: int, seed: int):
 
 
 def train_popf_model(dataset: TrainingDataset, cfg: sdae.TrainConfig):
-    """Split 5:1, normalize, pretrain, fine-tune; returns (model, history).
+    """Split 5:1, normalize, pretrain, fine-tune; returns (model, history,
+    pretraining losses per layer).
 
     Normalization bounds come from the training split only and are frozen
-    into the returned model.
+    into the returned model. Training runs in float32: the normalized
+    matrices and the freshly drawn (float64) initial weights are cast once,
+    and the final weights are widened back to float64.
     """
     n = dataset.n_rows
     if n < 2 * cfg.batch_size:
@@ -279,23 +282,25 @@ def train_popf_model(dataset: TrainingDataset, cfg: sdae.TrainConfig):
 
     x_lo, x_hi = sdae.fit_bounds(dataset.x[train_idx])
     y_lo, y_hi = sdae.fit_bounds(dataset.y[train_idx])
-    xn_train = sdae.normalize(dataset.x[train_idx], x_lo, x_hi)
-    yn_train = sdae.normalize(dataset.y[train_idx], y_lo, y_hi)
-    xn_val = sdae.normalize(dataset.x[val_idx], x_lo, x_hi)
-    yn_val = sdae.normalize(dataset.y[val_idx], y_lo, y_hi)
+    xn_train = sdae.normalize(dataset.x[train_idx], x_lo, x_hi).astype(np.float32)
+    yn_train = sdae.normalize(dataset.y[train_idx], y_lo, y_hi).astype(np.float32)
+    xn_val = sdae.normalize(dataset.x[val_idx], x_lo, x_hi).astype(np.float32)
+    yn_val = sdae.normalize(dataset.y[val_idx], y_lo, y_hi).astype(np.float32)
 
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(11,))))
     model = sdae.init_model(dataset.x.shape[1], cfg.hidden_sizes, dataset.y.shape[1],
                             cfg.corruption_level, init_rng)
+    sdae.cast_model(model, np.float32)
     pre_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(12,))))
-    sdae.pretrain_stack(model, xn_train, cfg, pre_rng)
+    pretrain_losses = sdae.pretrain_stack(model, xn_train, cfg, pre_rng)
     model.corruption_level = cfg.finetune_corruption
     fine_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(13,))))
     model, history = sdae.finetune(model, xn_train, yn_train, xn_val, yn_val, cfg, fine_rng)
 
+    sdae.cast_model(model, np.float64)
     model.x_lo, model.x_hi = x_lo, x_hi
     model.y_lo, model.y_hi = y_lo, y_hi
-    return model, history
+    return model, history, pretrain_losses
 
 
 # ---------------------------------------------------------------------------

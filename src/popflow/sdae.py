@@ -15,9 +15,16 @@ then trains the whole stack on the regression targets with input corruption
 as the only regularizer, early-stopping on validation loss. Both stages use
 RMSProp with momentum blending of the previous applied update.
 
+Precision: corruption, forward, backward and the update keep the float
+dtype they are given; normalization and the fine-tuning losses are float64.
+``pipeline.train_popf_model`` trains in float32, which halves the bytes
+every epoch moves and runs its matrix products in single precision, then
+widens the final weights to float64; checkpoints and inference are float64.
+
 Determinism: all randomness (init, corruption masks, batch shuffles) comes
 from PCG64 streams derived from the config seed, so identical configs yield
-bit-identical checkpoints.
+bit-identical checkpoints. The init draws are float64 whatever the training
+precision, and each batch's corruption masks come from one uniform draw.
 """
 
 from __future__ import annotations
@@ -122,14 +129,30 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
+def _floats(x) -> np.ndarray:
+    """``x`` as a float array: float32 and float64 stay as they are, anything
+    else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(float)
+
+
 # ---------------------------------------------------------------------------
 # normalization (three-branch min-max rule)
 
 
+# a column whose training range is below this (in its own units) is constant
+# in truth: its spread is noise of the arithmetic that produced it, e.g. the
+# ~1e-14 pu an idle generator reads, and scaling by it would blow up any value
+# outside that noise
+RANGE_FLOOR = 1e-9
+
+
 def fit_bounds(data: np.ndarray):
-    """Per-column min and max of the training matrix."""
+    """Per-column min and max of the training matrix; a column whose range is
+    below ``RANGE_FLOOR`` gets hi = lo and is treated as constant."""
     data = np.asarray(data, dtype=float)
-    return data.min(axis=0), data.max(axis=0)
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    return lo, np.where(hi - lo < RANGE_FLOOR, lo, hi)
 
 
 def normalize(v, lo, hi):
@@ -164,19 +187,21 @@ def denormalize(v, lo, hi):
 
 
 def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero out exactly round(level * dim) positions per row.
+    """Zero out exactly k = round(level * dim) positions per row, on a copy.
 
-    Positions come from a seeded uniform permutation, one draw per row, so a
-    fixed generator state reproduces the mask exactly.
+    Masking noise as Vincent et al. (JMLR 11, 2010) define it: each row's k
+    positions are a fresh uniform k-subset, the indexes of the k smallest of
+    dim uniform draws. One draw covers the whole batch, so a fixed generator
+    state reproduces every mask exactly. The float dtype is kept.
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     single = x.ndim == 1
     rows = np.atleast_2d(x).copy()
-    dim = rows.shape[1]
+    m, dim = rows.shape
     k = int(round(level * dim))
     if k > 0:
-        for r in range(rows.shape[0]):
-            rows[r, rng.permutation(dim)[:k]] = 0.0
+        picked = np.argpartition(rng.random((m, dim)), k - 1, axis=1)[:, :k]
+        np.put_along_axis(rows, picked, 0.0, axis=1)
     return rows[0] if single else rows
 
 
@@ -191,7 +216,7 @@ def forward(model: SdaeModel, X: np.ndarray, train: bool = False,
     Train mode corrupts the input of the first layer only; infer mode never
     touches the generator.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(_floats(X))
     if X.shape[1] != model.input_dim:
         raise DimensionMismatch(f"expected input width {model.input_dim}, got {X.shape[1]}")
     if train and model.corruption_level > 0:
@@ -231,7 +256,7 @@ def batch_loss(y, y_hat) -> float:
 def backward(model: SdaeModel, cache: dict, y_true: np.ndarray) -> list:
     """Gradients of the batch-averaged loss, ordered like model_params()."""
     y_hat = cache["post"][-1]
-    y_true = np.atleast_2d(np.asarray(y_true, dtype=float))
+    y_true = np.atleast_2d(_floats(y_true))
     if y_true.shape != y_hat.shape:
         raise DimensionMismatch(f"targets {y_true.shape} vs outputs {y_hat.shape}")
     m = y_hat.shape[0]
@@ -322,6 +347,16 @@ def init_model(input_dim: int, hidden_sizes, output_dim: int,
                      corruption_level=corruption_level)
 
 
+def cast_model(model: SdaeModel, dtype) -> SdaeModel:
+    """Cast every weight array (decoders included) to ``dtype``, in place."""
+    for layer in model.layers:
+        layer.w, layer.b = layer.w.astype(dtype), layer.b.astype(dtype)
+        if layer.w_dec is not None:
+            layer.w_dec, layer.b_dec = layer.w_dec.astype(dtype), layer.b_dec.astype(dtype)
+    model.top_w, model.top_b = model.top_w.astype(dtype), model.top_b.astype(dtype)
+    return model
+
+
 def _uniform_init(n_out: int, n_in: int, rng: np.random.Generator) -> np.ndarray:
     bound = np.sqrt(6.0 / (n_in + n_out))
     return rng.uniform(-bound, bound, size=(n_out, n_in))
@@ -375,19 +410,21 @@ def _dae_loss_grads(layer: DaeLayer, x_clean: np.ndarray, x_noisy: np.ndarray):
 
 
 def pretrain_stack(model: SdaeModel, x_train: np.ndarray, cfg: TrainConfig,
-                   rng: np.random.Generator) -> SdaeModel:
+                   rng: np.random.Generator) -> list:
     """Layer-wise pretraining, bottom to top.
 
     Each layer trains as a DAE on the clean (uncorrupted) activations of the
     trained layers below it; decoder parameters are discarded afterwards.
+    Returns each layer's per-epoch reconstruction losses.
     """
-    acts = np.asarray(x_train, dtype=float)
+    acts = _floats(x_train)
+    losses = []
     for l, layer in enumerate(model.layers):
-        pretrain_layer(layer, acts, cfg, rng, context=f"pretraining layer {l}")
+        losses.append(pretrain_layer(layer, acts, cfg, rng, context=f"pretraining layer {l}"))
         acts = relu(acts @ layer.w.T + layer.b)
         layer.w_dec = None
         layer.b_dec = None
-    return model
+    return losses
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +442,8 @@ def finetune(model: SdaeModel, x_train, y_train, x_val, y_val,
     Returns (model, history) where history rows are
     (epoch, train_loss, val_loss).
     """
-    x_train = np.asarray(x_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=float)
+    x_train = _floats(x_train)
+    y_train = _floats(y_train)
     n = x_train.shape[0]
     params = model_params(model)
     opt = init_opt_state(params, cfg.eta_sup, cfg.momentum)
@@ -449,9 +486,32 @@ def finetune(model: SdaeModel, x_train, y_train, x_val, y_val,
     return model, history
 
 
+def early_stop(history, patience: int):
+    """Best epoch of a fine-tuning history, and why the run stopped: "early
+    stop" when ``patience`` epochs followed the best one, else "epoch cap"."""
+    best = min(history, key=lambda row: row[2])[0]
+    return best, "early stop" if history[-1][0] - best >= patience else "epoch cap"
+
+
 def save_history(history, path) -> None:
     """Delimited text: epoch, train loss, val loss."""
     write_tsv(path, ["epoch", "train_loss", "val_loss"], history)
+
+
+def save_pretrain_losses(losses, path) -> None:
+    """Delimited text: layer, epoch, reconstruction loss (``pretrain_stack``'s
+    per-layer losses)."""
+    write_tsv(path, ["layer", "epoch", "loss"],
+              [(l, epoch, loss) for l, layer_losses in enumerate(losses)
+               for epoch, loss in enumerate(layer_losses)])
+
+
+def save_stop(history, patience: int, path) -> None:
+    """Delimited text, one row: epochs run, best epoch, its val loss, and the
+    stop reason of ``early_stop``."""
+    best, reason = early_stop(history, patience)
+    write_tsv(path, ["epochs", "best_epoch", "best_val_loss", "reason"],
+              [(len(history), best, history[best][2], reason)])
 
 
 # ---------------------------------------------------------------------------

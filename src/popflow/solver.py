@@ -218,6 +218,10 @@ class CompiledCase:
     qp: _DispatchQP
     slack_gens: np.ndarray  # generators at the slack bus
     inj_map: np.ndarray     # gen_map with the slack generators' columns zeroed
+    p_load: np.ndarray      # per-bus loads before the sources act
+    q_load: np.ndarray
+    source_rules: tuple     # per source: (bus, Q/P = tan(acos(power factor)) of a
+                            # Gaussian load, or None for an injecting source)
     warm_sets: tuple = ()
 
 
@@ -265,7 +269,12 @@ def _compile(case: NetworkCase) -> CompiledCase:
         br_to=np.array([br.to_bus for br in case.branches], dtype=int),
         br_series=np.array([1.0 / complex(br.r, br.x) for br in case.branches], dtype=complex),
         br_shunt=np.array([0.5j * br.b_sh for br in case.branches], dtype=complex),
-        qp=qp, slack_gens=slack_gens, inj_map=inj_map)
+        qp=qp, slack_gens=slack_gens, inj_map=inj_map,
+        p_load=case.p_load_vector(), q_load=case.q_load_vector(),
+        source_rules=tuple(
+            (src.bus, math.tan(math.acos(src.params["power_factor"]))
+             if src.kind == SRC_GAUSSIAN_LOAD else None)
+            for src in case.sources))
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +569,15 @@ def bus_loads(case: NetworkCase, samples: np.ndarray):
     if samples.ndim != 2 or samples.shape[1] != case.n_sources:
         raise ValueError(f"samples must have shape (n, {case.n_sources}), got {samples.shape}")
     n = samples.shape[0]
-    p_load = np.tile(case.p_load_vector(), (n, 1))
-    q_load = np.tile(case.q_load_vector(), (n, 1))
-    for k, src in enumerate(case.sources):
-        if src.kind == SRC_GAUSSIAN_LOAD:
-            p_load[:, src.bus] = samples[:, k]
-            q_load[:, src.bus] = samples[:, k] * math.tan(math.acos(src.params["power_factor"]))
+    cc = compile_case(case)
+    p_load = np.tile(cc.p_load, (n, 1))
+    q_load = np.tile(cc.q_load, (n, 1))
+    for k, (bus, q_per_p) in enumerate(cc.source_rules):
+        if q_per_p is None:
+            p_load[:, bus] -= samples[:, k]
         else:
-            p_load[:, src.bus] -= samples[:, k]
+            p_load[:, bus] = samples[:, k]
+            q_load[:, bus] = samples[:, k] * q_per_p
     return p_load, q_load
 
 

@@ -45,7 +45,7 @@ def report_line(criterion, ok, detail):
 @pytest.fixture(scope="session")
 def end_to_end(case14):
     dataset = generate_training_data(case14, E2E_N_TRAIN, seed=E2E_TRAIN_SEED)
-    model, history = train_popf_model(dataset, TrainConfig(**E2E_CONFIG))
+    model, history, _ = train_popf_model(dataset, TrainConfig(**E2E_CONFIG))
     report = compare_methods(case14, model, seed=E2E_MCS_SEED, n_samples=E2E_N_MCS)
     return model, history, report
 

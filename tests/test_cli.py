@@ -160,6 +160,32 @@ def test_train_checkpoint_and_history(generated, capsys):
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == digest
 
 
+def test_train_writes_pretraining_losses_and_stop(generated, capsys):
+    cfg, tmp_path = generated
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        assert main(["train", "-c", str(cfg)]) == 0
+        runs.append({name: (out / name).read_bytes()
+                     for name in ("model.pretrain.tsv", "model.stop.tsv")})
+    assert runs[0] == runs[1]
+    printed = capsys.readouterr().out
+
+    assert (out / "model.pretrain.tsv").read_text().startswith("layer\tepoch\tloss\n")
+    rows = np.loadtxt(out / "model.pretrain.tsv", delimiter="\t", skiprows=1)
+    assert np.array_equal(rows[:, :2], [[0, e] for e in range(10)])  # one layer, 10 epochs
+    assert np.all(np.isfinite(rows[:, 2]) & (rows[:, 2] > 0))
+
+    history = np.loadtxt(out / "model.history.tsv", delimiter="\t", skiprows=1)
+    header, row = (out / "model.stop.tsv").read_text().strip().split("\n")
+    assert header == "epochs\tbest_epoch\tbest_val_loss\treason"
+    epochs, best, best_val, reason = row.split("\t")
+    assert int(epochs) == len(history)
+    assert int(best) == int(np.argmin(history[:, 2]))
+    assert float(best_val) == history[int(best), 2]
+    assert f"({reason}); best validation epoch {best}" in printed
+
+
 def test_train_missing_dataset_exit_two(tmp_path):
     case_path = write_case(tmp_path)
     cfg = write_config(tmp_path, case_path)

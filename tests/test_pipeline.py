@@ -35,7 +35,7 @@ def tiny_trained():
     cfg = sdae.TrainConfig(hidden_sizes=(8,), epochs_unsup=20, epochs_sup=120,
                            batch_size=100, patience=120, corruption_level=0.05,
                            eta_sup=2e-3, seed=3)
-    model, history = train_popf_model(dataset, cfg)
+    model, history, _ = train_popf_model(dataset, cfg)
     return case, dataset, cfg, model, history
 
 
@@ -182,9 +182,16 @@ def test_trained_bounds_equal_training_split_minmax(tiny_trained):
     assert np.array_equal(model.y_hi, dataset.y[train_idx].max(axis=0))
 
 
+def test_trained_weights_are_widened_float32(tiny_trained):
+    model = tiny_trained[3]
+    for p in sdae.model_params(model):
+        assert p.dtype == np.float64
+        assert np.array_equal(p, p.astype(np.float32).astype(np.float64))
+
+
 def test_retraining_reproduces_checkpoint(tmp_path, tiny_trained):
     case, dataset, cfg, model, _ = tiny_trained
-    again, _ = train_popf_model(dataset, cfg)
+    again, _, _ = train_popf_model(dataset, cfg)
     sdae.save_model(model, tmp_path / "a.ckpt")
     sdae.save_model(again, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
@@ -234,7 +241,7 @@ def test_run_popf_convergence_zero_variance():
     ds = generate_training_data(case, 220, seed=1)
     cfg = sdae.TrainConfig(hidden_sizes=(4,), epochs_unsup=5, epochs_sup=10,
                            batch_size=100, patience=10, corruption_level=0.0, seed=0)
-    model, _ = train_popf_model(ds, cfg)
+    model, _, _ = train_popf_model(ds, cfg)
     result = run_popf(model, case, spec=None, seed=3, converge=True, max_samples=500)
     assert result.converged
     assert result.n_samples == 2  # cv is exactly zero once two samples agree

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from popflow.errors import (CorruptFile, DimensionMismatch,
                             FormatVersionMismatch, NonFiniteGradient)
-from popflow.sdae import (DaeLayer, SdaeModel, TrainConfig, backward,
-                          batch_loss, corrupt, denormalize, finetune,
-                          fit_bounds, forward, init_model, init_opt_state,
-                          load_model, model_params, mse_loss, normalize,
-                          pretrain_layer, pretrain_stack, relu,
-                          rmsprop_momentum_step, save_model)
+from popflow.sdae import (RANGE_FLOOR, DaeLayer, SdaeModel, TrainConfig,
+                          backward, batch_loss, cast_model, corrupt,
+                          denormalize, early_stop, finetune, fit_bounds,
+                          forward, init_model, init_opt_state, load_model,
+                          model_params, mse_loss, normalize, pretrain_layer,
+                          pretrain_stack, relu, rmsprop_momentum_step,
+                          save_model)
 
 
 def new_rng(seed=0):
@@ -111,6 +112,24 @@ def test_round_trip_constant_branch(c):
     assert back == pytest.approx(c, abs=1e-12 * max(1.0, abs(c)))
 
 
+def test_fit_bounds_treats_a_noise_range_as_constant():
+    """An idle generator's labels spread over ~1e-14 pu, which is arithmetic
+    noise: the column is constant, so a held-out value far outside that
+    spread maps to the constant branch instead of scaling by the noise."""
+    train = np.array([[1.0, 1e-7, 0.0],
+                      [2.0, 1e-7 + 1.1e-14, 1.1e-14],
+                      [3.0, 1e-7 + 5e-15, 0.0]])
+    lo, hi = fit_bounds(train)
+    assert np.array_equal(lo, [1.0, 1e-7, 0.0])
+    assert np.array_equal(hi, [3.0, 1e-7, 0.0])
+    held_out = normalize(np.array([[2.0, 0.0058, 0.0058]]), lo, hi)
+    assert np.array_equal(held_out, [[0.5, 1.0, 0.0058]])
+    assert np.array_equal(denormalize(held_out, lo, hi), [[2.0, 1e-7, 0.0]])
+    # a range at the floor still scales
+    lo, hi = fit_bounds(np.array([[0.0], [RANGE_FLOOR]]))
+    assert hi[0] == RANGE_FLOOR
+
+
 # ---------------------------------------------------------------------------
 # corruption
 
@@ -139,6 +158,36 @@ def test_corrupt_rows_get_independent_masks():
     out = corrupt(x, 0.5, new_rng(1))
     masks = {tuple(np.flatnonzero(row == 0)) for row in out}
     assert len(masks) > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 12), dim=st.integers(1, 25), level=st.floats(0.0, 0.99),
+       dtype=st.sampled_from([np.float32, np.float64]), single=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_corrupt_zeroes_exactly_k_per_row_and_nothing_else(m, dim, level, dtype,
+                                                           single, seed):
+    # nonzero entries, so every forced zero is visible
+    x = new_rng(seed).uniform(0.5, 1.5, size=(m, dim)).astype(dtype)
+    if single:
+        x = x[0]
+    before = x.copy()
+    out = corrupt(x, level, new_rng(seed))
+    assert np.array_equal(x, before)                  # input not mutated
+    assert out.shape == x.shape and out.dtype == dtype
+    rows_in, rows_out = np.atleast_2d(x), np.atleast_2d(out)
+    zeroed = rows_out == 0
+    assert np.all(zeroed.sum(axis=1) == int(round(level * dim)))
+    assert np.array_equal(rows_out[~zeroed], rows_in[~zeroed])
+    assert np.array_equal(corrupt(x, level, new_rng(seed)), out)
+
+
+def test_corrupt_masks_are_uniform_subsets():
+    """dim 5, k 2: each of the 10 position pairs is one row's mask with
+    probability 0.1; over 20,000 rows a frequency's std is 0.0021."""
+    out = corrupt(np.ones((20_000, 5)), 0.4, new_rng(4))
+    _, counts = np.unique(out == 0, axis=0, return_counts=True)
+    assert len(counts) == 10
+    assert np.all(np.abs(counts / 20_000 - 0.1) < 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +282,25 @@ def test_backward_matches_finite_differences():
             p[ix] = orig
             fd = (up - down) / (2 * h)
             assert g[ix] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_kernels_keep_the_float_dtype():
+    """float64 in gives float64 out, as before; float32 stays float32 through
+    forward, backward and the update, and agrees with float64 to its precision."""
+    x = new_rng(6).uniform(0, 1, size=(7, 5))
+    y = new_rng(7).uniform(0, 1, size=(7, 2))
+    grads = {}
+    for dtype in (np.float64, np.float32):
+        model = cast_model(init_model(5, (4, 3), 2, 0.2, new_rng(5)), dtype)
+        y_hat, cache = forward(model, x.astype(dtype), train=True, rng=new_rng(8))
+        grads[dtype] = backward(model, cache, y.astype(dtype))
+        assert y_hat.dtype == dtype
+        assert all(g.dtype == dtype for g in grads[dtype])
+        params = model_params(model)
+        rmsprop_momentum_step(params, grads[dtype], init_opt_state(params, 1e-3, 0.9))
+        assert all(p.dtype == dtype for p in params)
+    for g64, g32 in zip(grads[np.float64], grads[np.float32]):
+        assert np.allclose(g32, g64, rtol=1e-4, atol=1e-6)
 
 
 def test_backward_identical_rows_equal_single_row():
@@ -420,6 +488,17 @@ def test_stack_feeds_clean_activations_upward():
     assert np.array_equal(stacked.layers[1].b, manual.layers[1].b)
 
 
+def test_stack_returns_each_layers_losses_and_keeps_float32():
+    data = new_rng(55).uniform(0.1, 0.9, size=(40, 4)).astype(np.float32)
+    cfg = TrainConfig(hidden_sizes=(3, 2), epochs_unsup=7, batch_size=20,
+                      corruption_level=0.25)
+    model = cast_model(init_model(4, (3, 2), 4, 0.25, new_rng(56)), np.float32)
+    losses = pretrain_stack(model, data, cfg, new_rng(57))
+    assert [len(l) for l in losses] == [7, 7]
+    assert all(math.isfinite(v) and v > 0 for l in losses for v in l)
+    assert all(p.dtype == np.float32 for p in model_params(model))
+
+
 def test_stack_seed_determinism():
     rng = new_rng(70)
     data = rng.uniform(0.1, 0.9, size=(30, 4))
@@ -466,8 +545,15 @@ def test_finetune_early_stop_counts_epochs():
     snapshot = [p.copy() for p in model_params(model)]
     model, history = finetune(model, x[:40], y[:40], x[40:], y[40:], cfg, new_rng(84))
     assert len(history) == 6  # first epoch plus patience non-improving ones
+    assert early_stop(history, cfg.patience) == (0, "early stop")
     for p, snap in zip(model_params(model), snapshot):
         assert np.allclose(p, snap, atol=1e-250)
+
+
+def test_early_stop_reason():
+    history = [(0, 1.0, 0.5), (1, 1.0, 0.4), (2, 1.0, 0.45), (3, 1.0, 0.4)]
+    assert early_stop(history, 2) == (1, "early stop")   # ties do not improve
+    assert early_stop(history, 3) == (1, "epoch cap")
 
 
 def test_finetune_regresses_toy_map_under_two_percent():
