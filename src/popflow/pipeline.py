@@ -250,8 +250,7 @@ def load_dataset(directory) -> TrainingDataset:
 
 
 def _read_matrix(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    return np.array([[float(v) for v in line.split("\t")] for line in lines[1:]])
+    return np.loadtxt(path, delimiter="\t", skiprows=1, ndmin=2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +334,15 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     if not converge:
         if n_samples is None or n_samples < 1:
             raise ValueError("n_samples must be at least 1 when not convergence-driven")
-        x = _model_features(model, case,
-                            sample_operating_conditions(case, n_samples, spec, seed).values)
-        start = time.perf_counter()
+        t0 = time.perf_counter()
+        rows = sample_operating_conditions(case, n_samples, spec, seed).values
+        t1 = time.perf_counter()
+        x = _model_features(model, case, rows)
+        t2 = time.perf_counter()
         values = infer(model, x)
-        return PopfRunResult(values=values, seconds=time.perf_counter() - start,
+        seconds = time.perf_counter() - t2
+        _log_popf_stages(t1 - t0, t2 - t1, seconds, len(rows), len(values))
+        return PopfRunResult(values=values, seconds=seconds,
                              n_samples=values.shape[0], converged=None)
 
     # Rows are drawn in chunks that double in size: each round draws the
@@ -353,16 +356,21 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
                                      max_samples=max_samples + 1)
     collected = []
     done = False
-    seconds = 0.0
-    drawn = 0
+    seconds = draw_s = features_s = 0.0
+    drawn = sampled = 0
     chunk = _CONVERGE_FIRST_DRAW
     while drawn < max_samples and not done:
         end = min(drawn + chunk, max_samples)
         chunk *= 2
+        t0 = time.perf_counter()
         rows = sample_operating_conditions(case, end, spec, seed).values[drawn:]
+        t1 = time.perf_counter()
         x = _model_features(model, case, rows)
         drawn = end
+        sampled += end
         start = time.perf_counter()
+        draw_s += t1 - t0
+        features_s += start - t1
         for chunk_start in range(0, x.shape[0], INFER_CHUNK):
             block = infer(model, x[chunk_start:chunk_start + INFER_CHUNK])
             for row_no, row in enumerate(block):
@@ -375,8 +383,16 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
                 break
         seconds += time.perf_counter() - start
     values = np.vstack(collected)
+    _log_popf_stages(draw_s, features_s, seconds, sampled, len(values))
     return PopfRunResult(values=values, seconds=seconds,
                          n_samples=values.shape[0], converged=done)
+
+
+def _log_popf_stages(draw_s, features_s, infer_s, drawn, used) -> None:
+    """One DEBUG line per run; ``drawn`` counts every row the sampler made,
+    the prefixes a convergence run draws again included."""
+    log.debug("popf: %.3g s drawing, %.3g s featurizing, %.3g s inferring; "
+              "%d rows drawn, %d used", draw_s, features_s, infer_s, drawn, used)
 
 
 def _model_features(model: sdae.SdaeModel, case: NetworkCase, sample_values) -> np.ndarray:

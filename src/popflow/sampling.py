@@ -13,15 +13,28 @@ generated in any order (or in parallel) with identical output. Redraw round
 ``spawn_key=(j, r)``. SeedSequence pads seeds below 2**128 to four words
 ahead of the key, so for such seeds a redraw stream is one word longer than
 every round-0 stream, and no round-0 draw can reproduce it.
+
+The PV marginal inverts the regularized incomplete beta function without
+calling ``betaincinv`` per value. For each ``(alpha, beta)`` a start table of
+quantiles at 2,049 nodes of ``|z|`` in [0, 8.3] is built once with
+``betaincinv`` and cached. A value's start is interpolated between its two
+nodes, linearly in ``|z|`` on the log of the quantile, and then corrected by
+a fixed number of Newton steps on ``I_x(a, b)`` (Cran, Martin & Thomas, AS
+109, 1977), so no convergence test decides its bits. Each tail is solved on
+its own side: ``z <= 0`` solves ``I_x(alpha, beta) = Phi(z)``, ``z > 0``
+solves ``I_y(beta, alpha) = Phi(-z)`` and returns ``1 - y``, so the upper
+tail is not lost to ``Phi(z)`` rounding near 1. Every value depends on its
+own ``z`` only, which keeps draws prefix-stable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, ndtr
+from scipy.special import betainc, betaincinv, betaln, ndtr
 
 from .errors import NotPositiveDefinite
 from .grid import SRC_GAUSSIAN_LOAD, SRC_PV, SRC_WIND, NetworkCase, StochasticSource
@@ -32,6 +45,11 @@ DEFAULT_MAX_SAMPLES = 50_000
 # below this magnitude the mean is treated as zero and the cv test switches
 # to the absolute criterion s/sqrt(n) <= threshold
 _ZERO_MEAN = 1e-12
+
+# nodes of |z| for the beta quantile start table; past the last node
+# betaincinv answers directly
+_BETA_START_NODES = np.linspace(0.0, 8.3, 2049)
+_BETA_NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -105,7 +123,12 @@ def correlate(z: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
 
 
 def transform_marginal(z, source: StochasticSource):
-    """Map standard-normal values to per-unit injections for one source."""
+    """Map standard-normal values to per-unit injections for one source.
+
+    PV is ``rated * I^-1_{alpha,beta}(Phi(z))``, computed by
+    ``_beta_quantile_of_normal`` (start table plus fixed Newton steps, each
+    tail on its own side; see the module doc).
+    """
     z = np.asarray(z, dtype=float)
     p = source.params
     if source.kind == SRC_GAUSSIAN_LOAD:
@@ -115,9 +138,59 @@ def transform_marginal(z, source: StochasticSource):
         speed = p["weibull_scale"] * (-np.log(ndtr(-z))) ** (1.0 / p["weibull_shape"])
         return wind_power_curve(speed, p)
     if source.kind == SRC_PV:
-        u = ndtr(z)
-        return p["rated"] * betaincinv(p["alpha"], p["beta"], u)
+        return p["rated"] * _beta_quantile_of_normal(p["alpha"], p["beta"], z)
     raise ValueError(f"unknown source kind {source.kind!r}")
+
+
+def _beta_quantile_of_normal(a: float, b: float, z) -> np.ndarray:
+    """``I^-1_{a,b}(Phi(z))`` elementwise; the upper tail is ``1 - I^-1_{b,a}(Phi(-z))``."""
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    upper = flat > 0
+    out = np.empty_like(flat)
+    out[~upper] = _beta_lower_quantile(a, b, -flat[~upper])
+    out[upper] = 1.0 - _beta_lower_quantile(b, a, flat[upper])
+    return out.reshape(z.shape)
+
+
+def _beta_lower_quantile(p: float, q: float, s: np.ndarray) -> np.ndarray:
+    """Solve ``I_x(p, q) = Phi(-s)`` for each ``s >= 0``: the table start, then
+    ``_BETA_NEWTON_STEPS`` Newton steps. Each step is clipped to the start's
+    cell, which holds the root, so an iterate never leaves (0, 1)."""
+    t = ndtr(-s)
+    nodes, log_nodes, s_max = _beta_start_table(p, q)
+    inside = s <= s_max
+    out = np.empty_like(s)
+    out[~inside] = betaincinv(p, q, t[~inside])
+    t = t[inside]
+    pos = s[inside] / _BETA_START_NODES[1]
+    cell = np.minimum(pos.astype(np.intp), len(nodes) - 2)
+    frac = pos - cell
+    # the quantile falls as s grows: a cell's left node is its upper bound
+    hi, lo = nodes[cell], nodes[cell + 1]
+    x = np.exp(log_nodes[cell] + frac * (log_nodes[cell + 1] - log_nodes[cell]))
+    log_beta = betaln(p, q)
+    for _ in range(_BETA_NEWTON_STEPS):
+        density = np.exp((p - 1.0) * np.log(x) + (q - 1.0) * np.log1p(-x) - log_beta)
+        x = np.clip(x - (betainc(p, q, x) - t) / density, lo, hi)
+    out[inside] = x
+    return out
+
+
+# 32 KB per entry; bounded so that a sweep over shape parameters cannot grow it
+@functools.lru_cache(maxsize=128)
+def _beta_start_table(p: float, q: float):
+    """``I^-1_{p,q}(Phi(-s))`` at the start nodes, their logs, and the largest
+    ``s`` the table covers. A shape so small that some node underflows below
+    the smallest normal float or rounds up to 1 covers nothing (-inf), and
+    betaincinv answers that whole tail."""
+    nodes = betaincinv(p, q, ndtr(-_BETA_START_NODES))
+    if not np.all((nodes >= np.finfo(float).tiny) & (nodes < 1.0)):
+        return nodes[:0], nodes[:0], -np.inf
+    log_nodes = np.log(nodes)
+    nodes.flags.writeable = False
+    log_nodes.flags.writeable = False
+    return nodes, log_nodes, _BETA_START_NODES[-1]
 
 
 def wind_power_curve(speed, params):

@@ -159,27 +159,38 @@ def normalize(v, lo, hi):
     """Min-max scale with the degenerate-column branches.
 
     Columns with hi > lo map through (v - lo)/(hi - lo); constant nonzero
-    columns map to lo/hi = 1; all-zero columns pass through unchanged.
+    columns map to lo/hi = 1; all-zero columns pass through unchanged. The
+    ranged formula runs over the whole matrix, then only the degenerate
+    columns are overwritten.
     """
-    v = np.asarray(v, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    v, lo, hi, shape = _as_columns(v, lo, hi)
     span = hi - lo
-    ranged = span != 0
-    const_nonzero = (~ranged) & (hi != 0)
-    out = np.where(ranged, (v - lo) / np.where(ranged, span, 1.0), v)
-    out = np.where(const_nonzero, 1.0, out)
-    return out
+    fixed = np.flatnonzero(span == 0)
+    out = v - lo
+    out /= np.where(span == 0, 1.0, span)
+    out[..., fixed] = np.where(hi[fixed] != 0, 1.0, v[..., fixed])
+    return out.reshape(shape)
 
 
 def denormalize(v, lo, hi):
     """Inverse of normalize: degenerate columns restore their stored constant."""
-    v = np.asarray(v, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    v, lo, hi, shape = _as_columns(v, lo, hi)
     span = hi - lo
-    ranged = span != 0
-    return np.where(ranged, lo + v * np.where(ranged, span, 1.0), lo)
+    fixed = np.flatnonzero(span == 0)
+    out = v * span
+    out += lo
+    out[..., fixed] = lo[fixed]
+    return out.reshape(shape)
+
+
+def _as_columns(v, lo, hi):
+    """v broadcast to the shape of the result (at least one dimension), lo and
+    hi as float vectors of its width, and the shape to return."""
+    shape = np.broadcast_shapes(np.shape(v), np.shape(lo), np.shape(hi))
+    full = shape or (1,)
+    v = np.broadcast_to(np.asarray(v, dtype=float), full)
+    lo, hi = (np.broadcast_to(np.asarray(a, dtype=float), full[-1:]) for a in (lo, hi))
+    return v, lo, hi, shape
 
 
 # ---------------------------------------------------------------------------

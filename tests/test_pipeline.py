@@ -2,6 +2,8 @@
 batched inference, statistics, error metrics, and method comparison."""
 
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +164,24 @@ def test_dataset_files_round_trip(tmp_path, case14):
     assert again.provenance == ds.provenance
 
 
+def _read_matrix_per_float(path):
+    """The dataset parser as a loop of float() calls over the lines."""
+    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
+    return np.array([[float(v) for v in line.split("\t")] for line in lines[1:]])
+
+
+def test_read_matrix_equals_the_per_float_parse(tmp_path, case14):
+    """Dataset files parse to the bits float() gives, a one-row file included."""
+    for n in (40, 1):
+        ds = generate_training_data(case14, n, seed=12)
+        save_dataset(ds, tmp_path / str(n), case14)
+        for name in ("X.tsv", "Y.tsv", "samples.tsv"):
+            path = tmp_path / str(n) / name
+            got, want = pipeline._read_matrix(path), _read_matrix_per_float(path)
+            assert got.shape == want.shape == (n, want.shape[1])
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # training wrapper
 
@@ -267,6 +287,30 @@ def test_run_popf_converge_equals_one_draw(tiny_trained, threshold, cap):
     assert n_used > pipeline.INFER_CHUNK * 4 or cap == 100
     draw = sample_operating_conditions(case, n_used, None, 8)
     assert np.array_equal(result.values, infer(model, operating_features(case, draw.values)))
+
+
+def test_popf_stage_times_go_to_the_debug_log(tiny_trained, caplog):
+    case, _, _, model, _ = tiny_trained
+    with caplog.at_level(logging.DEBUG, logger="popflow"):
+        run_popf(model, case, n_samples=700, seed=2)
+        capped = run_popf(model, case, seed=8, converge=True, cv_threshold=1e-4,
+                          max_samples=3000)
+    lines = [r.getMessage() for r in caplog.records if r.name == "popflow"]
+    assert len(lines) == 2
+    pattern = (r"popf: \S+ s drawing, \S+ s featurizing, \S+ s inferring; "
+               r"(\d+) rows drawn, (\d+) used")
+    drawn_used = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
+    assert drawn_used[0] == (700, 700)
+    # the cap stops the run in its second round, whose draw of rows 1..3000
+    # repeats the first round's 2048
+    assert capped.converged is False
+    assert drawn_used[1] == (2048 + 3000, 3000)
+
+
+def test_popf_is_silent_by_default(tiny_trained, caplog):
+    case, _, _, model, _ = tiny_trained
+    run_popf(model, case, n_samples=10, seed=2)
+    assert not [r for r in caplog.records if r.name == "popflow"]
 
 
 def test_run_popf_mean_cost_close_to_oracle(tiny_trained):

@@ -1,11 +1,14 @@
 """Monte-Carlo sampling: determinism, correlation, marginals, stopping rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import betainc, betaincinv, ndtr
 
 from popflow.errors import NotPositiveDefinite
 from popflow.grid import SRC_PV, SRC_WIND, StochasticSource
@@ -132,6 +135,90 @@ def test_pv_symmetric_beta_median():
     assert transform_marginal(0.0, src) == pytest.approx(0.15, abs=1e-12)
 
 
+shape_params = st.floats(min_value=0.2, max_value=50.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape_params, shape_params,
+       st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=50))
+def test_pv_quantile_matches_betaincinv(alpha, beta, z):
+    """The start-table-plus-Newton quantile agrees with betaincinv(Phi(z)),
+    stays in [0, rated] and is non-decreasing in z, with no numpy warning.
+
+    Near z = 5, Phi(z) is rounded to the float grid next to 1, and
+    betaincinv moves by that rounding over the density: the reference's own
+    error, added to the 1e-12 bound."""
+    src = pv_source(alpha=alpha, beta=beta, rated=0.3)
+    z = np.array(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = transform_marginal(z, src) / 0.3
+        grid = transform_marginal(np.linspace(-5.0, 5.0, 1001), src)
+    u = ndtr(z)
+    ref = betaincinv(alpha, beta, u)
+    tol = 1e-12 + 2 * np.spacing(u) / stats.beta.pdf(ref, alpha, beta)
+    assert np.all(np.abs(x - ref) <= tol)
+    assert np.all((grid >= 0.0) & (grid <= 0.3))
+    assert np.all(np.diff(grid) >= 0.0)
+
+
+def test_pv_quantile_takes_scalars_and_saturates_past_the_table():
+    src = pv_source(alpha=2.06, beta=2.5, rated=0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = transform_marginal(np.float64(0.7), src)
+        assert np.ndim(scalar) == 0
+        assert scalar == transform_marginal(np.array([0.7]), src)[0]
+        far = transform_marginal(np.array([-40.0, -9.0, 9.0, 40.0]), src)
+    assert far[0] == 0.0 and far[3] == 0.25
+    # past the table betaincinv answers on the value's own tail; the true
+    # quantile at |z| = 9 is about 2e-8 from either end, not 0 or rated
+    assert far[1] == 0.25 * betaincinv(2.06, 2.5, ndtr(-9.0))
+    assert far[2] == 0.25 * (1.0 - betaincinv(2.5, 2.06, ndtr(-9.0)))
+    assert 0.0 < far[1] < far[2] < 0.25
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.01, 2.0), (2.0, 0.01), (0.03, 0.03)])
+def test_pv_quantile_of_extreme_shapes_is_betaincinv_on_each_tail(alpha, beta):
+    """A shape whose table nodes underflow or round to 1 leaves that tail to
+    betaincinv, without a numpy warning."""
+    z = np.linspace(-6.0, 6.0, 241)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = transform_marginal(z, pv_source(alpha=alpha, beta=beta, rated=1.0))
+    ref = np.where(z <= 0, betaincinv(alpha, beta, ndtr(np.minimum(z, 0.0))),
+                   1.0 - betaincinv(beta, alpha, ndtr(-np.maximum(z, 0.0))))
+    assert x.tobytes() == ref.tobytes()
+
+
+# (alpha, beta) pairs for the tail tests; the first is case14's PV source
+TAIL_SHAPES = [(2.06, 2.5), (0.5, 30.0), (2.0, 50.0), (50.0, 50.0), (10.0, 10.0), (0.2, 50.0)]
+
+
+@pytest.mark.parametrize("alpha,beta", TAIL_SHAPES)
+def test_pv_upper_tail_is_solved_on_its_own_side(alpha, beta):
+    """For z in [5, 8.2], I_y(beta, alpha) at y = 1 - x/rated equals Phi(-z)
+    to a relative 1e-12, beyond what one float spacing of x/rated near 1
+    moves it. Inverting the rounded Phi(z) misses this by orders of
+    magnitude."""
+    rated = 0.25
+    z = np.linspace(5.0, 8.2, 65)
+    x = transform_marginal(z, pv_source(alpha=alpha, beta=beta, rated=rated))
+    y = 1.0 - x / rated
+    t = ndtr(-z)
+    spacing = stats.beta.pdf(y, beta, alpha) * np.spacing(x / rated)
+    assert np.all(np.abs(betainc(beta, alpha, y) - t) <= 1e-12 * t + spacing)
+
+
+@pytest.mark.parametrize("alpha,beta", TAIL_SHAPES + [(0.2, 0.2), (50.0, 0.2)])
+def test_pv_lower_tail_is_solved_on_its_own_side(alpha, beta):
+    rated = 0.25
+    z = np.linspace(-8.2, -5.0, 65)
+    x = transform_marginal(z, pv_source(alpha=alpha, beta=beta, rated=rated))
+    t = ndtr(z)
+    assert np.all(np.abs(betainc(alpha, beta, x / rated) - t) <= 1e-12 * t)
+
+
 def test_renewable_output_within_rating():
     z = draw_standard_normals(20_000, 1, seed=3)[:, 0]
     for src in (wind_source(), pv_source()):
@@ -159,6 +246,18 @@ def test_sampling_reproducible_hash(case14):
     a = sample_operating_conditions(case14, 500, None, seed=21)
     b = sample_operating_conditions(case14, 500, None, seed=21)
     assert np.array_equal(a.values, b.values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=1500), st.integers(min_value=1, max_value=1500),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_draws_are_prefix_stable(case14, n, extra, seed):
+    """An n-row draw is the first n rows of any longer draw, bit for bit;
+    run_popf(converge=True) slices its chunks on this."""
+    spec = CorrelationSpec.for_case(case14, {"area_loads": [[1.0, 0.6], [0.6, 1.0]]})
+    short = sample_operating_conditions(case14, n, spec, seed).values
+    long = sample_operating_conditions(case14, n + extra, spec, seed).values
+    assert short.tobytes() == long[:n].tobytes()
 
 
 def test_sampling_mean_clt_bound():

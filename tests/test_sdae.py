@@ -92,6 +92,41 @@ def test_normalize_mixed_columns_round_trip():
     assert np.allclose(denormalize(u, lo, hi), v, atol=1e-12)
 
 
+def _normalize_by_where(v, lo, hi):
+    """The three-branch rule as full-size np.where selections."""
+    span = hi - lo
+    ranged = span != 0
+    out = np.where(ranged, (v - lo) / np.where(ranged, span, 1.0), v)
+    return np.where(~ranged & (hi != 0), 1.0, out)
+
+
+def _denormalize_by_where(v, lo, hi):
+    span = hi - lo
+    ranged = span != 0
+    return np.where(ranged, lo + v * np.where(ranged, span, 1.0), lo)
+
+
+def test_normalization_bits_match_the_where_rule():
+    """Overwriting only the degenerate columns gives the bits of the
+    full-size np.where form: ranged columns (one with a -0.0 bound), a
+    constant column, an all-zero column and one with -0.0 bounds, on a
+    matrix, a single row and scalars."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    lo = np.array([-0.0, 1.5, 0.0, -0.0, -2.0])
+    hi = np.array([3.0, 1.5, 0.0, -0.0, -0.5])
+    v = rng.uniform(-3.0, 4.0, (64, 5))
+    v[0] = [-0.0, -0.0, -0.0, 0.0, -0.0]
+    for x in (v, v[7]):
+        for ours, where in ((normalize, _normalize_by_where),
+                            (denormalize, _denormalize_by_where)):
+            got, want = ours(x, lo, hi), where(x, lo, hi)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    for args in ((2.5, 1.0, 3.0), (-0.0, -0.0, -0.0), (7.0, 4.0, 4.0)):
+        assert normalize(*args).tobytes() == _normalize_by_where(*map(np.float64, args)).tobytes()
+        assert denormalize(*args).tobytes() == _denormalize_by_where(*map(np.float64, args)).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     lo=st.floats(-1e3, 1e3),
