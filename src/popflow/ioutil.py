@@ -10,6 +10,8 @@ import os
 import secrets
 from pathlib import Path
 
+import numpy as np
+
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one rename; a failure leaves it as it was.
@@ -39,7 +41,14 @@ def atomic_write_text(path, text: str) -> None:
 def write_tsv(path, header, rows) -> None:
     """Tab-separated table, written atomically: a header line, then one line
     per row. String cells are written as they are, numbers as ``.17g`` (which
-    round-trips a float64 exactly and prints small integers plainly)."""
+    round-trips a float64 exactly and prints small integers plainly). A float
+    matrix is formatted a row at a time with one ``%`` per row, which gives
+    the same text as formatting each cell."""
     lines = ["\t".join(header)]
-    lines += ["\t".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows]
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        row_format = "\t".join(["%.17g"] * rows.shape[1])
+        lines += [row_format % tuple(row.tolist()) for row in rows]
+    else:
+        lines += ["\t".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+                  for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -6,6 +6,10 @@ consumption at every PQ bus, so all stochastic sources must sit on PQ buses
 Outputs are flattened OPF solution vectors: cost, bus voltage magnitudes,
 generator outputs, branch flows.
 
+Inference runs in fixed row blocks on the ``INFER_CHUNK`` grid, on a thread
+pool sized to the usable cores, each block writing only its own rows:
+predictions do not depend on the core count (see ``rowblocks``).
+
 Method comparison runs three solvers over one seed-matched sample matrix and
 pools their errors at the fixed ``EXCEEDANCE_THRESHOLDS``:
 
@@ -30,10 +34,12 @@ from . import sdae
 from .errors import DimensionMismatch, PopflowError, TooManyRejections, ValidationError
 from .grid import PQ, NetworkCase, case_hash
 from .sampling import (DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, ConvergenceState,
-                       CorrelationSpec, sample_operating_conditions, update_convergence)
+                       CorrelationSpec, SampleStream, sample_operating_conditions,
+                       update_convergence)
 from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OpfSolution, bus_loads, compile_case,
                      dc_opf, oracle_opf, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
+from .rowblocks import for_each_block, workers
 
 # inference always walks the sample matrix in chunks of this many rows, so
 # predictions do not depend on how callers batch their queries
@@ -307,18 +313,31 @@ def train_popf_model(dataset: TrainingDataset, cfg: sdae.TrainConfig):
 
 
 def infer(model: sdae.SdaeModel, x: np.ndarray) -> np.ndarray:
-    """Normalize, forward in fixed chunks, denormalize."""
+    """Normalize, forward in fixed chunks, denormalize.
+
+    Rows run in fixed blocks (a multiple of ``INFER_CHUNK``) on one thread
+    per BLAS thread team that fits on the usable cores, each block writing
+    only its own rows of the output, so the result does not depend on the
+    core count (see ``rowblocks``).
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"model expects {model.input_dim} input features, got {x.shape[1]}")
-    xn = sdae.normalize(x, model.x_lo, model.x_hi)
-    chunks = []
-    for start in range(0, xn.shape[0], INFER_CHUNK):
-        yn, _ = sdae.forward(model, xn[start:start + INFER_CHUNK])
-        chunks.append(yn)
-    yn = np.vstack(chunks)
-    return sdae.denormalize(yn, model.y_lo, model.y_hi)
+    out = np.empty((x.shape[0], model.output_dim))
+    for_each_block(x.shape[0], lambda start, stop: _infer_rows(model, x, out, start, stop),
+                   blas=True)
+    return out
+
+
+def _infer_rows(model: sdae.SdaeModel, x: np.ndarray, out: np.ndarray,
+                start: int, stop: int) -> None:
+    """Rows ``[start, stop)`` of ``infer``, in ``INFER_CHUNK`` chunks counted
+    from ``start``; ``start`` lies on the chunk grid."""
+    xn = sdae.normalize(x[start:stop], model.x_lo, model.x_hi)
+    for c in range(0, stop - start, INFER_CHUNK):
+        yn = sdae._run_layers(model, xn[c:c + INFER_CHUNK])
+        sdae.denormalize(yn, model.y_lo, model.y_hi, out=out[start + c:start + c + len(yn)])
 
 
 def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = None,
@@ -341,33 +360,34 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
         t2 = time.perf_counter()
         values = infer(model, x)
         seconds = time.perf_counter() - t2
-        _log_popf_stages(t1 - t0, t2 - t1, seconds, len(rows), len(values))
+        _log_popf_stages(t1 - t0, t2 - t1, seconds, len(rows), len(values),
+                         workers(len(rows)), workers(len(x), blas=True))
         return PopfRunResult(values=values, seconds=seconds,
                              n_samples=values.shape[0], converged=None)
 
-    # Rows are drawn in chunks that double in size: each round draws the
-    # prefix that ends with the new chunk and featurizes only the new rows.
-    # Column streams are prefix-stable, so the rows equal those of one
-    # max_samples draw; every chunk but the capped last one is a multiple of
-    # INFER_CHUNK, so inference chunks stay aligned.
+    # Rows are drawn in chunks that double in size, each continuing the
+    # column streams where the last stopped, so the rows equal those of one
+    # max_samples draw and none is drawn twice; every chunk but the capped
+    # last one is a multiple of INFER_CHUNK, so inference chunks stay aligned.
     # The state's cap lies past the last row: a state capped there would
     # report done at that row even when the variance-coefficient test fails.
     state = ConvergenceState.for_dim(model.output_dim, threshold=cv_threshold,
                                      max_samples=max_samples + 1)
+    stream = SampleStream(case, spec, seed)
     collected = []
     done = False
     seconds = draw_s = features_s = 0.0
-    drawn = sampled = 0
+    drawn = widest = 0
     chunk = _CONVERGE_FIRST_DRAW
     while drawn < max_samples and not done:
         end = min(drawn + chunk, max_samples)
         chunk *= 2
         t0 = time.perf_counter()
-        rows = sample_operating_conditions(case, end, spec, seed).values[drawn:]
+        rows = stream.draw(end - drawn).values
         t1 = time.perf_counter()
         x = _model_features(model, case, rows)
         drawn = end
-        sampled += end
+        widest = max(widest, len(rows))
         start = time.perf_counter()
         draw_s += t1 - t0
         features_s += start - t1
@@ -383,16 +403,20 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
                 break
         seconds += time.perf_counter() - start
     values = np.vstack(collected)
-    _log_popf_stages(draw_s, features_s, seconds, sampled, len(values))
+    _log_popf_stages(draw_s, features_s, seconds, drawn, len(values),
+                     workers(widest), workers(INFER_CHUNK, blas=True))
     return PopfRunResult(values=values, seconds=seconds,
                          n_samples=values.shape[0], converged=done)
 
 
-def _log_popf_stages(draw_s, features_s, infer_s, drawn, used) -> None:
+def _log_popf_stages(draw_s, features_s, infer_s, drawn, used, draw_workers,
+                     infer_workers) -> None:
     """One DEBUG line per run; ``drawn`` counts every row the sampler made,
-    the prefixes a convergence run draws again included."""
+    the worker counts are the row-block threads of the run's widest draw and
+    inference call."""
     log.debug("popf: %.3g s drawing, %.3g s featurizing, %.3g s inferring; "
-              "%d rows drawn, %d used", draw_s, features_s, infer_s, drawn, used)
+              "%d rows drawn, %d used; %d drawing and %d inferring threads",
+              draw_s, features_s, infer_s, drawn, used, draw_workers, infer_workers)
 
 
 def _model_features(model: sdae.SdaeModel, case: NetworkCase, sample_values) -> np.ndarray:

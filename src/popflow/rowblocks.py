@@ -1,0 +1,77 @@
+"""Row-independent work split into fixed row blocks, one thread per usable core.
+
+Rows are cut into blocks of ``BLOCK_ROWS`` from row 0, whatever the worker
+count, and each block's work writes only that block's rows of an output its
+caller allocated. Every bit of the result is therefore independent of the
+number of workers and of the order the blocks run in. One worker, or a
+single block, runs the same work inline on the calling thread.
+
+Work made of BLAS matrix products gets one worker per BLAS thread team that
+fits on the usable cores: a multi-threaded BLAS already spreads each
+product over the cores, and products issued from several threads at once
+then contend for the same BLAS threads and run slower than one at a time.
+
+The block work must not call the functions a tracer may wrap (the public
+layer entry points such as ``pipeline.infer``); it calls private helpers.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+# a multiple of pipeline.INFER_CHUNK (512), so no block splits an inference chunk
+BLOCK_ROWS = 4096
+
+# read by OpenBLAS and MKL when they load, in this order of precedence; unset,
+# they run one thread per usable core
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads the BLAS library gives one matrix product."""
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cores()
+
+
+def workers(n_rows: int, blas: bool = False) -> int:
+    """Threads ``for_each_block`` uses for ``n_rows`` rows: one per usable
+    core, or with ``blas`` one per BLAS thread team that fits on them, but
+    no more than there are blocks."""
+    teams = _usable_cores() // _blas_threads() if blas else _usable_cores()
+    return max(1, min(teams, -(-n_rows // BLOCK_ROWS)))
+
+
+def for_each_block(n_rows: int, work, blas: bool = False) -> None:
+    """Call ``work(start, stop)`` for every block of rows ``[start, stop)``;
+    ``blas`` marks work made of BLAS matrix products (see ``workers``).
+
+    An exception raised by a block reaches the caller as it was raised;
+    blocks not yet started are then cancelled.
+    """
+    blocks = [(start, min(start + BLOCK_ROWS, n_rows)) for start in range(0, n_rows, BLOCK_ROWS)]
+    n_workers = workers(n_rows, blas)
+    if n_workers == 1:
+        for start, stop in blocks:
+            work(start, stop)
+        return
+    with ThreadPoolExecutor(n_workers, thread_name_prefix="popflow-rows") as pool:
+        futures = [pool.submit(work, start, stop) for start, stop in blocks]
+        try:
+            for future in futures:
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

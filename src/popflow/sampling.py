@@ -25,6 +25,13 @@ its own side: ``z <= 0`` solves ``I_x(alpha, beta) = Phi(z)``, ``z > 0``
 solves ``I_y(beta, alpha) = Phi(-z)`` and returns ``1 - y``, so the upper
 tail is not lost to ``Phi(z)`` rounding near 1. Every value depends on its
 own ``z`` only, which keeps draws prefix-stable.
+
+Drawing the normals and correlating them run on the calling thread; the
+marginal transforms run over fixed row blocks on every usable core
+(``rowblocks``). Each block writes only its own rows, so a draw does not
+depend on the core count. A ``SampleStream`` keeps every column's generator
+between draws, so consecutive draws of n1, n2, ... rows are the rows of one
+draw of n1 + n2 + ... rows.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from scipy.special import betainc, betaincinv, betaln, ndtr
 
 from .errors import NotPositiveDefinite
 from .grid import SRC_GAUSSIAN_LOAD, SRC_PV, SRC_WIND, NetworkCase, StochasticSource
+from .rowblocks import for_each_block
 
 DEFAULT_CV_THRESHOLD = 0.05
 DEFAULT_MAX_SAMPLES = 50_000
@@ -86,12 +94,21 @@ class CorrelationSpec:
 
 def draw_standard_normals(n: int, d: int, seed: int, redraw: int = 0) -> np.ndarray:
     """n x d standard normals, one PCG64 stream per column (see module doc)."""
-    if n < 1 or d < 1:
+    return _draw_normals(_column_generators(d, seed, redraw), n)
+
+
+def _column_generators(d: int, seed: int, redraw: int) -> list:
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                seed, spawn_key=(j, redraw) if redraw else (j,))))
+            for j in range(d)]
+
+
+def _draw_normals(generators: list, n: int) -> np.ndarray:
+    """The next n standard normals of each column's generator."""
+    if n < 1 or not generators:
         raise ValueError("n and d must be at least 1")
-    out = np.empty((n, d))
-    for j in range(d):
-        key = (j, redraw) if redraw else (j,)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    out = np.empty((n, len(generators)))
+    for j, rng in enumerate(generators):
         out[:, j] = rng.standard_normal(n)
     return out
 
@@ -101,7 +118,9 @@ def correlate(z: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
 
     Columns outside every group pass through untouched. Matrices are checked
     for symmetry and unit diagonal; a failed factorization raises
-    NotPositiveDefinite naming the group.
+    NotPositiveDefinite naming the group. Every product runs through the
+    many-row matrix routine, so a row's bits do not depend on how many rows
+    are correlated with it.
     """
     out = np.array(z, dtype=float, copy=True)
     for name, (members, matrix) in spec.groups.items():
@@ -114,7 +133,13 @@ def correlate(z: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite(name) from None
         cols = list(members)
-        out[:, cols] = z[:, cols] @ lower.T
+        grouped = z[:, cols]
+        if len(grouped) == 1:
+            # numpy computes a one-row product with another BLAS routine,
+            # whose rounding can differ; a doubled row takes the many-row
+            # one, so a row's bits do not depend on the rows drawn with it
+            grouped = np.vstack([grouped, grouped])
+        out[:, cols] = (grouped @ lower.T)[:len(out)]
     return out
 
 
@@ -216,16 +241,38 @@ def sample_operating_conditions(case: NetworkCase, n: int,
 
     ``redraw`` selects the streams of a redraw round (see module doc).
     """
-    d = case.n_sources
-    if d == 0:
-        raise ValueError("case has no stochastic sources to sample")
-    z = draw_standard_normals(n, d, seed, redraw)
-    if spec is not None and spec.groups:
-        z = correlate(z, spec)
-    values = np.empty_like(z)
-    for j, src in enumerate(case.sources):
-        values[:, j] = transform_marginal(z[:, j], src)
-    return SampleMatrix(values=values)
+    return SampleStream(case, spec, seed, redraw).draw(n)
+
+
+class SampleStream:
+    """One seed's operating conditions, drawn in consecutive pieces.
+
+    Each ``draw`` continues every column's generator where the previous one
+    stopped, so the pieces are the rows of one draw of their total length,
+    bit for bit, and no row is drawn twice.
+    """
+
+    def __init__(self, case: NetworkCase, spec: CorrelationSpec | None = None,
+                 seed: int = 0, redraw: int = 0):
+        if case.n_sources == 0:
+            raise ValueError("case has no stochastic sources to sample")
+        self.sources = case.sources
+        self.spec = spec
+        self._generators = _column_generators(case.n_sources, seed, redraw)
+
+    def draw(self, n: int) -> SampleMatrix:
+        """The next n rows: drawn and correlated here, then transformed over
+        fixed row blocks on every usable core."""
+        z = _draw_normals(self._generators, n)
+        if self.spec is not None and self.spec.groups:
+            z = correlate(z, self.spec)
+        values = np.empty_like(z)
+        for_each_block(n, lambda start, stop: self._transform_rows(z, values, start, stop))
+        return SampleMatrix(values=values)
+
+    def _transform_rows(self, z, values, start, stop) -> None:
+        for j, src in enumerate(self.sources):
+            values[start:stop, j] = transform_marginal(z[start:stop, j], src)
 
 
 # ---------------------------------------------------------------------------

@@ -172,12 +172,16 @@ def normalize(v, lo, hi):
     return out.reshape(shape)
 
 
-def denormalize(v, lo, hi):
-    """Inverse of normalize: degenerate columns restore their stored constant."""
+def denormalize(v, lo, hi, out=None):
+    """Inverse of normalize: degenerate columns restore their stored constant.
+
+    With ``out`` (a float64 array of the result's shape) the result is
+    written there instead of into a new array.
+    """
     v, lo, hi, shape = _as_columns(v, lo, hi)
     span = hi - lo
     fixed = np.flatnonzero(span == 0)
-    out = v * span
+    out = np.multiply(v, span, out=out)
     out += lo
     out[..., fixed] = lo[fixed]
     return out.reshape(shape)
@@ -237,16 +241,39 @@ def forward(model: SdaeModel, X: np.ndarray, train: bool = False,
     else:
         x_used = X
     pre, post = [], []
-    a = x_used
-    for layer in model.layers:
-        z = a @ layer.w.T + layer.b
-        a = relu(z)
-        pre.append(z)
-        post.append(a)
-    y = a @ model.top_w.T + model.top_b  # affine top, see module doc
-    pre.append(y)
-    post.append(y)
+    y = _run_layers(model, x_used, pre, post)
     return y, {"x": x_used, "pre": pre, "post": post}
+
+
+def _run_layers(model: SdaeModel, x: np.ndarray, pre: list | None = None,
+                post: list | None = None) -> np.ndarray:
+    """The stack's layer arithmetic, and the inference kernel: ``relu(a @ w.T
+    + b)`` per hidden layer, then the affine top (see module doc). With
+    ``pre`` and ``post`` every pre-activation and activation is appended to
+    them for backprop; without, each layer's ReLU overwrites its
+    pre-activation, and the output is ``forward(model, x)[0]`` bit for bit.
+    Inference calls it without lists from worker threads.
+
+    The product's dtype is never narrower than the bias's (weights and
+    biases are cast together), so adding the bias in place gives the bits
+    of ``a @ w.T + b``.
+    """
+    a = x
+    for layer in model.layers:
+        z = a @ layer.w.T
+        z += layer.b
+        if pre is None:
+            a = np.maximum(z, 0.0, out=z)
+        else:
+            a = relu(z)
+            pre.append(z)
+            post.append(a)
+    y = a @ model.top_w.T
+    y += model.top_b
+    if pre is not None:
+        pre.append(y)
+        post.append(y)
+    return y
 
 
 def mse_loss(y, y_hat) -> float:

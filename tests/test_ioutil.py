@@ -4,6 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from popflow import ioutil, sdae
 from popflow.ioutil import atomic_write_bytes, atomic_write_text, write_tsv
@@ -96,3 +99,16 @@ def test_degenerate_stats_rows_bytes(tmp_path):
               zip(labels, np.array([7285.5, 1.0]), ["degenerate"] * len(labels)))
     assert path.read_bytes() == (
         b"index\tmean\tstd\ncost\t7285.5\tdegenerate\nv_mag:0\t1\tdegenerate\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(st.sampled_from([np.float64, np.float32]),
+              array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)))
+def test_float_matrix_rows_are_the_per_cell_text(tmp_path_factory, matrix):
+    """A float matrix formatted a row at a time gives the text of formatting
+    each cell with ``.17g``: subnormals, +-0, inf and nan included."""
+    path = tmp_path_factory.mktemp("tsv") / "matrix.tsv"
+    header = [f"c{j}" for j in range(matrix.shape[1])]
+    write_tsv(path, header, matrix)
+    want = "".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in matrix)
+    assert path.read_text(encoding="utf-8") == "\t".join(header) + "\n" + want

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from popflow import pipeline, sdae
+from popflow import pipeline, rowblocks, sdae
 from popflow.errors import (DimensionMismatch, TooManyRejections,
                             ValidationError)
 from popflow.grid import bundled_case
@@ -289,22 +289,34 @@ def test_run_popf_converge_equals_one_draw(tiny_trained, threshold, cap):
     assert np.array_equal(result.values, infer(model, operating_features(case, draw.values)))
 
 
-def test_popf_stage_times_go_to_the_debug_log(tiny_trained, caplog):
+def test_popf_stage_times_go_to_the_debug_log(tiny_trained, caplog, monkeypatch):
     case, _, _, model, _ = tiny_trained
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with caplog.at_level(logging.DEBUG, logger="popflow"):
         run_popf(model, case, n_samples=700, seed=2)
         capped = run_popf(model, case, seed=8, converge=True, cv_threshold=1e-4,
                           max_samples=3000)
+        monkeypatch.setattr(rowblocks, "_usable_cores", lambda: 3)
+        run_popf(model, case, n_samples=rowblocks.BLOCK_ROWS + 1, seed=2)
+        run_popf(model, case, n_samples=5 * rowblocks.BLOCK_ROWS, seed=2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        run_popf(model, case, n_samples=5 * rowblocks.BLOCK_ROWS, seed=2)
     lines = [r.getMessage() for r in caplog.records if r.name == "popflow"]
-    assert len(lines) == 2
+    assert len(lines) == 5
     pattern = (r"popf: \S+ s drawing, \S+ s featurizing, \S+ s inferring; "
-               r"(\d+) rows drawn, (\d+) used")
-    drawn_used = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
-    assert drawn_used[0] == (700, 700)
-    # the cap stops the run in its second round, whose draw of rows 1..3000
-    # repeats the first round's 2048
+               r"(\d+) rows drawn, (\d+) used; (\d+) drawing and (\d+) inferring threads")
+    counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
+    assert counts[0] == (700, 700, 1, 1)
+    # the cap stops the run in its second round, which draws only rows
+    # 2049..3000; no call reaches a second row block
     assert capped.converged is False
-    assert drawn_used[1] == (2048 + 3000, 3000)
+    assert counts[1] == (3000, 3000, 1, 1)
+    # one thread per usable core, but no more than there are blocks
+    assert counts[2] == (rowblocks.BLOCK_ROWS + 1,) * 2 + (2, 2)
+    assert counts[3] == (5 * rowblocks.BLOCK_ROWS,) * 2 + (3, 3)
+    # a BLAS that spreads each product over the three cores leaves inference
+    # on one thread
+    assert counts[4] == (5 * rowblocks.BLOCK_ROWS,) * 2 + (3, 1)
 
 
 def test_popf_is_silent_by_default(tiny_trained, caplog):

@@ -1,0 +1,152 @@
+"""Row blocks: sampling and inference give the same bytes for any worker
+count, every row is covered once, and a block's error reaches the caller."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from popflow import rowblocks, sdae
+from popflow.errors import NonFiniteLoss
+from popflow.pipeline import INFER_CHUNK, infer, operating_features
+from popflow.sampling import CorrelationSpec, sample_operating_conditions
+
+ROW_COUNTS = (1, 511, 513, 4095, 4097, 12345)
+README_CORRELATION = {"area_loads": [[1.0, 0.6], [0.6, 1.0]]}
+
+
+@pytest.fixture(scope="module")
+def case14_model(case14):
+    """A random network over case14's features, with a constant and an
+    all-zero output column so that every denormalization branch runs."""
+    spec = CorrelationSpec.for_case(case14, README_CORRELATION)
+    x = operating_features(case14, sample_operating_conditions(case14, 2000, spec, 1).values)
+    rng = np.random.Generator(np.random.PCG64(5))
+    model = sdae.init_model(x.shape[1], (16, 24), case14.solution_dim(), 0.0, rng)
+    for layer in model.layers:
+        layer.b = rng.uniform(-0.5, 0.5, layer.b.shape)
+    model.x_lo, model.x_hi = sdae.fit_bounds(x)
+    model.y_lo = rng.uniform(-1.0, 0.0, case14.solution_dim())
+    model.y_hi = model.y_lo + rng.uniform(0.5, 2.0, case14.solution_dim())
+    model.y_hi[3] = model.y_lo[3]
+    model.y_lo[4] = model.y_hi[4] = 0.0
+    return spec, model
+
+
+def with_workers(monkeypatch, n):
+    """n usable cores and a single-threaded BLAS: n threads for every call."""
+    monkeypatch.setattr(rowblocks, "_usable_cores", lambda: n)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def test_blocks_lie_on_the_inference_grid():
+    assert rowblocks.BLOCK_ROWS % INFER_CHUNK == 0
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_sampling_and_inference_bytes_do_not_depend_on_the_worker_count(
+        case14, case14_model, monkeypatch, n):
+    """1, 2 and 3 workers (more than this machine may have cores) give the
+    same bytes; a short switch interval makes the threads interleave often."""
+    spec, model = case14_model
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_workers in (1, 2, 3):
+            with_workers(monkeypatch, n_workers)
+            values = sample_operating_conditions(case14, n, spec, seed=17).values
+            results.append((values.tobytes(), infer(model, operating_features(case14, values)).tobytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+def test_inference_equals_the_chunked_forward_pass(case14, case14_model, monkeypatch):
+    """Inference over blocks gives the bits of normalizing the whole matrix,
+    running ``forward`` over consecutive INFER_CHUNK slices and
+    denormalizing the stacked result."""
+    spec, model = case14_model
+    with_workers(monkeypatch, 2)
+    x = operating_features(case14, sample_operating_conditions(case14, 9000, spec, 3).values)
+    xn = sdae.normalize(x, model.x_lo, model.x_hi)
+    yn = np.vstack([sdae.forward(model, xn[i:i + INFER_CHUNK])[0]
+                    for i in range(0, len(xn), INFER_CHUNK)])
+    want = sdae.denormalize(yn, model.y_lo, model.y_hi)
+    assert infer(model, x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_workers,expect_pool", [(1, False), (3, True)])
+def test_blocks_cover_each_row_once(monkeypatch, n_workers, expect_pool):
+    with_workers(monkeypatch, n_workers)
+    seen = []
+    rowblocks.for_each_block(
+        12345, lambda start, stop: seen.append((start, stop, threading.current_thread())))
+    b = rowblocks.BLOCK_ROWS
+    assert sorted((start, stop) for start, stop, _ in seen) == [
+        (0, b), (b, 2 * b), (2 * b, 3 * b), (3 * b, 12345)]
+    on_pool = [thread is not threading.main_thread() for _, _, thread in seen]
+    assert all(on_pool) if expect_pool else not any(on_pool)
+
+
+def test_a_single_block_runs_inline(monkeypatch):
+    with_workers(monkeypatch, 3)
+    seen = []
+    rowblocks.for_each_block(rowblocks.BLOCK_ROWS, lambda start, stop: seen.append(
+        (start, stop, threading.current_thread())))
+    assert seen == [(0, rowblocks.BLOCK_ROWS, threading.main_thread())]
+    assert rowblocks.workers(rowblocks.BLOCK_ROWS) == 1
+
+
+@pytest.mark.parametrize("variables,blas_workers", [
+    ({}, 1),                                                  # BLAS on every core
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+    ({"MKL_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x"}, 1),  # neither counts
+])
+def test_blas_work_gets_one_thread_per_blas_team(monkeypatch, variables, blas_workers):
+    monkeypatch.setattr(rowblocks, "_usable_cores", lambda: 4)
+    for name in rowblocks._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in variables.items():
+        monkeypatch.setenv(name, value)
+    n_rows = 10 * rowblocks.BLOCK_ROWS
+    assert rowblocks.workers(n_rows) == 4
+    assert rowblocks.workers(n_rows, blas=True) == blas_workers
+
+
+def test_a_block_error_reaches_the_caller_unchanged(monkeypatch):
+    with_workers(monkeypatch, 3)
+    error = FloatingPointError("block 3 failed")
+
+    def work(start, stop):
+        if start == 2 * rowblocks.BLOCK_ROWS:
+            raise error
+
+    with pytest.raises(FloatingPointError) as raised:
+        rowblocks.for_each_block(5 * rowblocks.BLOCK_ROWS, work)
+    assert raised.value is error
+
+
+def test_an_inference_worker_error_reaches_the_caller_unchanged(case14, case14_model, monkeypatch):
+    """A domain error raised on a pool thread keeps its type, so the CLI
+    still turns it into exit code 1."""
+    spec, model = case14_model
+    with_workers(monkeypatch, 2)
+    error = NonFiniteLoss("kernel failed")
+    run_layers = sdae._run_layers
+
+    def failing_run_layers(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return run_layers(*args)
+
+    monkeypatch.setattr(sdae, "_run_layers", failing_run_layers)
+    x = operating_features(case14, sample_operating_conditions(case14, 3 * rowblocks.BLOCK_ROWS,
+                                                                 spec, 4).values)
+    with pytest.raises(NonFiniteLoss) as raised:
+        infer(model, x)
+    assert raised.value is error

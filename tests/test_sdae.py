@@ -23,7 +23,7 @@ from popflow.sdae import (RANGE_FLOOR, DaeLayer, SdaeModel, TrainConfig,
                           forward, init_model, init_opt_state, load_model,
                           model_params, mse_loss, normalize, pretrain_layer,
                           pretrain_stack, relu, rmsprop_momentum_step,
-                          save_model)
+                          save_model, _run_layers)
 
 
 def new_rng(seed=0):
@@ -122,6 +122,9 @@ def test_normalization_bits_match_the_where_rule():
             got, want = ours(x, lo, hi), where(x, lo, hi)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        out = np.full_like(x, np.nan)
+        denormalize(x, lo, hi, out=out)
+        assert out.tobytes() == _denormalize_by_where(x, lo, hi).tobytes()
     for args in ((2.5, 1.0, 3.0), (-0.0, -0.0, -0.0), (7.0, 4.0, 4.0)):
         assert normalize(*args).tobytes() == _normalize_by_where(*map(np.float64, args)).tobytes()
         assert denormalize(*args).tobytes() == _denormalize_by_where(*map(np.float64, args)).tobytes()
@@ -251,6 +254,35 @@ def test_forward_matches_loop_oracle():
         x = rng.uniform(-1, 1, size=2)
         y, _ = forward(model, x)
         assert np.allclose(y[0], loop_forward(model, x), atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(1, 9), min_size=3, max_size=5), rows=st.integers(1, 40),
+       model_dtype=st.sampled_from([np.float32, np.float64]),
+       x_dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_inference_kernel_is_forward_bit_for_bit(dims, rows, model_dtype, x_dtype, seed):
+    """The cache-free kernel gives the bits and dtype of ``forward(...)[0]``
+    and of the out-of-place ``relu(a @ w.T + b)`` chain, for every mix of
+    float32 and float64, and leaves its input alone."""
+    rng = new_rng(seed)
+    model = init_model(dims[0], dims[1:-1], dims[-1], 0.0, rng)
+    for layer in model.layers:
+        layer.b = rng.uniform(-0.5, 0.5, layer.b.shape)
+    model.top_b = rng.uniform(-0.5, 0.5, model.top_b.shape)
+    cast_model(model, model_dtype)
+    x = rng.uniform(-1.0, 1.0, (rows, dims[0])).astype(x_dtype)
+    x_before = x.copy()
+    ref = x
+    for layer in model.layers:
+        ref = relu(ref @ layer.w.T + layer.b)
+    ref = ref @ model.top_w.T + model.top_b
+    got = _run_layers(model, x)
+    want, _ = forward(model, x)
+    for other in (want, ref):
+        assert got.dtype == other.dtype
+        assert got.tobytes() == other.tobytes()
+    assert x.tobytes() == x_before.tobytes()
 
 
 def test_forward_dimension_mismatch():
