@@ -14,9 +14,10 @@ Method comparison runs three solvers over one seed-matched sample matrix and
 pools their errors at the fixed ``EXCEEDANCE_THRESHOLDS``:
 
 - ``oracle``      dispatch + AC power flow per sample (the reference), by the
-                  ``_label`` pass that also labels the training data
+                  block oracle pass that also labels the training data
 - ``surrogate``   batched network inference
-- ``dc_only``     linear dispatch alone, voltages pinned at 1.0 pu
+- ``dc_only``     linear dispatch alone (the same block dispatch), voltages
+                  pinned at 1.0 pu
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from . import sdae
-from .errors import DimensionMismatch, PopflowError, TooManyRejections, ValidationError
+from .errors import DimensionMismatch, TooManyRejections, ValidationError
 from .grid import PQ, NetworkCase, case_hash
 from .sampling import (DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, ConvergenceState,
                        CorrelationSpec, SampleStream, sample_operating_conditions,
                        update_convergence)
-from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OpfSolution, bus_loads, compile_case,
-                     dc_opf, oracle_opf, solution_layout)
+from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OracleBlock, bus_loads, compile_case,
+                     dispatch_block, dot_rows, oracle_block, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
 from .rowblocks import for_each_block, workers
 
@@ -166,9 +167,10 @@ def generate_training_data(case: NetworkCase, n: int, seed: int,
     while len(samples) < n:
         batch = sample_operating_conditions(case, n - len(samples), spec, seed,
                                             redraw=round_no).values
-        solved, labels = _label(case, batch, work)
-        samples = np.vstack([samples, batch[solved]])
-        y = np.vstack([y, labels])
+        block = oracle_block(case, batch)
+        work.add(block)
+        samples = np.vstack([samples, batch[block.solved]])
+        y = np.vstack([y, block.values])
         if work.failed > work.attempts / 2:
             raise TooManyRejections(
                 f"{work.failed} of {work.attempts} oracle labelling attempts failed")
@@ -186,23 +188,6 @@ def generate_training_data(case: NetworkCase, n: int, seed: int,
                            provenance=provenance)
 
 
-def _label(case: NetworkCase, values: np.ndarray, work: _OracleWork):
-    """Oracle-solve every sample row: the mask of the rows solved and their
-    solution vectors. Each failure is counted in ``work``."""
-    solved = np.zeros(len(values), dtype=bool)
-    y = np.empty((len(values), case.solution_dim()))
-    for i, row in enumerate(values):
-        try:
-            sol = oracle_opf(case, row)
-        except PopflowError as exc:
-            work.drop(exc)
-            continue
-        work.add(sol)
-        solved[i] = True
-        y[i] = sol.as_vector()
-    return solved, y[solved]
-
-
 class _OracleWork:
     """How hard the oracle worked over a run of solves, for the debug log."""
 
@@ -210,30 +195,30 @@ class _OracleWork:
         self.solves = 0
         self.warm_hits = 0
         self.newton_iterations = 0
-        self.failures = []   # (exception type name, message) of each failed solve, in order
+        self.newton_blocks = 0
+        self.drops = Counter()   # failed solves by exception type name
 
     @property
     def failed(self) -> int:
-        return len(self.failures)
+        return sum(self.drops.values())
 
     @property
     def attempts(self) -> int:
         return self.solves + self.failed
 
-    def add(self, sol) -> None:
-        self.solves += 1
-        self.warm_hits += sol.dispatch_rounds == 0
-        self.newton_iterations += sol.newton_iterations
-
-    def drop(self, exc: Exception) -> None:
-        self.failures.append((type(exc).__name__, str(exc)))
+    def add(self, block: OracleBlock) -> None:
+        self.solves += int(block.solved.sum())
+        self.warm_hits += int(np.count_nonzero(block.rounds[block.solved] == 0))
+        self.newton_iterations += int(block.iterations[block.solved].sum())
+        self.newton_blocks += block.newton_blocks
+        self.drops.update(type(exc).__name__ for exc in block.errors.values())
 
     def log(self, stage: str) -> None:
         log.debug("%s: %d oracle solves, %d warm dispatch hits, %d active-set fallbacks, "
-                  "%.3g Newton iterations per solve, drops %s",
+                  "%.3g Newton iterations per solve, %d Newton sub-blocks, drops %s",
                   stage, self.solves, self.warm_hits, self.solves - self.warm_hits,
-                  self.newton_iterations / max(self.solves, 1),
-                  dict(Counter(name for name, _ in self.failures)))
+                  self.newton_iterations / max(self.solves, 1), self.newton_blocks,
+                  dict(self.drops))
 
 
 def save_dataset(ds: TrainingDataset, directory, case: NetworkCase) -> None:
@@ -526,12 +511,14 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
 
     work = _OracleWork()
     t0 = time.perf_counter()
-    solved, oracle_vals = _label(case, draw, work)
+    block = oracle_block(case, draw)
     oracle_time = time.perf_counter() - t0
+    work.add(block)
     work.log("compare")
-    if not solved.any():
+    if not block.solved.any():
         raise TooManyRejections("every oracle sample failed; nothing to compare")
-    kept = draw[solved]
+    oracle_vals = block.values
+    kept = draw[block.solved]
 
     if self_check:
         surrogate_vals = oracle_vals.copy()
@@ -570,8 +557,7 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
         edges, dens = histogram_densities([v[:, j] for v in method_values.values()], bins)
         densities[label] = {"edges": edges, **dict(zip(method_values, dens))}
 
-    failures = {row: f"{name}: {message}" for row, (name, message)
-                in zip(np.flatnonzero(~solved).tolist(), work.failures)}
+    failures = {row: f"{type(exc).__name__}: {exc}" for row, exc in block.errors.items()}
     return PopfReport(n_samples=len(kept), dropped=work.failed,
                       labels=labels, stats=stats, errors=errors, timings=timings,
                       densities=densities, failures=failures, self_check=self_check)
@@ -593,14 +579,13 @@ def default_density_labels(case: NetworkCase) -> list:
 def _dc_only_outputs(case: NetworkCase, sample_values: np.ndarray) -> np.ndarray:
     """Linear-dispatch analog: DC cost/outputs/flows, voltages flat at 1.0."""
     p_loads, _ = bus_loads(case, sample_values)
-    out = np.empty((len(p_loads), case.solution_dim()))
+    dispatch = dispatch_block(case, p_loads)
+    if dispatch.errors:
+        raise next(iter(dispatch.errors.values()))
     qp = compile_case(case).qp
-    flat = np.ones(case.n_bus)
-    for i, p_load in enumerate(p_loads):
-        dispatch = dc_opf(case, p_load)
-        out[i] = OpfSolution(cost=dispatch.cost, v_mag=flat, p_gen=dispatch.p_gen,
-                             p_branch=qp.ptdf @ (qp.gen_map @ dispatch.p_gen - p_load)).as_vector()
-    return out
+    flows = dot_rows(qp.ptdf, dot_rows(qp.gen_map, dispatch.p_gen) - p_loads)
+    return np.concatenate([dispatch.cost[:, None], np.ones((len(p_loads), case.n_bus)),
+                           dispatch.p_gen, flows], axis=1)
 
 
 # ---------------------------------------------------------------------------

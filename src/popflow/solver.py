@@ -10,6 +10,32 @@ All quantities per-unit. Slack and PV buses regulate 1.0 pu voltage.
 
 Per-case constants (Ybus, PTDF, constraint rows, index grids) live in a
 ``CompiledCase`` that ``compile_case`` builds once per case object.
+
+The oracle works on blocks of sample rows (``oracle_block``): the loads of
+the block are mapped once, each remembered dispatch active set is tried on
+every unsolved row at once, Newton runs on stacked Jacobians with each row
+frozen as soon as it converges or fails, and the slack correction and cost
+apply to the whole block. ``oracle_opf``, ``dc_opf`` and ``ac_power_flow``
+are one-row calls of the same kernels. A row's bits never depend on the rows
+that share its block, which the kernels keep by three rules:
+
+- No BLAS product touches row data. NumPy sends a product to another BLAS
+  routine for another row count (gemv for one row, gemm for several), and
+  the routines round differently. Row products are elementwise products
+  summed along the contiguous last axis (``dot_rows``).
+- Newton, the Jacobian and the branch flows use real arithmetic: ``e + jf``
+  for the voltages, ``G + jB`` for Ybus. NumPy does a complex product of
+  temporaries of 256 KiB or more in place with its operands swapped (its
+  temporary elision), and its FMA complex loop then rounds differently, so
+  a complex product's bits depend on the size of the block. Real ``+ - * /``
+  are correctly rounded in every loop.
+- Linear systems go to ``np.linalg.solve`` over the stack, which calls
+  LAPACK ``gesv`` once per row. A stack holding a singular matrix is solved
+  again row by row, so that a singular row fails alone.
+
+Row temporaries are bounded: Newton runs over sub-blocks whose
+``(rows, n_bus, n_bus)`` float64 temporaries stay near ``_BLOCK_BYTES``, and
+``dot_rows`` slices its rows the same way.
 """
 
 from __future__ import annotations
@@ -35,8 +61,10 @@ _MULT_TOL = 1e-9
 _STEP_TOL = 1e-11
 # largest stationarity residual of an accepted KKT solve
 _KKT_TOL = 1e-9
-# verified active sets a compiled case remembers, most recent first
+# verified active sets a compiled case remembers, most used first
 _WARM_SETS = 8
+# size of one (rows, ...) float64 temporary of the row kernels
+_BLOCK_BYTES = 100 * 1024
 
 
 @dataclass(frozen=True)
@@ -72,6 +100,41 @@ class OpfSolution:
         return np.concatenate(([self.cost], self.v_mag, self.p_gen, self.p_branch))
 
 
+@dataclass(frozen=True)
+class DispatchBlock:
+    """Dispatch of a block of load rows.
+
+    ``p_gen`` (NaN on failed rows), ``cost`` and ``rounds`` (active-set
+    rounds; 0 where a remembered set solved the row) hold one entry per row;
+    ``errors`` maps each failed row to its exception, in row order.
+    """
+
+    p_gen: np.ndarray
+    cost: np.ndarray
+    rounds: np.ndarray
+    errors: dict
+
+
+@dataclass(frozen=True)
+class OracleBlock:
+    """Oracle solves of a block of sample rows.
+
+    ``values`` holds the solution vectors (the ``OpfSolution.as_vector``
+    layout) of the rows in the mask ``solved``, in row order. ``rounds`` and
+    ``iterations`` hold every row's active-set rounds (0 where a remembered
+    set solved its dispatch) and Newton iterations. ``errors`` maps each
+    failed row to its exception, in row order; ``newton_blocks`` counts the
+    Newton sub-blocks run.
+    """
+
+    solved: np.ndarray
+    values: np.ndarray
+    rounds: np.ndarray
+    iterations: np.ndarray
+    errors: dict
+    newton_blocks: int
+
+
 def solution_layout(case: NetworkCase) -> dict:
     """Index slices of the flattened OpfSolution vector for a case."""
     nb, ng, nl = case.n_bus, case.n_gen, case.n_branch
@@ -81,6 +144,29 @@ def solution_layout(case: NetworkCase) -> dict:
         "p_gen": slice(1 + nb, 1 + nb + ng),
         "p_branch": slice(1 + nb + ng, 1 + nb + ng + nl),
     }
+
+
+# ---------------------------------------------------------------------------
+# row products
+
+
+def _rows_within(width: int) -> int:
+    """Rows whose float64 temporary of ``width`` values per row stays
+    within ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+
+
+def dot_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows @ matrix.T`` without BLAS: elementwise products summed along
+    the contiguous last axis, so each output row depends on its own input
+    row only. Slices of ``rows`` keep the product temporary within
+    ``_BLOCK_BYTES``."""
+    out = np.empty((len(rows), matrix.shape[0]))
+    step = _rows_within(matrix.size)
+    for start in range(0, len(rows), step):
+        np.add.reduce(rows[start:start + step, None, :] * matrix, axis=-1,
+                      out=out[start:start + step])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +233,11 @@ class _DispatchQP:
     names: tuple
 
     def h(self, loads: np.ndarray) -> np.ndarray:
-        base_flow = -(self.ptdf @ loads)
-        return np.concatenate([-self.p_min, self.p_max,
-                               self.limits - base_flow, self.limits + base_flow])
+        """``h`` of each row of the (rows, n_bus) ``loads``."""
+        base_flow = -dot_rows(self.ptdf, loads)
+        bounds = np.concatenate([-self.p_min, self.p_max])
+        return np.concatenate([np.broadcast_to(bounds, (len(loads), len(bounds))),
+                               self.limits - base_flow, self.limits + base_flow], axis=1)
 
     def active_set(self, working) -> "_ActiveSet":
         """Rows ``working`` of G held at equality, with their KKT matrix
@@ -161,6 +249,10 @@ class _DispatchQP:
         outside[rows] = False
         return _ActiveSet(rows=tuple(working), index=rows, outside=outside,
                           kkt=np.block([[self.H, C.T], [C, np.zeros((k, k))]]))
+
+    def cost(self, p_gen: np.ndarray) -> np.ndarray:
+        """Operating cost of each row of the (rows, n_gen) ``p_gen``."""
+        return (self.cost_a * p_gen * p_gen + self.cost_b * p_gen).sum(axis=1) + self.cost_c
 
 
 class _ActiveSet(NamedTuple):
@@ -199,22 +291,22 @@ class CompiledCase:
     """Per-case constants of the oracle, plus the dispatch warm-start sets.
 
     Everything but ``warm_sets`` is fixed at compile time. ``warm_sets`` is
-    a most-recent-first tuple of the dispatch QP's active sets that passed
-    the strict KKT test. Reassigning the tuple is atomic, so threads sharing
-    a case at worst lose an entry; results never depend on the tuple.
+    a most-used-first tuple of the dispatch QP's active sets that passed the
+    strict KKT test. Reassigning the tuple is atomic, so threads sharing a
+    case at worst lose an entry; results never depend on the tuple.
     """
 
-    ybus: np.ndarray
+    gb_bus: np.ndarray      # (2 n_bus, n_bus): G stacked over B, where Ybus = G + jB
     slack: int
     pq: np.ndarray
     pvpq: np.ndarray
-    jac_index: np.ndarray   # (m, m) flat indices into the float view of [dS/dVa | dS/dVm]
-    diag_va: np.ndarray     # flat indices of the dS/dVa diagonal in that stack
-    diag_vm: np.ndarray     # flat indices of the dS/dVm diagonal
+    jac_index: np.ndarray   # (m, m) flat indices of the Jacobian in a row of _jacobians' parts
+    jac_diag: np.ndarray    # (4, n_bus) flat indices of each part's diagonal there
     br_from: np.ndarray
     br_to: np.ndarray
-    br_series: np.ndarray   # series admittance per branch
-    br_shunt: np.ndarray    # half line charging per branch, as 0.5j * b_sh
+    br_g: np.ndarray        # series admittance per branch, g + j b
+    br_b: np.ndarray
+    br_shunt: np.ndarray    # half line charging per branch, b_sh / 2
     qp: _DispatchQP
     slack_gens: np.ndarray  # generators at the slack bus
     inj_map: np.ndarray     # gen_map with the slack generators' columns zeroed
@@ -248,13 +340,15 @@ def _compile(case: NetworkCase) -> CompiledCase:
     pv, pq = case.pv_indices(), case.pq_indices()
     pvpq = np.concatenate([pv, pq]).astype(int)
     # J = [[Re dS/dVa, Re dS/dVm], [Im dS/dVa, Im dS/dVm]] over (pvpq | pq) rows and
-    # (pvpq angles | pq magnitudes) columns, read from the (n, 4n) float view of the
-    # complex (n, 2n) stack [dS/dVa | dS/dVm]: entry (r, c) part p sits at r*4n + 2c + p
+    # (pvpq angles | pq magnitudes) columns, read from the four (n, n) parts
+    # [Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm]: entry (r, c) of part k sits
+    # at k*n*n + r*n + c
     rows = np.concatenate([pvpq, pq])
-    part = np.concatenate([np.zeros(len(pvpq), dtype=int), np.ones(len(pq), dtype=int)])
-    cols = 2 * np.concatenate([pvpq, n + pq])
-    jac_index = rows[:, None] * 4 * n + cols[None, :] + part[:, None]
+    second = np.arange(len(rows)) >= len(pvpq)   # Q rows; magnitude columns
+    part = 2 * second[:, None] + second[None, :]
+    jac_index = part * n * n + rows[:, None] * n + rows[None, :]
     bus = np.arange(n)
+    ybus = build_ybus(case)
 
     slack = case.slack_index
     gen_bus = np.array([g.bus for g in case.generators], dtype=int)
@@ -262,13 +356,14 @@ def _compile(case: NetworkCase) -> CompiledCase:
     qp = _dispatch_qp(case)
     inj_map = qp.gen_map.copy()
     inj_map[:, slack_gens] = 0.0
+    series = np.array([1.0 / complex(br.r, br.x) for br in case.branches], dtype=complex)
     return CompiledCase(
-        ybus=build_ybus(case), slack=slack, pq=pq, pvpq=pvpq,
-        jac_index=jac_index, diag_va=bus * 2 * n + bus, diag_vm=bus * 2 * n + n + bus,
+        gb_bus=np.vstack([ybus.real, ybus.imag]), slack=slack, pq=pq, pvpq=pvpq,
+        jac_index=jac_index, jac_diag=np.arange(4)[:, None] * n * n + bus * n + bus,
         br_from=np.array([br.from_bus for br in case.branches], dtype=int),
         br_to=np.array([br.to_bus for br in case.branches], dtype=int),
-        br_series=np.array([1.0 / complex(br.r, br.x) for br in case.branches], dtype=complex),
-        br_shunt=np.array([0.5j * br.b_sh for br in case.branches], dtype=complex),
+        br_g=series.real.copy(), br_b=series.imag.copy(),
+        br_shunt=np.array([0.5 * br.b_sh for br in case.branches]),
         qp=qp, slack_gens=slack_gens, inj_map=inj_map,
         p_load=case.p_load_vector(), q_load=case.q_load_vector(),
         source_rules=tuple(
@@ -294,67 +389,177 @@ def ac_power_flow(case: NetworkCase, p_inj: np.ndarray, q_inj: np.ndarray,
     q_inj = np.asarray(q_inj, dtype=float)
     if p_inj.shape != (n,) or q_inj.shape != (n,):
         raise ValueError(f"injection vectors must have shape ({n},)")
-    cc = compile_case(case)
-    ybus, pvpq, pq = cc.ybus, cc.pvpq, cc.pq
-    n_angles = len(pvpq)
-    spec = np.concatenate([p_inj[pvpq], q_inj[pq]])
+    flows = _power_flow_rows(compile_case(case), p_inj[None], q_inj[None], tol, max_iter)
+    if flows.errors:
+        raise flows.errors[0]
+    return PowerFlowSolution(v_mag=flows.v_mag[0], v_ang=flows.v_ang[0],
+                             p_branch=flows.p_branch[0], p_slack=float(flows.p_slack[0]),
+                             iterations=int(flows.iterations[0]),
+                             max_mismatch=float(flows.max_mismatch[0]))
 
-    vm = np.ones(n)
-    va = np.zeros(n)
 
-    iterations = 0
+class _Flows(NamedTuple):
+    """Power flows of a block of injection rows; NaN on failed rows."""
+
+    v_mag: np.ndarray
+    v_ang: np.ndarray
+    p_branch: np.ndarray
+    p_slack: np.ndarray
+    iterations: np.ndarray
+    max_mismatch: np.ndarray
+    errors: dict            # failed row -> NonConvergence or SingularJacobian, in row order
+    blocks: int             # Newton sub-blocks run
+
+
+def _power_flow_rows(cc: CompiledCase, p_inj: np.ndarray, q_inj: np.ndarray,
+                     tol: float, max_iter: int) -> _Flows:
+    """Newton on every row of the (rows, n_bus) injections, in sub-blocks of
+    ``_rows_within(n_bus ** 2)`` rows."""
+    rows, n = p_inj.shape
+    spec = np.concatenate([p_inj[:, cc.pvpq], q_inj[:, cc.pq]], axis=1)
+    step = _rows_within(n * n)
+    flows = _Flows(v_mag=np.full((rows, n), np.nan), v_ang=np.full((rows, n), np.nan),
+                   p_branch=np.full((rows, len(cc.br_from)), np.nan),
+                   p_slack=np.full(rows, np.nan), iterations=np.zeros(rows, dtype=int),
+                   max_mismatch=np.full(rows, np.nan), errors={}, blocks=-(-rows // step))
+    for start in range(0, rows, step):
+        _newton(cc, spec, np.arange(start, min(start + step, rows)), tol, max_iter, flows)
+    return flows._replace(errors=dict(sorted(flows.errors.items())))
+
+
+def _newton(cc: CompiledCase, spec: np.ndarray, live: np.ndarray, tol: float,
+            max_iter: int, flows: _Flows) -> None:
+    """Newton from a flat start on the rows ``live`` of the mismatch targets
+    ``spec``, written into ``flows``. A row is frozen as soon as it converges
+    or fails."""
+    n = flows.v_mag.shape[1]
+    n_angles = len(cc.pvpq)
+    spec = spec[live]
+    vm = np.ones((len(live), n))
+    va = np.zeros((len(live), n))
     for iterations in range(max_iter + 1):
-        v = vm * np.exp(1j * va)
-        ibus = ybus @ v
-        s_calc = v * np.conj(ibus)
-        mismatch = np.concatenate([s_calc.real[pvpq], s_calc.imag[pq]]) - spec
-        max_mis = float(np.abs(mismatch).max()) if mismatch.size else 0.0
-        if max_mis <= tol:
-            return PowerFlowSolution(v_mag=vm, v_ang=va, p_branch=_branch_flows(cc, v),
-                                     p_slack=float(s_calc[cc.slack].real),
-                                     iterations=iterations, max_mismatch=max_mis)
-        if iterations == max_iter or not np.isfinite(max_mis):
-            raise NonConvergence(iterations, max_mis)
+        bus = _bus_state(cc, vm, va)
+        mismatch = np.concatenate([bus.p[:, cc.pvpq], bus.q[:, cc.pq]], axis=1) - spec
+        max_mis = np.abs(mismatch).max(axis=1, initial=0.0)
+        done = max_mis <= tol
+        stop = done | (iterations == max_iter) | ~np.isfinite(max_mis)
+        if stop.any():
+            rows = live[done]
+            flows.v_mag[rows] = vm[done]
+            flows.v_ang[rows] = va[done]
+            flows.p_branch[rows] = _branch_flows(cc, bus.e[done], bus.f[done])
+            flows.p_slack[rows] = bus.p[done, cc.slack]
+            flows.iterations[rows] = iterations
+            flows.max_mismatch[rows] = max_mis[done]
+            for k in np.flatnonzero(stop & ~done):
+                flows.errors[int(live[k])] = NonConvergence(iterations, float(max_mis[k]))
+            if stop.all():
+                return
+            live, vm, va, spec, mismatch = (a[~stop] for a in (live, vm, va, spec, mismatch))
+            bus = _BusState(*(a[~stop] for a in bus))
 
-        *_, dx, info = dgesv(_jacobian(cc, v, ibus), -mismatch)
-        if info > 0:
-            raise SingularJacobian(f"Jacobian factorization failed at iteration {iterations}: "
-                                   f"zero pivot in column {info}")
-        if not np.all(np.isfinite(dx)):
-            raise SingularJacobian(f"Jacobian produced a non-finite step at iteration {iterations}")
+        dx, pivots = _solve_rows(_jacobians(cc, vm, bus), -mismatch)
+        if pivots or not np.isfinite(dx).all():
+            bad = ~np.isfinite(dx).all(axis=1)
+            for k in np.flatnonzero(bad):
+                flows.errors[int(live[k])] = SingularJacobian(
+                    f"Jacobian factorization failed at iteration {iterations}: "
+                    f"zero pivot in column {pivots[k]}" if k in pivots else
+                    f"Jacobian produced a non-finite step at iteration {iterations}")
+            if bad.all():
+                return
+            live, vm, va, spec, dx = (a[~bad] for a in (live, vm, va, spec, dx))
 
-        va[pvpq] += dx[:n_angles]
-        vm[pq] += dx[n_angles:]
+        va[:, cc.pvpq] += dx[:, :n_angles]
+        vm[:, cc.pq] += dx[:, n_angles:]
 
-    raise NonConvergence(max_iter, float("nan"))
+    for k in live:   # only when max_iter < 0
+        flows.errors[int(k)] = NonConvergence(max_iter, float("nan"))
 
 
-def _jacobian(cc: CompiledCase, v: np.ndarray, ibus: np.ndarray) -> np.ndarray:
-    """Power-flow Jacobian at voltages ``v`` with bus currents ``ibus = Ybus v``.
+class _BusState(NamedTuple):
+    """Bus quantities at voltages ``vm`` at angles ``va``, in real form."""
+
+    c: np.ndarray      # cos va
+    s: np.ndarray      # sin va
+    e: np.ndarray      # V = e + j f
+    f: np.ndarray
+    i_re: np.ndarray   # I = Ybus V = i_re + j i_im
+    i_im: np.ndarray
+    p: np.ndarray      # S = V conj(I) = p + j q
+    q: np.ndarray
+
+
+def _bus_state(cc: CompiledCase, vm: np.ndarray, va: np.ndarray) -> _BusState:
+    rot = np.exp(1j * va)   # cos and sin of each angle in one call
+    c, s = rot.real, rot.imag
+    e, f = vm * c, vm * s
+    ge_be, gf_bf = dot_rows(cc.gb_bus, e), dot_rows(cc.gb_bus, f)
+    n = vm.shape[1]
+    i_re = ge_be[:, :n] - gf_bf[:, n:]
+    i_im = ge_be[:, n:] + gf_bf[:, :n]
+    return _BusState(c, s, e, f, i_re, i_im, e * i_re + f * i_im, f * i_re - e * i_im)
+
+
+def _jacobians(cc: CompiledCase, vm: np.ndarray, bus: _BusState) -> np.ndarray:
+    """Power-flow Jacobians, one (m, m) matrix per row of ``vm``.
 
     Elementwise form of MATPOWER's ``dSbus_dV``: with
     ``A[i, k] = V[i] conj(Y[i, k] Vn[k])`` and ``Vn = V / |V|``,
     ``dS/dVm = A + diag(conj(I) Vn)`` and
-    ``dS/dVa = j (diag(V conj(I)) - A diag(|V|))``.
+    ``dS/dVa = j (diag(V conj(I)) - A diag(|V|))``, each split into real
+    and imaginary parts with ``V = e + jf``, ``Vn = c + js``, ``Y = G + jB``.
     """
-    n = len(v)
-    vm = np.abs(v)
-    a = v[:, None] * np.conj(cc.ybus * (v / vm))
-    stack = np.empty((n, 2 * n), dtype=complex)
-    np.multiply(a, -1j * vm, out=stack[:, :n])
-    stack[:, n:] = a
-    flat = stack.reshape(-1)
-    i_conj = np.conj(ibus)
-    flat[cc.diag_va] += 1j * v * i_conj
-    flat[cc.diag_vm] += i_conj * (v / vm)
-    return stack.view(float).reshape(-1).take(cc.jac_index)
+    rows, n = vm.shape
+    g, b = cc.gb_bus[:n], cc.gb_bus[n:]
+    c, s = bus.c[:, None, :], bus.s[:, None, :]
+    yv_re = g * c - b * s                        # Y[i, k] Vn[k]
+    yv_im = g * s + b * c
+    e, f = bus.e[:, :, None], bus.f[:, :, None]
+    a_re = e * yv_re + f * yv_im
+    a_im = f * yv_re - e * yv_im
+    parts = np.empty((rows, 4, n, n))            # Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm
+    np.multiply(a_im, vm[:, None, :], out=parts[:, 0])
+    parts[:, 1] = a_re
+    np.multiply(a_re, -vm[:, None, :], out=parts[:, 2])
+    parts[:, 3] = a_im
+    flat = parts.reshape(rows, -1)
+    diag = cc.jac_diag
+    flat[:, diag[0]] -= bus.q
+    flat[:, diag[1]] += bus.i_re * bus.c + bus.i_im * bus.s
+    flat[:, diag[2]] += bus.p
+    flat[:, diag[3]] += bus.i_re * bus.s - bus.i_im * bus.c
+    return flat.take(cc.jac_index, axis=1)
 
 
-def _branch_flows(cc: CompiledCase, v: np.ndarray) -> np.ndarray:
-    """Sending-end active power of every branch."""
-    vf = v[cc.br_from]
-    i_from = cc.br_series * (vf - v[cc.br_to]) + cc.br_shunt * vf
-    return (vf * np.conj(i_from)).real
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray):
+    """Solution of each row's system, one LAPACK gesv per row, and the
+    1-based zero-pivot column of each singular row, whose solution is NaN.
+
+    A stack holding a singular matrix is solved again row by row, so that
+    only the singular rows fail.
+    """
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], {}
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full_like(rhs, np.nan)
+    pivots = {}
+    for k in range(len(rhs)):
+        try:
+            out[k] = np.linalg.solve(jac[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            pivots[k] = int(dgesv(jac[k], rhs[k])[-1])
+    return out, pivots
+
+
+def _branch_flows(cc: CompiledCase, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Sending-end active power of every branch, one row per voltage row."""
+    e_from, f_from = e[:, cc.br_from], f[:, cc.br_from]
+    de, df = e_from - e[:, cc.br_to], f_from - f[:, cc.br_to]
+    i_re = cc.br_g * de - cc.br_b * df - cc.br_shunt * f_from
+    i_im = cc.br_g * df + cc.br_b * de + cc.br_shunt * e_from
+    return e_from * i_re + f_from * i_im
 
 
 # ---------------------------------------------------------------------------
@@ -364,83 +569,123 @@ def _branch_flows(cc: CompiledCase, v: np.ndarray) -> np.ndarray:
 def dc_opf(case: NetworkCase, loads: np.ndarray) -> DispatchSolution:
     """Minimum-cost dispatch under balance, generator, and PTDF flow limits.
 
-    The compiled case remembers recently verified active sets; each is tried
-    with one KKT solve and accepted only under the strict test of
-    ``_verified_kkt``. Otherwise the primal active-set iteration runs on the
-    equality-reduced KKT system (exact for convex quadratic costs, constraint
-    ties broken by lowest index). Its final set, when it passes the same
-    test, is solved and remembered. A set that passes is the unique strictly
-    complementary optimal set, so the result does not depend on which sets
-    were remembered. Raises Infeasible when the limits cannot be met.
+    A one-row ``dispatch_block``. Raises Infeasible when the limits cannot
+    be met.
     """
     loads = np.asarray(loads, dtype=float)
     if loads.shape != (case.n_bus,):
         raise ValueError(f"loads must have shape ({case.n_bus},)")
-    if case.n_gen == 0:
-        raise Infeasible("case has no generators")
+    block = dispatch_block(case, loads[None])
+    if block.errors:
+        raise block.errors[0]
+    qp = compile_case(case).qp
+    slack = qp.h(loads[None]) - dot_rows(qp.G, block.p_gen)
+    binding = tuple(qp.names[i] for i in np.flatnonzero(slack[0] <= _ACTIVE_TOL))
+    return DispatchSolution(p_gen=block.p_gen[0], cost=float(block.cost[0]), binding=binding,
+                            rounds=int(block.rounds[0]))
 
+
+def dispatch_block(case: NetworkCase, loads: np.ndarray) -> DispatchBlock:
+    """Minimum-cost dispatch of each row of the (rows, n_bus) ``loads``.
+
+    The compiled case remembers verified active sets. Each is tried on every
+    unsolved row at once, with one KKT solve per row, and accepted for a row
+    only under the strict test of ``_verified_rows``. The first row that no
+    remembered set solves goes to the primal active-set iteration
+    (``_cold_dispatch``: exact for convex quadratic costs, constraint ties
+    broken by lowest index). Its final set, when it passes the same test for
+    that row, is remembered and tried on the remaining rows; otherwise the
+    row keeps the iteration's point (a degenerate optimum). A set that passes
+    is the unique strictly complementary optimal set, so no row's result
+    depends on which sets were remembered or on the other rows.
+    """
+    loads = np.asarray(loads, dtype=float)
+    if loads.ndim != 2 or loads.shape[1] != case.n_bus:
+        raise ValueError(f"loads must have shape (n, {case.n_bus}), got {loads.shape}")
     cc = compile_case(case)
     qp = cc.qp
-    p_min, p_max = qp.p_min, qp.p_max
-    total = float(loads.sum())
+    rows, ng = len(loads), len(qp.p_min)
+    p_gen = np.full((rows, ng), np.nan)
+    rounds = np.zeros(rows, dtype=int)
+    if ng == 0:
+        return DispatchBlock(p_gen=p_gen, cost=np.full(rows, np.nan), rounds=rounds,
+                             errors={r: Infeasible("case has no generators") for r in range(rows)})
 
-    if total > p_max.sum() + 1e-12:
-        raise Infeasible(f"total load {total:.6f} pu exceeds total capacity {p_max.sum():.6f} pu",
-                         violated=("capacity",))
-    if total < p_min.sum() - 1e-12:
-        raise Infeasible(f"total load {total:.6f} pu below total minimum output {p_min.sum():.6f} pu",
-                         violated=("minimum_output",))
-
+    total = loads.sum(axis=1)
+    capacity, minimum = qp.p_max.sum(), qp.p_min.sum()
+    over = total > capacity + 1e-12
+    under = ~over & (total < minimum - 1e-12)
+    errors = {int(r): Infeasible(f"total load {total[r]:.6f} pu exceeds total capacity "
+                                 f"{capacity:.6f} pu", violated=("capacity",))
+              for r in np.flatnonzero(over)}
+    errors.update((int(r), Infeasible(f"total load {total[r]:.6f} pu below total minimum "
+                                      f"output {minimum:.6f} pu", violated=("minimum_output",)))
+                  for r in np.flatnonzero(under))
+    todo = np.flatnonzero(~(over | under))
     h = qp.h(loads)
-    p_opt, rounds = _warm_dispatch(cc, total, h), 0
-    if p_opt is None:
-        x, working, rounds = _active_set_qp(qp, h, _feasible_start(qp, total, h))
-        active = qp.active_set(working)
-        p_opt = _verified_kkt(qp, active, total, h)
-        if p_opt is None:
-            p_opt = x   # degenerate optimum: keep the iteration's point
-        else:
-            cc.warm_sets = (active, *(a for a in cc.warm_sets
-                                      if a.rows != active.rows))[:_WARM_SETS]
 
-    cost = float(np.sum(qp.cost_a * p_opt ** 2 + qp.cost_b * p_opt) + qp.cost_c)
-    binding = tuple(qp.names[i] for i in np.flatnonzero(qp.G @ p_opt - h >= -_ACTIVE_TOL))
-    return DispatchSolution(p_gen=p_opt, cost=cost, binding=binding, rounds=rounds)
-
-
-def _warm_dispatch(cc: CompiledCase, total: float, h: np.ndarray):
-    """The solution on the first remembered set that passes the strict test,
-    which moves to the front; None when none does."""
     warm = cc.warm_sets
-    for k, active in enumerate(warm):
-        p = _verified_kkt(cc.qp, active, total, h)
-        if p is not None:
-            if k:
-                cc.warm_sets = (active, *warm[:k], *warm[k + 1:])
-            return p
-    return None
+    used = []   # (rows solved, set) of every set tried on this block
+    for active in warm:
+        if not len(todo):
+            break
+        ok, p = _verified_rows(qp, active, total[todo], h[todo])
+        p_gen[todo[ok]] = p[ok]
+        todo = todo[~ok]
+        used.append((int(ok.sum()), active))
+    while len(todo):
+        r, todo = todo[0], todo[1:]
+        try:
+            x, working, rounds[r] = _cold_dispatch(qp, float(total[r]), h[r])
+        except (Infeasible, DispatchStalled) as exc:
+            errors[int(r)] = exc
+            continue
+        active = qp.active_set(working)
+        ok, p = _verified_rows(qp, active, total[r:r + 1], h[r:r + 1])
+        if not ok[0]:
+            p_gen[r] = x   # degenerate optimum: keep the iteration's point
+            continue
+        p_gen[r] = p[0]
+        ok, p = _verified_rows(qp, active, total[todo], h[todo])
+        p_gen[todo[ok]] = p[ok]
+        todo = todo[~ok]
+        used.insert(0, (1 + int(ok.sum()), active))
+
+    tried = {a.rows for _, a in used}
+    ranked = [a for _, a in sorted(used, key=lambda t: -t[0])]
+    cc.warm_sets = (*ranked, *(a for a in warm if a.rows not in tried))[:_WARM_SETS]
+    return DispatchBlock(p_gen=p_gen, cost=qp.cost(p_gen), rounds=rounds,
+                         errors=dict(sorted(errors.items())))
 
 
-def _verified_kkt(qp: _DispatchQP, active: _ActiveSet, total: float, h: np.ndarray):
-    """Minimizer with the rows of ``active`` held at equality, or None unless
-    it is the strictly complementary optimum: primal feasible, every
-    multiplier of those rows above ``_MULT_TOL``, every other row's slack
-    above ``_ACTIVE_TOL``, and stationarity to ``_KKT_TOL``. A singular KKT
-    matrix fails."""
+def _verified_rows(qp: _DispatchQP, active: _ActiveSet, total: np.ndarray, h: np.ndarray):
+    """Minimizers with the rows of ``active`` held at equality, one per entry
+    of ``total`` and row of ``h``, and the mask of those that are the strictly
+    complementary optimum: primal feasible, every multiplier of those rows
+    above ``_MULT_TOL``, every other row's slack above ``_ACTIVE_TOL``, and
+    stationarity to ``_KKT_TOL``. A singular KKT matrix fails every row."""
     ng = len(qp.p_min)
-    rhs = np.concatenate([-qp.cost_b, [total], h[active.index]])
-    *_, sol, info = dgesv(active.kkt, rhs)
-    if info > 0:
-        return None
-    p = sol[:ng]
-    slack = h - qp.G @ p
-    mults = sol[ng + 1:]
-    if (slack.min() >= -_ACTIVE_TOL
-            and mults.min(initial=np.inf) > _MULT_TOL
-            and slack[active.outside].min(initial=np.inf) > _ACTIVE_TOL
-            and np.abs(active.kkt[:ng] @ sol - rhs[:ng]).max() <= _KKT_TOL):
-        return p
-    return None
+    rhs = np.empty((len(total), active.kkt.shape[0]))
+    rhs[:, :ng] = -qp.cost_b
+    rhs[:, ng] = total
+    rhs[:, ng + 1:] = h[:, active.index]
+    try:
+        sol = np.linalg.solve(active.kkt, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.zeros(len(total), dtype=bool), rhs[:, :ng]
+    p = sol[:, :ng]
+    slack = h - dot_rows(qp.G, p)
+    ok = ((slack.min(axis=1) >= -_ACTIVE_TOL)
+          & (sol[:, ng + 1:].min(axis=1, initial=np.inf) > _MULT_TOL)
+          & (slack[:, active.outside].min(axis=1, initial=np.inf) > _ACTIVE_TOL)
+          & (np.abs(dot_rows(active.kkt[:ng], sol) - rhs[:, :ng]).max(axis=1) <= _KKT_TOL))
+    return ok, p
+
+
+def _cold_dispatch(qp: _DispatchQP, total: float, h: np.ndarray):
+    """The active-set iteration for one row that no remembered set solves,
+    from a feasible start: the final point, working set and rounds."""
+    return _active_set_qp(qp, h, _feasible_start(qp, total, h))
 
 
 def _feasible_start(qp: _DispatchQP, total: float, h: np.ndarray) -> np.ndarray:
@@ -554,6 +799,8 @@ def _eqp_direction(H, grad, C):
     return Z @ dz, False
 
 
+
+
 # ---------------------------------------------------------------------------
 # composed oracle
 
@@ -582,29 +829,50 @@ def bus_loads(case: NetworkCase, samples: np.ndarray):
 
 
 def oracle_opf(case: NetworkCase, sample: np.ndarray) -> OpfSolution:
-    """Reference OPF solution for one realized operating condition.
+    """Reference OPF solution for one realized operating condition: a
+    one-row ``oracle_block``."""
+    block = oracle_block(case, np.asarray(sample, dtype=float)[None])
+    if block.errors:
+        raise block.errors[0]
+    layout = solution_layout(case)
+    y = block.values[0]
+    return OpfSolution(cost=float(y[0]), v_mag=y[layout["v_mag"]], p_gen=y[layout["p_gen"]],
+                       p_branch=y[layout["p_branch"]], dispatch_rounds=int(block.rounds[0]),
+                       newton_iterations=int(block.iterations[0]))
 
-    Dispatch by dc_opf, then an AC power flow with the dispatched outputs at
-    PV buses and the slack absorbing losses. Cost is recomputed from the
-    final outputs, slack included.
+
+def oracle_block(case: NetworkCase, samples: np.ndarray) -> OracleBlock:
+    """Reference OPF solutions of the (rows, n_sources) ``samples``.
+
+    Dispatch by ``dispatch_block``, then an AC power flow with the
+    dispatched outputs at PV buses and the slack absorbing losses. Cost is
+    recomputed from the final outputs, slack included. A failed row fails
+    alone, with the exception its one-row solve raises.
     """
-    p_rows, q_rows = bus_loads(case, np.asarray(sample, dtype=float)[None])
-    p_load, q_load = p_rows[0], q_rows[0]
-    dispatch = dc_opf(case, p_load)
-
     cc = compile_case(case)
-    slack_gens = cc.slack_gens
-    if not len(slack_gens):
-        raise Infeasible("no generator at the slack bus to absorb losses")
+    p_load, q_load = bus_loads(case, samples)
+    rows = len(p_load)
+    dispatch = dispatch_block(case, p_load)
+    errors = dict(dispatch.errors)
+    dispatched = np.setdiff1d(np.arange(rows), list(errors))
+    if not len(cc.slack_gens):
+        errors.update((int(r), Infeasible("no generator at the slack bus to absorb losses"))
+                      for r in dispatched)
+        dispatched = dispatched[:0]
 
-    p_inj = cc.inj_map @ dispatch.p_gen - p_load
-    flow = ac_power_flow(case, p_inj, -q_load)
+    p_gen = dispatch.p_gen[dispatched]
+    p_inj = dot_rows(cc.inj_map, p_gen) - p_load[dispatched]
+    flows = _power_flow_rows(cc, p_inj, -q_load[dispatched], NEWTON_TOL, NEWTON_MAX_ITER)
+    errors.update((int(dispatched[k]), exc) for k, exc in flows.errors.items())
+    iterations = np.zeros(rows, dtype=int)
+    iterations[dispatched] = flows.iterations
 
-    p_gen = dispatch.p_gen.copy()
-    delta = flow.p_slack + p_load[cc.slack] - p_gen[slack_gens].sum()
-    p_gen[slack_gens] += delta / len(slack_gens)
-
-    qp = cc.qp
-    cost = float(np.sum(qp.cost_a * p_gen * p_gen + qp.cost_b * p_gen) + qp.cost_c)
-    return OpfSolution(cost=cost, v_mag=flow.v_mag, p_gen=p_gen, p_branch=flow.p_branch,
-                       dispatch_rounds=dispatch.rounds, newton_iterations=flow.iterations)
+    delta = flows.p_slack + p_load[dispatched, cc.slack] - p_gen[:, cc.slack_gens].sum(axis=1)
+    p_gen[:, cc.slack_gens] += (delta / len(cc.slack_gens))[:, None]
+    values = np.concatenate([cc.qp.cost(p_gen)[:, None], flows.v_mag, p_gen, flows.p_branch],
+                            axis=1)
+    solved = np.ones(rows, dtype=bool)
+    solved[list(errors)] = False
+    return OracleBlock(solved=solved, values=values[solved[dispatched]], rounds=dispatch.rounds,
+                       iterations=iterations, errors=dict(sorted(errors.items())),
+                       newton_blocks=flows.blocks)

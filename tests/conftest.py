@@ -9,7 +9,7 @@ import pytest
 
 from popflow.grid import (PQ, SLACK, SRC_GAUSSIAN_LOAD, Branch, Bus,
                           Generator, NetworkCase, StochasticSource, bundled_case)
-from popflow.solver import DispatchSolution, compile_case
+from popflow.solver import DispatchSolution, build_ybus, compile_case
 
 
 def make_bus(i, kind, p=0.0, q=0.0, v_min=0.9, v_max=1.1):
@@ -82,7 +82,7 @@ def power_flow_mismatch(case: NetworkCase, p_inj, q_inj, vm, va) -> float:
     """Residual of the mismatch equations at a candidate solution."""
     cc = compile_case(case)
     v = vm * np.exp(1j * va)
-    s_calc = v * np.conj(cc.ybus @ v)
+    s_calc = v * np.conj(build_ybus(case) @ v)
     parts = [s_calc.real[cc.pvpq] - np.asarray(p_inj)[cc.pvpq],
              s_calc.imag[cc.pq] - np.asarray(q_inj)[cc.pq]]
     res = np.concatenate(parts)
@@ -95,7 +95,7 @@ def dispatch_kkt_residual(case: NetworkCase, loads: np.ndarray, sol: DispatchSol
     p = sol.p_gen
     loads = np.asarray(loads, dtype=float)
     qp = compile_case(case).qp
-    G, h = qp.G, qp.h(loads)
+    G, h = qp.G, qp.h(loads[None])[0]
 
     grad = 2.0 * qp.cost_a * p + qp.cost_b
     primal_eq = abs(p.sum() - loads.sum())
@@ -110,24 +110,25 @@ def dispatch_kkt_residual(case: NetworkCase, loads: np.ndarray, sol: DispatchSol
     return max(primal_eq, primal_ineq, stationarity, dual)
 
 
-def stall_dispatch(monkeypatch, stalled=lambda call: True):
-    """Run the chosen solver.dc_opf calls (numbered from 1) into the
-    active-set round cap: a tiny fixed step never reaches a stationary point."""
+def stall_dispatch(monkeypatch, stalled=lambda miss: True):
+    """Run the chosen misses of the block dispatch into the active-set round
+    cap: a tiny fixed step never reaches a stationary point. Misses, the rows
+    that no remembered active set solves, are numbered from 1."""
     from popflow import solver
 
-    calls = [0]
-    real_dc_opf, real_direction = solver.dc_opf, solver._eqp_direction
+    misses = [0]
+    real_miss, real_direction = solver._cold_dispatch, solver._eqp_direction
 
-    def counted_dc_opf(case, loads):
-        calls[0] += 1
-        return real_dc_opf(case, loads)
+    def counted_miss(qp, total, h):
+        misses[0] += 1
+        return real_miss(qp, total, h)
 
     def direction(H, grad, C):
-        if stalled(calls[0]):
+        if stalled(misses[0]):
             return np.full(len(grad), 1e-9), False
         return real_direction(H, grad, C)
 
-    monkeypatch.setattr(solver, "dc_opf", counted_dc_opf)
+    monkeypatch.setattr(solver, "_cold_dispatch", counted_miss)
     monkeypatch.setattr(solver, "_eqp_direction", direction)
 
 

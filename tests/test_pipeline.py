@@ -106,12 +106,31 @@ def test_oracle_work_goes_to_the_debug_log(caplog, monkeypatch):
         ds = generate_training_data(two_bus_case(), 30, seed=6)
     [line] = [r.getMessage() for r in caplog.records if r.name == "popflow"]
     # the first solve stalls, the second runs the active-set iteration, and
-    # the rest reuse the set it found
+    # the rest reuse the set it found; each of the two redraw rounds runs
+    # one Newton sub-block
     assert line.startswith("gen-data: 30 oracle solves, 29 warm dispatch hits, "
                            "1 active-set fallbacks, ")
-    assert line.endswith("drops {'DispatchStalled': 1}")
+    assert line.endswith(" Newton iterations per solve, 2 Newton sub-blocks, "
+                         "drops {'DispatchStalled': 1}")
     assert ds.provenance["dropped"] == 1
     assert set(ds.provenance) == {"case_hash", "seed", "n", "dropped", "oracle"}
+
+
+def test_oracle_sub_blocks_go_to_the_debug_log(caplog):
+    """case14 Newton runs 65 rows per sub-block; compare logs its own pass."""
+    case = bundled_case("case14")
+    with caplog.at_level(logging.DEBUG, logger="popflow"):
+        generate_training_data(case, 131, seed=6)
+        rng = np.random.Generator(np.random.PCG64(0))
+        model = sdae.init_model(len(feature_labels(case)), (4,), case.solution_dim(), 0.0, rng)
+        report = compare_methods(case, model, seed=7, n_samples=65, self_check=True)
+    lines = [r.getMessage() for r in caplog.records if r.name == "popflow"]
+    gen_data, compare = [line for line in lines if "oracle solves" in line]
+    assert gen_data.startswith("gen-data: 131 oracle solves, ")
+    assert ", 3 Newton sub-blocks, drops {}" in gen_data
+    assert compare.startswith("compare: 65 oracle solves, 65 warm dispatch hits, ")
+    assert ", 1 Newton sub-blocks, drops {}" in compare
+    assert report.dropped == 0 and report.failures == {}
 
 
 def test_zero_variance_dataset_rows_identical():

@@ -15,10 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popflow.errors import DispatchStalled, Infeasible, NonConvergence
-from popflow.grid import PQ, PV, SLACK, SRC_PV, SRC_WIND, StochasticSource
-from popflow.solver import (_jacobian, ac_power_flow, build_ybus, bus_loads,
-                            compile_case, dc_opf, oracle_opf, solution_layout)
+from popflow.errors import DispatchStalled, Infeasible, NonConvergence, SingularJacobian
+from popflow.grid import PQ, PV, SLACK, SRC_PV, SRC_WIND, StochasticSource, bundled_case
+from popflow.sampling import sample_operating_conditions
+from popflow.solver import (NEWTON_MAX_ITER, NEWTON_TOL, _bus_state, _jacobians,
+                            _power_flow_rows, ac_power_flow, build_ybus, bus_loads,
+                            compile_case, dc_opf, dispatch_block, oracle_block, oracle_opf,
+                            solution_layout)
 
 from conftest import (apply_sample_reference, dispatch_kkt_residual, gaussian_source,
                       make_branch, make_bus, make_case, make_gen, power_flow_mismatch,
@@ -229,12 +232,15 @@ def lossy_meshed_case():
 
 @pytest.mark.parametrize("which", ["case14", "meshed"])
 def test_elementwise_jacobian_matches_dense_reference(which, case14, rng):
+    """The block Jacobian of stacked voltage rows, row by row against the
+    dense dSbus_dV products."""
     case = case14 if which == "case14" else lossy_meshed_case()
     cc = compile_case(case)
-    for _ in range(5):
-        v = rng.uniform(0.8, 1.2, case.n_bus) * np.exp(1j * rng.uniform(-0.5, 0.5, case.n_bus))
-        ref = dense_jacobian_reference(cc.ybus, v, case.pv_indices(), case.pq_indices())
-        jac = _jacobian(cc, v, cc.ybus @ v)
+    vm = rng.uniform(0.8, 1.2, (5, case.n_bus))
+    va = rng.uniform(-0.5, 0.5, (5, case.n_bus))
+    jacs = _jacobians(cc, vm, _bus_state(cc, vm, va))
+    for jac, v in zip(jacs, vm * np.exp(1j * va)):
+        ref = dense_jacobian_reference(build_ybus(case), v, case.pv_indices(), case.pq_indices())
         assert jac.shape == ref.shape
         assert np.max(np.abs(jac - ref)) <= 1e-12
 
@@ -557,3 +563,133 @@ def test_oracle_cost_covers_slack_adjustment(case14):
     assert sol.cost != pytest.approx(dispatch.cost, abs=1e-6)
     direct = sum(g.cost(sol.p_gen[i]) for i, g in enumerate(case14.generators))
     assert sol.cost == pytest.approx(direct, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# block oracle: each row's bits are its own
+
+
+def assert_same_failure(exc, expected_type, call):
+    """``exc`` has the type and message of the exception ``call()`` raises."""
+    assert isinstance(exc, expected_type)
+    with pytest.raises(expected_type) as alone:
+        call()
+    assert str(exc) == str(alone.value)
+
+
+def assert_blocks_are_one_pass(case, samples, cuts):
+    """Solving ``samples`` in the pieces between ``cuts``, on a fresh case
+    object, gives the bits of one pass."""
+    whole = oracle_block(case, samples)
+    piece_case = fresh_copy(case)
+    pieces = [oracle_block(piece_case, samples[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert np.array_equal(np.concatenate([p.solved for p in pieces]), whole.solved)
+    assert np.array_equal(np.vstack([p.values for p in pieces]), whole.values)
+    assert np.array_equal(np.concatenate([p.iterations for p in pieces]), whole.iterations)
+    return whole
+
+
+def test_rows_of_a_large_block_equal_one_row_solves(case14):
+    """4,096 rows: enough for block temporaries past 256 KiB, the size from
+    which NumPy's temporary elision changes the bits of a complex product."""
+    samples = sample_operating_conditions(case14, 4096, None, seed=21).values
+    n = len(samples)
+    whole = assert_blocks_are_one_pass(case14, samples, [0, 1, 7, n // 2, n])
+    assert whole.solved.all() and whole.newton_blocks == -(-n // 65)
+    for row, y in zip(samples, whole.values):
+        assert np.array_equal(oracle_opf(case14, row).as_vector(), y)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=2, max_value=300),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_rows_do_not_depend_on_their_block(n, fractions, seed):
+    case = bundled_case("case14")
+    samples = sample_operating_conditions(case, n, None, seed=seed).values
+    cuts = sorted({0, n, *(int(f * n) for f in fractions)})
+    whole = assert_blocks_are_one_pass(case, samples, cuts)
+    for i in {0, n - 1, *(min(c, n - 1) for c in cuts)}:
+        assert np.array_equal(oracle_opf(fresh_copy(case), samples[i]).as_vector(),
+                              whole.values[i])
+
+
+def test_a_failing_power_flow_row_fails_alone():
+    """A singular Jacobian (flat start steps onto 2 V cos(theta) = 1) and a
+    row past the loadability limit fail by themselves; their neighbours keep
+    the bits of their one-row solves."""
+    case = two_bus_case()
+    cc = compile_case(case)
+    p = np.array([[0.0, -0.5], [0.0, 0.0], [0.0, -2.0], [0.0, -5.5], [0.0, -1.0]])
+    q = np.array([[0.0, -0.1], [0.0, -5.0], [0.0, -0.3], [0.0, 0.0], [0.0, 0.2]])
+    flows = _power_flow_rows(cc, p, q, NEWTON_TOL, NEWTON_MAX_ITER)
+    assert list(flows.errors) == [1, 3]
+    assert_same_failure(flows.errors[1], SingularJacobian,
+                        lambda: ac_power_flow(case, p[1], q[1]))
+    assert "zero pivot in column 2" in str(flows.errors[1])
+    assert_same_failure(flows.errors[3], NonConvergence,
+                        lambda: ac_power_flow(case, p[3], q[3]))
+    for k in (0, 2, 4):
+        alone = ac_power_flow(case, p[k], q[k])
+        assert np.array_equal(flows.v_mag[k], alone.v_mag)
+        assert np.array_equal(flows.v_ang[k], alone.v_ang)
+        assert np.array_equal(flows.p_branch[k], alone.p_branch)
+        assert flows.p_slack[k] == alone.p_slack
+        assert flows.iterations[k] == alone.iterations
+
+
+def test_a_row_past_the_iteration_cap_fails_alone():
+    """With max_iter 3 the light rows converge and the heavy one (5
+    iterations) stops with the message of its one-row solve."""
+    case = two_bus_case()
+    cc = compile_case(case)
+    p = np.array([[0.0, -0.1], [0.0, -4.0], [0.0, -0.5]])
+    q = np.array([[0.0, 0.0], [0.0, -0.1], [0.0, -0.1]])
+    flows = _power_flow_rows(cc, p, q, NEWTON_TOL, 3)
+    assert list(flows.errors) == [1]
+    assert_same_failure(flows.errors[1], NonConvergence,
+                        lambda: ac_power_flow(case, p[1], q[1], max_iter=3))
+    for k in (0, 2):
+        assert np.array_equal(flows.v_mag[k], ac_power_flow(case, p[k], q[k], max_iter=3).v_mag)
+
+
+def test_a_failing_oracle_row_fails_alone():
+    case = two_bus_case(limit=8.0)
+    samples = np.array([[0.5], [5.5], [0.7], [6.5]])
+    block = oracle_block(case, samples)
+    assert block.solved.tolist() == [True, False, True, False]
+    assert_same_failure(block.errors[1], NonConvergence,
+                        lambda: oracle_opf(two_bus_case(limit=8.0), samples[1]))
+    assert_same_failure(block.errors[3], Infeasible,
+                        lambda: oracle_opf(two_bus_case(limit=8.0), samples[3]))
+    for y, row in zip(block.values, samples[[0, 2]]):
+        assert np.array_equal(oracle_opf(two_bus_case(limit=8.0), row).as_vector(), y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.lists(st.floats(min_value=0.2, max_value=1.3), min_size=1, max_size=8))
+def test_block_dispatch_equals_the_cold_scalar_reference(seed, linear, scalings):
+    """Each row of a block dispatch on a primed case has the bits of dc_opf
+    on a fresh case, which remembers no active set; a failing row fails
+    with the same type and message."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    case, loads = _random_small_case(rng)
+    if linear:
+        case = dataclasses.replace(case, generators=tuple(
+            dataclasses.replace(g, cost_a=0.0) for g in case.generators))
+    # some load on every bus, so that the flow rows mix several loads
+    spread = rng.uniform(0.0, 0.1 * loads.sum(), len(loads))
+    priming = np.linspace(0.2, 1.3, 12)
+    dispatch_block(case, np.outer(priming, loads) + np.outer(priming[::-1], spread))
+    rows = np.outer(scalings, loads) + np.outer(scalings[::-1], spread)
+    block = dispatch_block(case, rows)
+    for r, row in enumerate(rows):
+        if r in block.errors:
+            assert_same_failure(block.errors[r], Infeasible,
+                                lambda: dc_opf(fresh_copy(case), row))
+            assert np.all(np.isnan(block.p_gen[r]))
+            continue
+        cold = dc_opf(fresh_copy(case), row)
+        assert np.array_equal(block.p_gen[r], cold.p_gen)
+        assert block.cost[r] == cold.cost
