@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import pipeline, sdae
 from .errors import PopflowError, SchemaError, ValidationError
-from .grid import load_case
+from .grid import load_case, parse_case
 from .ioutil import write_tsv
 from .sampling import CorrelationSpec
 
@@ -123,8 +123,6 @@ def cmd_validate(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    from .grid import parse_case
-
     try:
         parse_case(text)
     except SchemaError as exc:
@@ -259,23 +257,15 @@ def cmd_compare(args) -> int:
               f"{e1:>10.4g}{e2:>10.4g}{report.timings[method]:>12.6g}")
 
     print()
-    print(f"{'method':<12}" + "".join(
-        f"{cls}>{tau:g}".rjust(18)
-        for cls, taus in _exceedance_columns(report).items() for tau in taus))
+    columns = [(cls, tau) for cls, d in report.errors[pipeline.METHOD_SURROGATE].exceedance.items()
+               for tau in sorted(d, reverse=True)]
+    print(f"{'method':<12}" + "".join(f"{cls}>{tau:g}".rjust(18) for cls, tau in columns))
     for method in (pipeline.METHOD_SURROGATE, pipeline.METHOD_DC_ONLY):
-        err = report.errors[method]
-        cells = []
-        for cls, taus in _exceedance_columns(report).items():
-            for tau in taus:
-                cells.append(f"{100 * err.exceedance[cls][tau]:.4g}%".rjust(18))
-        print(f"{method:<12}" + "".join(cells))
+        exceedance = report.errors[method].exceedance
+        print(f"{method:<12}" + "".join(f"{100 * exceedance[cls][tau]:.4g}%".rjust(18)
+                                        for cls, tau in columns))
     print(f"\nreport files in {out_dir}")
     return EXIT_OK
-
-
-def _exceedance_columns(report):
-    any_err = next(iter(report.errors.values()))
-    return {cls: sorted(d.keys(), reverse=True) for cls, d in any_err.exceedance.items()}
 
 
 # ---------------------------------------------------------------------------

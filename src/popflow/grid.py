@@ -96,9 +96,6 @@ class Generator:
     cost_b: float
     cost_c: float
 
-    def cost(self, p: float) -> float:
-        return self.cost_a * p * p + self.cost_b * p + self.cost_c
-
 
 @dataclass(frozen=True)
 class StochasticSource:

@@ -34,9 +34,9 @@ import numpy as np
 from . import sdae
 from .errors import DimensionMismatch, TooManyRejections, ValidationError
 from .grid import PQ, NetworkCase, case_hash
-from .sampling import (DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, ConvergenceState,
-                       CorrelationSpec, SampleStream, sample_operating_conditions,
-                       update_convergence)
+from .sampling import (DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, ZERO_MEAN,
+                       ConvergenceState, CorrelationSpec, SampleStream, fold_convergence,
+                       sample_operating_conditions)
 from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OracleBlock, bus_loads, compile_case,
                      dispatch_block, dot_rows, oracle_block, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
@@ -45,9 +45,6 @@ from .rowblocks import for_each_block, workers
 # inference always walks the sample matrix in chunks of this many rows, so
 # predictions do not depend on how callers batch their queries
 INFER_CHUNK = 512
-
-# first chunk of a convergence-driven run; later chunks double
-_CONVERGE_FIRST_DRAW = 4 * INFER_CHUNK
 
 log = logging.getLogger("popflow")
 
@@ -345,63 +342,62 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
         t2 = time.perf_counter()
         values = infer(model, x)
         seconds = time.perf_counter() - t2
-        _log_popf_stages(t1 - t0, t2 - t1, seconds, len(rows), len(values),
-                         workers(len(rows)), workers(len(x), blas=True))
+        _log_popf_stages(t1 - t0, t2 - t1, seconds, len(rows), len(values), len(rows), len(x))
         return PopfRunResult(values=values, seconds=seconds,
                              n_samples=values.shape[0], converged=None)
 
-    # Rows are drawn in chunks that double in size, each continuing the
-    # column streams where the last stopped, so the rows equal those of one
+    if max_samples < 1:
+        raise ValueError("max_samples must be at least 1")
+    # Rows are drawn in chunks that double from 4 * INFER_CHUNK, each continuing
+    # the column streams where the last stopped, so the rows equal those of one
     # max_samples draw and none is drawn twice; every chunk but the capped
     # last one is a multiple of INFER_CHUNK, so inference chunks stay aligned.
-    # The state's cap lies past the last row: a state capped there would
-    # report done at that row even when the variance-coefficient test fails.
     state = ConvergenceState.for_dim(model.output_dim, threshold=cv_threshold,
-                                     max_samples=max_samples + 1)
+                                     max_samples=max_samples)
     stream = SampleStream(case, spec, seed)
     collected = []
-    done = False
+    converged = False
     seconds = draw_s = features_s = 0.0
     drawn = widest = 0
-    chunk = _CONVERGE_FIRST_DRAW
-    while drawn < max_samples and not done:
-        end = min(drawn + chunk, max_samples)
-        chunk *= 2
+    chunk = 4 * INFER_CHUNK
+    while drawn < max_samples and not converged:
         t0 = time.perf_counter()
-        rows = stream.draw(end - drawn).values
+        rows = stream.draw(min(chunk, max_samples - drawn)).values
         t1 = time.perf_counter()
         x = _model_features(model, case, rows)
-        drawn = end
-        widest = max(widest, len(rows))
-        start = time.perf_counter()
-        draw_s += t1 - t0
-        features_s += start - t1
-        for chunk_start in range(0, x.shape[0], INFER_CHUNK):
-            block = infer(model, x[chunk_start:chunk_start + INFER_CHUNK])
-            for row_no, row in enumerate(block):
-                state, done = update_convergence(state, row)
-                if done:
-                    block = block[: row_no + 1]
-                    break
-            collected.append(block)
-            if done:
+        t2 = time.perf_counter()
+        for c in range(0, len(x), INFER_CHUNK):
+            block = infer(model, x[c:c + INFER_CHUNK])
+            used, converged = fold_convergence(state, block)
+            collected.append(block[:used])
+            if converged:
                 break
-        seconds += time.perf_counter() - start
+        seconds += time.perf_counter() - t2
+        draw_s += t1 - t0
+        features_s += t2 - t1
+        drawn += len(rows)
+        widest = max(widest, len(rows))
+        chunk *= 2
     values = np.vstack(collected)
-    _log_popf_stages(draw_s, features_s, seconds, drawn, len(values),
-                     workers(widest), workers(INFER_CHUNK, blas=True))
+    _, _, stderr, limit = state.rule_terms()
+    ratio = stderr / limit
+    worst = int(np.argmax(ratio))
+    _log_popf_stages(draw_s, features_s, seconds, drawn, len(values), widest, INFER_CHUNK,
+                     f"; largest stderr/limit {ratio[worst]:.3g}, at {output_labels(case)[worst]}")
     return PopfRunResult(values=values, seconds=seconds,
-                         n_samples=values.shape[0], converged=done)
+                         n_samples=values.shape[0], converged=converged)
 
 
-def _log_popf_stages(draw_s, features_s, infer_s, drawn, used, draw_workers,
-                     infer_workers) -> None:
+def _log_popf_stages(draw_s, features_s, infer_s, drawn, used, draw_rows, infer_rows,
+                     stop="") -> None:
     """One DEBUG line per run; ``drawn`` counts every row the sampler made,
-    the worker counts are the row-block threads of the run's widest draw and
-    inference call."""
+    the thread counts are the row-block workers of the run's widest draw and
+    inference call (``draw_rows`` and ``infer_rows`` rows), and ``stop`` ends
+    a convergence run's line with the output that decided its stop."""
     log.debug("popf: %.3g s drawing, %.3g s featurizing, %.3g s inferring; "
-              "%d rows drawn, %d used; %d drawing and %d inferring threads",
-              draw_s, features_s, infer_s, drawn, used, draw_workers, infer_workers)
+              "%d rows drawn, %d used; %d drawing and %d inferring threads%s",
+              draw_s, features_s, infer_s, drawn, used, workers(draw_rows),
+              workers(infer_rows, blas=True), stop)
 
 
 def _model_features(model: sdae.SdaeModel, case: NetworkCase, sample_values) -> np.ndarray:
@@ -481,7 +477,7 @@ def error_metrics(reference: np.ndarray, candidate: np.ndarray,
 def _relative_error(reference: np.ndarray, candidate: np.ndarray):
     """|candidate - reference| / |reference| per index, and the indexes where
     the reference is ~0 and the error is left absolute."""
-    absolute = np.abs(reference) < 1e-12
+    absolute = np.abs(reference) < ZERO_MEAN
     err = np.abs(candidate - reference)
     err[~absolute] /= np.abs(reference[~absolute])
     return err, np.flatnonzero(absolute).tolist()

@@ -4,7 +4,9 @@ Draws correlated standard normals (Gaussian copula via Cholesky), pushes them
 through the per-source marginal transforms, and tracks the stopping rule for
 incremental simulation: every tracked index must reach a variance coefficient
 (standard error over mean) at or below the threshold, or the sample-count cap
-is hit.
+is hit. The rule keeps running sums of ``x - shift`` and ``(x - shift)**2``,
+``shift`` being the first row (so the sums do not cancel when the spread is
+small beside the mean), and tests every prefix of a block from one ``cumsum``.
 
 Reproducibility contract: the generator is PCG64 and column ``j`` of a draw
 uses the stream ``SeedSequence(seed, spawn_key=(j,))``, so columns can be
@@ -37,7 +39,6 @@ draw of n1 + n2 + ... rows.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,9 @@ from .rowblocks import for_each_block
 DEFAULT_CV_THRESHOLD = 0.05
 DEFAULT_MAX_SAMPLES = 50_000
 
-# below this magnitude the mean is treated as zero and the cv test switches
-# to the absolute criterion s/sqrt(n) <= threshold
-_ZERO_MEAN = 1e-12
+# below this magnitude a mean counts as zero: the cv test switches to the
+# absolute criterion s/sqrt(n) <= threshold, and error metrics stay absolute
+ZERO_MEAN = 1e-12
 
 # nodes of |z| for the beta quantile start table; past the last node
 # betaincinv answers directly
@@ -90,11 +91,6 @@ class CorrelationSpec:
 
 # ---------------------------------------------------------------------------
 # drawing and correlating
-
-
-def draw_standard_normals(n: int, d: int, seed: int, redraw: int = 0) -> np.ndarray:
-    """n x d standard normals, one PCG64 stream per column (see module doc)."""
-    return _draw_normals(_column_generators(d, seed, redraw), n)
 
 
 def _column_generators(d: int, seed: int, redraw: int) -> list:
@@ -281,48 +277,68 @@ class SampleStream:
 
 @dataclass
 class ConvergenceState:
-    """Running Welford accumulators for the per-index stopping statistic."""
+    """Per-index running sums of ``x - shift`` and ``(x - shift)**2``, where
+    ``shift`` is the first row folded (see ``fold_convergence``)."""
 
     count: int
-    mean: np.ndarray
-    m2: np.ndarray
+    shift: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
     threshold: float = DEFAULT_CV_THRESHOLD
     max_samples: int = DEFAULT_MAX_SAMPLES
 
     @classmethod
     def for_dim(cls, d: int, threshold: float = DEFAULT_CV_THRESHOLD,
                 max_samples: int = DEFAULT_MAX_SAMPLES) -> "ConvergenceState":
-        return cls(count=0, mean=np.zeros(d), m2=np.zeros(d),
-                   threshold=threshold, max_samples=max_samples)
+        return cls(0, np.zeros(d), np.zeros(d), np.zeros(d), threshold, max_samples)
+
+    def rule_terms(self, s1=None, s2=None, n=None):
+        """Mean, variance (0 for one row), standard error and its limit
+        (``threshold * |mean|``, or ``threshold`` if ``|mean| < ZERO_MEAN``) of
+        the n rows whose shifted sums are s1 and s2; by default, the rows folded."""
+        if s1 is None:
+            s1, s2, n = self.s1, self.s2, max(self.count, 1)
+        mean = s1 / n + self.shift
+        var = np.maximum(s2 - s1 ** 2 / n, 0.0) / np.maximum(n - 1, 1)
+        limit = np.where(np.abs(mean) < ZERO_MEAN, self.threshold, self.threshold * np.abs(mean))
+        return mean, var, np.sqrt(var / n), limit
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.rule_terms()[0]
 
     def std(self) -> np.ndarray:
-        if self.count < 2:
-            return np.full_like(self.mean, np.nan)
-        return np.sqrt(self.m2 / (self.count - 1))
+        return np.sqrt(self.rule_terms()[1]) if self.count > 1 else np.full_like(self.shift, np.nan)
+
+
+def fold_convergence(state: ConvergenceState, rows) -> tuple:
+    """Fold an (n, d) block into ``state`` up to the first row (from the
+    stream's second) at which every index's standard error is within its
+    limit, or to ``max_samples`` rows in all; return the rows folded and
+    whether the test held. Prefix sums are one ``cumsum`` over the carried
+    sums stacked on the block, so any cuts of a stream give the same bits."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(state.shift):
+        raise ValueError(f"expected rows of {len(state.shift)} index values, got {rows.shape}")
+    rows = rows[:max(state.max_samples - state.count, 0)]
+    if not len(rows):
+        return 0, False
+    if state.count == 0:
+        state.shift = rows[0].copy()
+    shifted = rows - state.shift
+    s1 = np.cumsum(np.vstack([state.s1, shifted]), axis=0)[1:]
+    s2 = np.cumsum(np.vstack([state.s2, shifted ** 2]), axis=0)[1:]
+    n = np.arange(state.count + 1, state.count + len(rows) + 1)[:, None]
+    _, _, stderr, limit = state.rule_terms(s1, s2, n)
+    fired = np.flatnonzero(np.all(stderr <= limit, axis=1) & (n[:, 0] > 1))
+    used = int(fired[0]) + 1 if fired.size else len(rows)
+    state.count += used
+    state.s1, state.s2 = s1[used - 1].copy(), s2[used - 1].copy()
+    return used, bool(fired.size)
 
 
 def update_convergence(state: ConvergenceState, values) -> tuple:
-    """Fold one sample into the state; report whether the rule fires.
-
-    Converged when every index satisfies (s/sqrt(n))/|mean| <= threshold
-    (absolute criterion s/sqrt(n) <= threshold for near-zero means), or when
-    the count reaches max_samples.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != state.mean.shape:
-        raise ValueError(f"expected {state.mean.shape[0]} index values, got {values.shape}")
-    state.count += 1
-    delta = values - state.mean
-    state.mean += delta / state.count
-    state.m2 += delta * (values - state.mean)
-
-    if state.count >= state.max_samples:
-        return state, True
-    if state.count < 2:
-        return state, False
-    stderr = state.std() / math.sqrt(state.count)
-    denom = np.abs(state.mean)
-    near_zero = denom < _ZERO_MEAN
-    ok = np.where(near_zero, stderr <= state.threshold,
-                  stderr <= state.threshold * np.where(near_zero, 1.0, denom))
-    return state, bool(np.all(ok))
+    """Fold one sample of d index values into the state; the rule fires when
+    the variance-coefficient test holds or the count reaches max_samples."""
+    _, converged = fold_convergence(state, np.asarray(values, dtype=float)[None])
+    return state, converged or state.count >= state.max_samples

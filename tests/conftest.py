@@ -9,7 +9,13 @@ import pytest
 
 from popflow.grid import (PQ, SLACK, SRC_GAUSSIAN_LOAD, Branch, Bus,
                           Generator, NetworkCase, StochasticSource, bundled_case)
+from popflow.sampling import _column_generators, _draw_normals
 from popflow.solver import DispatchSolution, build_ybus, compile_case
+
+
+def draw_standard_normals(n, d, seed, redraw=0):
+    """n x d standard normals from the sampler's per-column PCG64 streams."""
+    return _draw_normals(_column_generators(d, seed, redraw), n)
 
 
 def make_bus(i, kind, p=0.0, q=0.0, v_min=0.9, v_max=1.1):

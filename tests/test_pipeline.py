@@ -308,6 +308,35 @@ def test_run_popf_converge_equals_one_draw(tiny_trained, threshold, cap):
     assert np.array_equal(result.values, infer(model, operating_features(case, draw.values)))
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_run_popf_rejects_a_cap_below_one(tiny_trained, cap):
+    case, _, _, model, _ = tiny_trained
+    with pytest.raises(ValueError, match="max_samples must be at least 1"):
+        run_popf(model, case, seed=3, converge=True, max_samples=cap)
+
+
+def test_run_popf_cap_of_one_uses_one_row(tiny_trained):
+    case, _, _, model, _ = tiny_trained
+    result = run_popf(model, case, seed=3, converge=True, max_samples=1)
+    assert result.n_samples == 1 and result.converged is False
+
+
+def test_converge_debug_line_names_the_deciding_output(tiny_trained, caplog):
+    """The named output has the largest standard error over its limit at the
+    stopping row, by the two-pass formula over the rows used."""
+    case, _, _, model, _ = tiny_trained
+    with caplog.at_level(logging.DEBUG, logger="popflow"):
+        result = run_popf(model, case, seed=8, converge=True, cv_threshold=0.002)
+    assert result.converged
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "popflow"]
+    ratio, label = re.search(r"; largest stderr/limit (\S+), at (\S+)$", line).groups()
+    se = result.values.std(axis=0, ddof=1) / np.sqrt(result.n_samples)
+    limit = 0.002 * np.abs(result.values.mean(axis=0))
+    assert label == output_labels(case)[int(np.argmax(se / limit))]
+    assert float(ratio) == pytest.approx(np.max(se / limit), rel=1e-2)
+    assert float(ratio) <= 1
+
+
 def test_popf_stage_times_go_to_the_debug_log(tiny_trained, caplog, monkeypatch):
     case, _, _, model, _ = tiny_trained
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -323,13 +352,19 @@ def test_popf_stage_times_go_to_the_debug_log(tiny_trained, caplog, monkeypatch)
     lines = [r.getMessage() for r in caplog.records if r.name == "popflow"]
     assert len(lines) == 5
     pattern = (r"popf: \S+ s drawing, \S+ s featurizing, \S+ s inferring; "
-               r"(\d+) rows drawn, (\d+) used; (\d+) drawing and (\d+) inferring threads")
-    counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
+               r"(\d+) rows drawn, (\d+) used; (\d+) drawing and (\d+) inferring threads"
+               r"(?:; largest stderr/limit (\S+), at (\S+))?")
+    matches = [re.fullmatch(pattern, line) for line in lines]
+    counts = [tuple(map(int, m.groups()[:4])) for m in matches]
+    stops = [m.groups()[4:] for m in matches]
     assert counts[0] == (700, 700, 1, 1)
     # the cap stops the run in its second round, which draws only rows
     # 2049..3000; no call reaches a second row block
     assert capped.converged is False
     assert counts[1] == (3000, 3000, 1, 1)
+    # only the convergence run names the output that held it to the cap
+    assert stops[1][1] in output_labels(case) and float(stops[1][0]) > 1
+    assert all(stop == (None, None) for i, stop in enumerate(stops) if i != 1)
     # one thread per usable core, but no more than there are blocks
     assert counts[2] == (rowblocks.BLOCK_ROWS + 1,) * 2 + (2, 2)
     assert counts[3] == (5 * rowblocks.BLOCK_ROWS,) * 2 + (3, 3)

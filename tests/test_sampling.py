@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,12 +14,12 @@ from scipy.special import betainc, betaincinv, ndtr
 
 from popflow.errors import NotPositiveDefinite
 from popflow.grid import SRC_PV, SRC_WIND, StochasticSource
-from popflow.sampling import (ConvergenceState, CorrelationSpec, SampleStream,
-                              draw_standard_normals, correlate,
-                              sample_operating_conditions, transform_marginal,
-                              update_convergence, wind_power_curve)
+from popflow.sampling import (ConvergenceState, CorrelationSpec, SampleStream, correlate,
+                              fold_convergence, sample_operating_conditions,
+                              transform_marginal, update_convergence, wind_power_curve)
 
-from conftest import gaussian_source, make_branch, make_bus, make_case, make_gen
+from conftest import (draw_standard_normals, gaussian_source, make_branch, make_bus,
+                      make_case, make_gen)
 
 
 def wind_source(bus=1, shape=2.0, scale=8.0, cut_in=3.0, rated_speed=12.0,
@@ -311,15 +312,18 @@ def test_sampling_mean_clt_bound():
 
 
 def brute_cv_converged_at(stream, threshold):
-    """First n where every running cv (two-pass formula) is under threshold."""
+    """First n where every running cv (two-pass formula) is under threshold;
+    a 2-D stream has one index per column."""
     stream = np.asarray(stream, dtype=float)
+    stream = stream[:, None] if stream.ndim == 1 else stream
     for n in range(2, len(stream) + 1):
         prefix = stream[:n]
-        mean = prefix.mean()
-        s = prefix.std(ddof=1)
-        se = s / math.sqrt(n)
-        cv_ok = se <= threshold if abs(mean) < 1e-12 else se / abs(mean) <= threshold
-        if cv_ok:
+        mean = prefix.mean(axis=0)
+        se = prefix.std(axis=0, ddof=1) / math.sqrt(n)
+        near_zero = np.abs(mean) < 1e-12
+        cv_ok = np.where(near_zero, se <= threshold,
+                         se / np.where(near_zero, 1.0, np.abs(mean)) <= threshold)
+        if cv_ok.all():
             return n
     return None
 
@@ -398,10 +402,108 @@ def test_vector_indices_all_must_converge():
 @given(st.lists(st.floats(min_value=-100, max_value=100,
                           allow_nan=False, allow_infinity=False),
                 min_size=2, max_size=400))
-def test_welford_matches_two_pass(values):
+def test_running_sums_match_two_pass(values):
     state = ConvergenceState.for_dim(1, max_samples=10 ** 9)
     for v in values:
         state, _ = update_convergence(state, [v])
     arr = np.array(values)
     assert state.mean[0] == pytest.approx(arr.mean(), rel=1e-10, abs=1e-10)
     assert state.std()[0] == pytest.approx(arr.std(ddof=1), rel=1e-10, abs=1e-10)
+
+
+@st.composite
+def cv_streams(draw):
+    """A random (n, d) stream whose columns are Gaussian around a mean that
+    may be near zero, alternate +-c (mean exactly zero at every even count),
+    sit within 1e-14 of zero, or hold one value; plus threshold and cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 1500))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["gauss", "alternating", "tiny", "constant"]),
+                              min_size=1, max_size=5)):
+        c = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+        if kind == "gauss":
+            mean = c * rng.choice([1e-13, 1e-3, 1.0, 30.0])
+            columns.append(mean + rng.uniform(0.001, 2.0) * rng.standard_normal(n))
+        elif kind == "alternating":
+            columns.append(np.where(np.arange(n) % 2 == 0, c, -c))
+        elif kind == "tiny":
+            columns.append(1e-14 * rng.standard_normal(n))
+        else:
+            columns.append(np.full(n, c))
+    threshold = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    cap = draw(st.integers(1, n + 5))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    return np.column_stack(columns), threshold, cap, cuts
+
+
+def fold_by_rows(stream, threshold, cap):
+    """The per-row reference: update_convergence until the rule fires."""
+    state = ConvergenceState.for_dim(stream.shape[1], threshold=threshold, max_samples=cap)
+    for row in stream:
+        state, done = update_convergence(state, row)
+        if done:
+            break
+    return state
+
+
+def state_bits(state):
+    return state.count, state.shift.tobytes(), state.s1.tobytes(), state.s2.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cv_streams())
+def test_folding_at_any_cuts_is_the_row_by_row_fold(case):
+    """Blocks cut anywhere leave the bits of the one-row fold and fire at the
+    two-pass formula's row, or stop at the cap without converging."""
+    stream, threshold, cap, cuts = case
+    state = ConvergenceState.for_dim(stream.shape[1], threshold=threshold, max_samples=cap)
+    converged = False
+    for start, stop in zip([0] + cuts, cuts + [len(stream)]):
+        used, converged = fold_convergence(state, stream[start:stop])
+        if converged or state.count == cap:
+            break
+        assert used == stop - start
+    assert state_bits(state) == state_bits(fold_by_rows(stream, threshold, cap))
+    fired = brute_cv_converged_at(stream[:cap], threshold)
+    assert converged == (fired is not None)
+    assert state.count == (fired if converged else min(cap, len(stream)))
+
+
+def test_identical_rows_fire_at_two_in_one_block():
+    state = ConvergenceState.for_dim(3)
+    assert fold_convergence(state, np.tile([3.0, 0.0, -1e-13], (10, 1))) == (2, True)
+    assert state.count == 2 and np.array_equal(state.std(), np.zeros(3))
+
+
+def test_a_test_that_holds_on_the_cap_row_is_convergence():
+    """The cap row counts as converged when the cv test holds there too."""
+    state = ConvergenceState.for_dim(1, max_samples=2)
+    assert fold_convergence(state, np.ones((5, 1))) == (2, True)
+    state = ConvergenceState.for_dim(1, max_samples=2)
+    assert fold_convergence(state, np.array([[1.0], [2.0], [1.0]])) == (2, False)
+    assert update_convergence(state, [1.0]) == (state, True)
+    assert state.count == 2
+
+
+def test_shifted_sums_keep_a_small_spread_beside_a_large_mean():
+    """Sums shifted by the first row keep the variance of values that differ
+    far below the mean, where plain sums of squares would cancel; checked
+    against exact rational arithmetic."""
+    values = 1e9 + np.array([0.0, 1e-3, -1e-3, 2e-3] * 50)
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+    state = ConvergenceState.for_dim(1, threshold=0.0, max_samples=10 ** 9)
+    assert fold_convergence(state, values[:, None]) == (200, False)
+    assert state.std()[0] == pytest.approx(math.sqrt(var), rel=1e-12)
+    assert state.mean[0] == pytest.approx(float(mean), rel=1e-15)
+
+
+def test_fold_rejects_rows_of_the_wrong_width():
+    state = ConvergenceState.for_dim(2)
+    with pytest.raises(ValueError):
+        fold_convergence(state, np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        update_convergence(state, [1.0, 2.0, 3.0])
+    assert state.count == 0

@@ -561,7 +561,8 @@ def test_oracle_cost_covers_slack_adjustment(case14):
     dispatch = dc_opf(case14, p_load)
     sol = oracle_opf(case14, sample)
     assert sol.cost != pytest.approx(dispatch.cost, abs=1e-6)
-    direct = sum(g.cost(sol.p_gen[i]) for i, g in enumerate(case14.generators))
+    direct = sum(g.cost_a * p * p + g.cost_b * p + g.cost_c
+                 for g, p in zip(case14.generators, sol.p_gen))
     assert sol.cost == pytest.approx(direct, rel=1e-12)
 
 
