@@ -50,10 +50,6 @@ class SingularJacobian(PopflowError):
 class Infeasible(PopflowError):
     """Dispatch constraints cannot all be satisfied."""
 
-    def __init__(self, message: str, violated=()):
-        self.violated = tuple(violated)
-        super().__init__(message)
-
 
 class DispatchStalled(PopflowError):
     """The dispatch active-set iteration hit its round cap without an optimum."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -175,7 +176,13 @@ def _expect(obj, key, path, types, type_name):
     if types is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise SchemaError(f"{path}.{key}", f"expected {type_name}, got {type(val).__name__}")
-        return float(val)
+        try:
+            num = float(val)
+        except OverflowError:   # an integer literal beyond the float range
+            num = math.inf
+        if not math.isfinite(num):
+            raise SchemaError(f"{path}.{key}", f"expected a finite number, got {num}")
+        return num
     if not isinstance(val, types) or isinstance(val, bool):
         raise SchemaError(f"{path}.{key}", f"expected {type_name}, got {type(val).__name__}")
     return val

@@ -191,6 +191,7 @@ class _OracleWork:
     def __init__(self):
         self.solves = 0
         self.warm_hits = 0
+        self.rounds = 0          # active-set rounds of every dispatched row
         self.newton_iterations = 0
         self.newton_blocks = 0
         self.drops = Counter()   # failed solves by exception type name
@@ -206,14 +207,16 @@ class _OracleWork:
     def add(self, block: OracleBlock) -> None:
         self.solves += int(block.solved.sum())
         self.warm_hits += int(np.count_nonzero(block.rounds[block.solved] == 0))
+        self.rounds += int(block.rounds.sum())
         self.newton_iterations += int(block.iterations[block.solved].sum())
         self.newton_blocks += block.newton_blocks
         self.drops.update(type(exc).__name__ for exc in block.errors.values())
 
     def log(self, stage: str) -> None:
         log.debug("%s: %d oracle solves, %d warm dispatch hits, %d active-set fallbacks, "
-                  "%.3g Newton iterations per solve, %d Newton sub-blocks, drops %s",
-                  stage, self.solves, self.warm_hits, self.solves - self.warm_hits,
+                  "%d active-set rounds, %.3g Newton iterations per solve, %d Newton sub-blocks, "
+                  "drops %s",
+                  stage, self.solves, self.warm_hits, self.solves - self.warm_hits, self.rounds,
                   self.newton_iterations / max(self.solves, 1), self.newton_blocks,
                   dict(self.drops))
 

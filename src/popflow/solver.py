@@ -11,6 +11,10 @@ All quantities per-unit. Slack and PV buses regulate 1.0 pu voltage.
 Per-case constants (Ybus, PTDF, constraint rows, index grids) live in a
 ``CompiledCase`` that ``compile_case`` builds once per case object.
 
+The dispatch QP has one linear-algebra kernel, the KKT system of the rows
+held at equality (``_DispatchQP.active_set``): it verifies remembered active
+sets on whole blocks and gives every round of the active-set iteration.
+
 The oracle works on blocks of sample rows (``oracle_block``): the loads of
 the block are mapped once, each remembered dispatch active set is tried on
 every unsolved row at once, Newton runs on stacked Jacobians with each row
@@ -592,12 +596,13 @@ def dispatch_block(case: NetworkCase, loads: np.ndarray) -> DispatchBlock:
     unsolved row at once, with one KKT solve per row, and accepted for a row
     only under the strict test of ``_verified_rows``. The first row that no
     remembered set solves goes to the primal active-set iteration
-    (``_cold_dispatch``: exact for convex quadratic costs, constraint ties
-    broken by lowest index). Its final set, when it passes the same test for
-    that row, is remembered and tried on the remaining rows; otherwise the
-    row keeps the iteration's point (a degenerate optimum). A set that passes
-    is the unique strictly complementary optimal set, so no row's result
-    depends on which sets were remembered or on the other rows.
+    (``_cold_dispatch``: one KKT solve per round, a proximal round on flat
+    directions, constraint ties broken by lowest index). Its final set, when
+    it passes the same test for that row, is remembered and tried on the
+    remaining rows; otherwise the row keeps the iteration's point (a
+    degenerate optimum). A set that passes is the unique strictly
+    complementary optimal set, so no row's result depends on which sets were
+    remembered or on the other rows.
     """
     loads = np.asarray(loads, dtype=float)
     if loads.ndim != 2 or loads.shape[1] != case.n_bus:
@@ -616,10 +621,10 @@ def dispatch_block(case: NetworkCase, loads: np.ndarray) -> DispatchBlock:
     over = total > capacity + 1e-12
     under = ~over & (total < minimum - 1e-12)
     errors = {int(r): Infeasible(f"total load {total[r]:.6f} pu exceeds total capacity "
-                                 f"{capacity:.6f} pu", violated=("capacity",))
+                                 f"{capacity:.6f} pu")
               for r in np.flatnonzero(over)}
     errors.update((int(r), Infeasible(f"total load {total[r]:.6f} pu below total minimum "
-                                      f"output {minimum:.6f} pu", violated=("minimum_output",)))
+                                      f"output {minimum:.6f} pu"))
                   for r in np.flatnonzero(under))
     todo = np.flatnonzero(~(over | under))
     h = qp.h(loads)
@@ -658,6 +663,17 @@ def dispatch_block(case: NetworkCase, loads: np.ndarray) -> DispatchBlock:
                          errors=dict(sorted(errors.items())))
 
 
+def _kkt_rhs(qp: _DispatchQP, active: _ActiveSet, total: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Right-hand sides ``[-cost_b, total, h[working]]`` of the KKT system of
+    ``active``, one per entry of ``total`` and row of ``h``."""
+    ng = len(qp.p_min)
+    rhs = np.empty((len(total), active.kkt.shape[0]))
+    rhs[:, :ng] = -qp.cost_b
+    rhs[:, ng] = total
+    rhs[:, ng + 1:] = h[:, active.index]
+    return rhs
+
+
 def _verified_rows(qp: _DispatchQP, active: _ActiveSet, total: np.ndarray, h: np.ndarray):
     """Minimizers with the rows of ``active`` held at equality, one per entry
     of ``total`` and row of ``h``, and the mask of those that are the strictly
@@ -665,10 +681,7 @@ def _verified_rows(qp: _DispatchQP, active: _ActiveSet, total: np.ndarray, h: np
     above ``_MULT_TOL``, every other row's slack above ``_ACTIVE_TOL``, and
     stationarity to ``_KKT_TOL``. A singular KKT matrix fails every row."""
     ng = len(qp.p_min)
-    rhs = np.empty((len(total), active.kkt.shape[0]))
-    rhs[:, :ng] = -qp.cost_b
-    rhs[:, ng] = total
-    rhs[:, ng + 1:] = h[:, active.index]
+    rhs = _kkt_rhs(qp, active, total, h)
     try:
         sol = np.linalg.solve(active.kkt, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -682,12 +695,6 @@ def _verified_rows(qp: _DispatchQP, active: _ActiveSet, total: np.ndarray, h: np
     return ok, p
 
 
-def _cold_dispatch(qp: _DispatchQP, total: float, h: np.ndarray):
-    """The active-set iteration for one row that no remembered set solves,
-    from a feasible start: the final point, working set and rounds."""
-    return _active_set_qp(qp, h, _feasible_start(qp, total, h))
-
-
 def _feasible_start(qp: _DispatchQP, total: float, h: np.ndarray) -> np.ndarray:
     p_min, p_max, G = qp.p_min, qp.p_max, qp.G
     span = p_max - p_min
@@ -699,20 +706,14 @@ def _feasible_start(qp: _DispatchQP, total: float, h: np.ndarray) -> np.ndarray:
     # proportional fill violates a flow limit: phase-1 LP for a feasible point
     ng = len(p_min)
     n_rows = G.shape[0] - 2 * ng
-    g_flow = G[2 * ng:]
-    h_flow = h[2 * ng:]
     c = np.concatenate([np.zeros(ng), np.ones(n_rows)])
-    a_ub = np.hstack([g_flow, -np.eye(n_rows)])
+    a_ub = np.hstack([G[2 * ng:], -np.eye(n_rows)])
     a_eq = np.concatenate([np.ones(ng), np.zeros(n_rows)])[None, :]
     bounds = [(lo, hi) for lo, hi in zip(p_min, p_max)] + [(0, None)] * n_rows
-    res = linprog(c, A_ub=a_ub, b_ub=h_flow, A_eq=a_eq, b_eq=[total],
+    res = linprog(c, A_ub=a_ub, b_ub=h[2 * ng:], A_eq=a_eq, b_eq=[total],
                   bounds=bounds, method="highs")
     if res.status != 0 or res.fun > 1e-8:
-        bad = ()
-        if res.status == 0:
-            bad = tuple(qp.names[2 * ng + i] for i in np.flatnonzero(res.x[ng:] > 1e-8))
-        raise Infeasible("flow limits cannot be met together with balance and generator limits",
-                         violated=bad)
+        raise Infeasible("flow limits cannot be met together with balance and generator limits")
     p0 = res.x[:ng]
     # repair the LP's balance rounding so the equality holds to machine precision
     resid = total - p0.sum()
@@ -723,82 +724,60 @@ def _feasible_start(qp: _DispatchQP, total: float, h: np.ndarray) -> np.ndarray:
     return p0
 
 
-def _active_set_qp(qp: _DispatchQP, h: np.ndarray, x: np.ndarray):
-    """Primal active-set for the dispatch QP from the feasible point ``x``;
-    handles semidefinite H (linear costs).
+def _cold_dispatch(qp: _DispatchQP, total: float, h: np.ndarray):
+    """Primal active-set method for one row that no remembered set solves,
+    from ``_feasible_start`` (Nocedal & Wright, *Numerical Optimization*,
+    2006, §16.5).
 
-    Returns the solution, the final working set (sorted row indices) and the
-    number of rounds taken.
+    Each round solves the working set's KKT system for the subproblem's
+    minimizer and multipliers. The working set starts empty and gains only
+    rows with ``G_i d > 0`` along a step ``d`` with ``C d = 0``, so its rows
+    stay independent and the system is singular only where linear-cost
+    generators leave a flat direction. Such a round adds ``|y - x|^2 / 2``
+    over those generators and takes an exact line search on the true cost.
+    Either step stops at the first blocking row, which joins the working set.
+    Returns the solution, the final working set (sorted) and the rounds.
     """
-    H, g, G, a_eq = qp.H, qp.cost_b, qp.G, np.ones((1, len(qp.cost_b)))
-    working = [int(i) for i in np.flatnonzero(G @ x - h >= -_ACTIVE_TOL)]
+    x = _feasible_start(qp, total, h)
+    G, ng = qp.G, len(x)
+    flat = np.flatnonzero(qp.cost_a == 0)
+    working = []
     max_rounds = 100 + 20 * len(h)
 
     for rounds in range(1, max_rounds + 1):
-        C = np.vstack([a_eq, G[working]]) if working else a_eq
-        grad = H @ x + g
-        d, unbounded = _eqp_direction(H, grad, C)
+        active = qp.active_set(working)
+        kkt, rhs = active.kkt, _kkt_rhs(qp, active, np.array([total]), h[None])[0]
+        try:
+            sol, step = np.linalg.solve(kkt, rhs), 1.0
+        except np.linalg.LinAlgError:
+            kkt = kkt.copy()
+            kkt[flat, flat] += 1.0
+            rhs[flat] += x[flat]
+            sol, step = np.linalg.solve(kkt, rhs), None
+        d = sol[:ng] - x
 
         if np.linalg.norm(d) <= _STEP_TOL:
-            mults, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
-            lam = mults[1:]
+            lam = sol[ng + 1:]
             if lam.size == 0 or lam.min() >= -_MULT_TOL:
                 return x, working, rounds
             # ties resolved toward the lowest constraint index
-            worst = lam.min()
-            candidates = [k for k, v in enumerate(lam) if v <= worst + 1e-12]
-            drop_pos = min(candidates, key=lambda k: working[k])
-            working.pop(drop_pos)
+            working.pop(int(np.flatnonzero(lam <= lam.min() + 1e-12)[0]))
             continue
 
-        slack = h - G @ x
-        step_len = np.inf if unbounded else 1.0
+        if step is None:   # exact line search on the true cost; infinite on a flat ray
+            curvature = 2.0 * (qp.cost_a * d * d).sum()
+            slope = (2.0 * qp.cost_a * x + qp.cost_b) @ d
+            step = -slope / curvature if curvature > 0 else np.inf
+        slack, g_d = h - G @ x, G @ d
         blocker = -1
-        g_dot_d = G @ d
-        for i in range(len(h)):
-            if i in working or g_dot_d[i] <= 1e-12:
-                continue
-            alpha_i = slack[i] / g_dot_d[i]
-            if alpha_i < step_len - 1e-12:
-                step_len = max(alpha_i, 0.0)
-                blocker = i
-        if not np.isfinite(step_len):
-            raise Infeasible("dispatch objective unbounded over the feasible set")
-        x = x + step_len * d
-        if blocker >= 0 and (unbounded or step_len < 1.0 - 1e-12):
-            working.append(blocker)
-            working.sort()
+        for i in np.flatnonzero(g_d > 1e-12):
+            if i not in working and slack[i] / g_d[i] < step - 1e-12:
+                step, blocker = max(slack[i] / g_d[i], 0.0), int(i)
+        x = x + step * d
+        if blocker >= 0:
+            working = sorted([*working, blocker])
 
     raise DispatchStalled(f"active-set iteration did not terminate in {max_rounds} rounds")
-
-
-def _eqp_direction(H, grad, C):
-    """Minimizing direction of the equality-constrained subproblem.
-
-    Returns (direction, unbounded). ``unbounded`` marks a ray along which the
-    reduced objective decreases linearly (degenerate/linear cost case); the
-    caller must run it into a blocking constraint.
-    """
-    u, s, vt = np.linalg.svd(C)
-    rank = int(np.sum(s > 1e-11 * max(1.0, s[0] if s.size else 1.0)))
-    Z = vt[rank:].T
-    if Z.shape[1] == 0:
-        return np.zeros(len(grad)), False
-    Hz = Z.T @ H @ Z
-    gz = Z.T @ grad
-    w, V = np.linalg.eigh(Hz)
-    scale = max(1.0, float(w[-1])) if w.size else 1.0
-    null = w <= 1e-12 * scale
-    proj = V.T @ gz
-    if np.any(null & (np.abs(proj) > 1e-11)):
-        k = int(np.argmax(np.abs(proj) * null))
-        ray = -np.sign(proj[k]) * (Z @ V[:, k])
-        return ray, True
-    pos = ~null
-    dz = -(V[:, pos] @ (proj[pos] / w[pos]))
-    return Z @ dz, False
-
-
 
 
 # ---------------------------------------------------------------------------

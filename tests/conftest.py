@@ -118,24 +118,21 @@ def dispatch_kkt_residual(case: NetworkCase, loads: np.ndarray, sol: DispatchSol
 
 def stall_dispatch(monkeypatch, stalled=lambda miss: True):
     """Run the chosen misses of the block dispatch into the active-set round
-    cap: a tiny fixed step never reaches a stationary point. Misses, the rows
-    that no remembered active set solves, are numbered from 1."""
+    cap: with a negative step tolerance no round meets the stop test. Misses,
+    the rows that no remembered active set solves, are numbered from 1."""
     from popflow import solver
 
     misses = [0]
-    real_miss, real_direction = solver._cold_dispatch, solver._eqp_direction
+    real_miss = solver._cold_dispatch
 
     def counted_miss(qp, total, h):
         misses[0] += 1
-        return real_miss(qp, total, h)
-
-    def direction(H, grad, C):
-        if stalled(misses[0]):
-            return np.full(len(grad), 1e-9), False
-        return real_direction(H, grad, C)
+        with monkeypatch.context() as mp:
+            if stalled(misses[0]):
+                mp.setattr(solver, "_STEP_TOL", -1.0)
+            return real_miss(qp, total, h)
 
     monkeypatch.setattr(solver, "_cold_dispatch", counted_miss)
-    monkeypatch.setattr(solver, "_eqp_direction", direction)
 
 
 @pytest.fixture(scope="session")

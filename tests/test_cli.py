@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,22 @@ def test_validate_malformed_json_exit_two(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{{{", encoding="utf-8")
     assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("section, field, value", [("generators", "p_max_mw", math.inf),
+                                                   ("branches", "x", math.nan),
+                                                   ("buses", "p_load_mw", -math.inf),
+                                                   ("generators", "cost_b", 10 ** 400)])
+def test_validate_non_finite_number_exit_two(tmp_path, capsys, section, field, value):
+    """Python's json reads NaN, Infinity and integers past the float range,
+    which no float holds; the case parser refuses them as a schema error that
+    names the field."""
+    doc = json.loads(serialize_case(bundled_case("twobus")))
+    doc[section][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert f"$.{section}[0].{field}: expected a finite number" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,13 @@ def test_oracle_work_goes_to_the_debug_log(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="popflow"):
         ds = generate_training_data(two_bus_case(), 30, seed=6)
     [line] = [r.getMessage() for r in caplog.records if r.name == "popflow"]
-    # the first solve stalls, the second runs the active-set iteration, and
+    # the first solve stalls, the second runs the active-set iteration (one
+    # round: the single generator's KKT target is the balance point), and
     # the rest reuse the set it found; each of the two redraw rounds runs
     # one Newton sub-block
     assert line.startswith("gen-data: 30 oracle solves, 29 warm dispatch hits, "
                            "1 active-set fallbacks, ")
+    assert ", 1 active-set rounds, " in line
     assert line.endswith(" Newton iterations per solve, 2 Newton sub-blocks, "
                          "drops {'DispatchStalled': 1}")
     assert ds.provenance["dropped"] == 1

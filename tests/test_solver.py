@@ -397,13 +397,38 @@ def test_dispatch_is_independent_of_warm_sets(seed, linear, scalings):
         assert dispatch_kkt_residual(case, scale * loads, warm) <= 1e-8
 
 
+def _flat_direction_cases():
+    """Two rings of _random_small_case's layout that stall two variants of
+    the cold iteration (sweep seeds 476 and 3128, with load on every bus).
+
+    (a) Linear generators whose cost_b differ by 3e-4 relative, beside a
+    quadratic one: a fixed full proximal step creeps about 0.002 pu a round
+    and stalls here, where the exact line search does not.
+    (b) Mixed linear and quadratic costs, where the first KKT target drives
+    the linear generator below p_min: a line search on a nonsingular round
+    reads rounding noise near the optimum and stalls here.
+    """
+    specs = [([(0.93707, 0.0, 9.23463), (1.16228, 0.0, 9.23712), (1.03679, 2.49587, 16.4392)],
+              [(0.1809, 0.974022), (0.100574, 0.367978), (0.276731, 1.0942), (0.246881, 0.446975)],
+              [0.188953, 0.0316481, 0.148354, 0.561152]),
+             ([(1.36711, 1.61319, 9.7394), (0.597186, 0.0, 15.2484), (0.921684, 0.986874, 11.0152)],
+              [(0.0681679, 1.14936), (0.19079, 1.03419), (0.260674, 0.860868), (0.24598, 1.09927)],
+              [0.074429, 0.0708505, 0.00195281, 1.27354])]
+    for gens, lines, loads in specs:
+        buses = [make_bus(0, SLACK), make_bus(1, PV), make_bus(2, PV), make_bus(3, PQ)]
+        branches = [make_branch(i, (i + 1) % 4, x=x, limit=limit)
+                    for i, (x, limit) in enumerate(lines)]
+        generators = [make_gen(i, 0.0, p_max, a=a, b=b) for i, (p_max, a, b) in enumerate(gens)]
+        yield make_case(buses=buses, branches=branches, generators=generators), np.array(loads)
+
+
 def test_dispatch_matches_grid_search_on_random_cases():
     rng = np.random.Generator(np.random.PCG64(42))
     solved = 0
-    attempts = 0
-    while solved < 20 and attempts < 200:
-        attempts += 1
-        case, loads = _random_small_case(rng)
+    for case, loads in [*_flat_direction_cases(),
+                        *(_random_small_case(rng) for _ in range(200))]:
+        if solved == 22:
+            break
         try:
             sol = dc_opf(case, loads)
         except Infeasible:
@@ -419,8 +444,9 @@ def test_dispatch_matches_grid_search_on_random_cases():
         assert np.all(sol.p_gen >= np.array([g.p_min for g in case.generators]) - 1e-9)
         assert np.all(sol.p_gen <= np.array([g.p_max for g in case.generators]) + 1e-9)
         assert sol.p_gen.sum() == pytest.approx(loads.sum(), abs=1e-9)
+        assert np.array_equal(dc_opf(fresh_copy(case), loads).p_gen, sol.p_gen)
         solved += 1
-    assert solved >= 20
+    assert solved == 22
 
 
 # ---------------------------------------------------------------------------
