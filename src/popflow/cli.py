@@ -209,7 +209,7 @@ def cmd_popf(args) -> int:
         print(f"1 sample evaluated in {result.seconds:.6g} s; std fields are degenerate")
         return EXIT_OK
 
-    stats = pipeline.compute_statistics(result.values)
+    stats = result.stats
     write_tsv(stats_path, ["index", "mean", "std"], zip(labels, stats.mean, stats.std))
 
     wanted = cfg.get("report", {}).get("density_indexes") or pipeline.default_density_labels(case)

@@ -348,6 +348,16 @@ def validate_case(case: NetworkCase) -> list:
     out = []
     n = case.n_bus
 
+    out.extend(_non_finite("system", {"base_mva": case.base_mva}))
+    for b in case.buses:
+        out.extend(_non_finite(f"bus {b.id}", vars(b)))
+    for i, br in enumerate(case.branches):
+        out.extend(_non_finite(f"branch {i}", vars(br)))
+    for i, g in enumerate(case.generators):
+        out.extend(_non_finite(f"generator {i}", vars(g)))
+    for i, s in enumerate(case.sources):
+        out.extend(_non_finite(f"source {i}", s.params))
+
     if case.base_mva <= 0:
         out.append("system: base_mva must be positive")
 
@@ -396,6 +406,13 @@ def validate_case(case: NetworkCase) -> list:
         out.append("branch graph is not connected")
 
     return out
+
+
+def _non_finite(entity: str, fields: dict) -> list:
+    """One violation per NaN or infinite float among ``fields``."""
+    return [f"{entity}: {name} must be finite, got {value}"
+            for name, value in fields.items()
+            if isinstance(value, float) and not math.isfinite(value)]
 
 
 def _source_violations(s: StochasticSource) -> list:

@@ -6,9 +6,25 @@ consumption at every PQ bus, so all stochastic sources must sit on PQ buses
 Outputs are flattened OPF solution vectors: cost, bus voltage magnitudes,
 generator outputs, branch flows.
 
-Inference runs in fixed row blocks on the ``INFER_CHUNK`` grid, on a thread
-pool sized to the usable cores, each block writing only its own rows:
-predictions do not depend on the core count (see ``rowblocks``).
+Inference runs the model's ``sdae.inference_copy``, whose first and top
+layers carry the min-max scaling, so rows are never normalized or
+denormalized. It runs in fixed row blocks on the ``INFER_CHUNK`` grid, on one
+thread per BLAS thread team that fits on the usable cores, each block writing
+only its own rows: predictions do not depend on the core count (see
+``rowblocks``).
+
+A Monte-Carlo run (``run_popf``) is one block pass: the normals are drawn and
+correlated on the calling thread, then every 4,096-row block transforms its
+marginals, computes its features, runs the folded network on its
+``INFER_CHUNK`` grid and writes its outputs, on the same workers as
+inference; no feature matrix spans the run. A fixed-count run's blocks also
+write their shifted moment sums, and each ``--converge`` chunk goes through
+the same pass before the stopping rule folds it.
+
+Statistics are block-merged moments: each block sums ``x - shift`` and its
+squares (``shift`` the block's first row), and the calling thread merges the
+blocks in block order, so means and stds have the same bits for any worker
+count, and a run's ``stats`` equal ``compute_statistics`` of its values.
 
 Method comparison runs three solvers over one seed-matched sample matrix and
 pools their errors at the fixed ``EXCEEDANCE_THRESHOLDS``:
@@ -40,7 +56,7 @@ from .sampling import (DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, ZERO_MEAN,
 from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OracleBlock, bus_loads, compile_case,
                      dispatch_block, dot_rows, oracle_block, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
-from .rowblocks import for_each_block, workers
+from .rowblocks import BLOCK_ROWS, for_each_block, workers
 
 # inference always walks the sample matrix in chunks of this many rows, so
 # predictions do not depend on how callers batch their queries
@@ -77,17 +93,22 @@ class TrainingDataset:
 
 
 @dataclass
+class Statistics:
+    mean: np.ndarray
+    std: np.ndarray
+
+
+@dataclass
 class PopfRunResult:
+    """A Monte-Carlo run's outputs; ``seconds`` covers drawing and the block
+    pass, and ``stats`` (None below two rows) equals
+    ``compute_statistics(values)`` bit for bit."""
+
     values: np.ndarray
     seconds: float
     n_samples: int
     converged: bool | None = None
-
-
-@dataclass
-class Statistics:
-    mean: np.ndarray
-    std: np.ndarray
+    stats: Statistics | None = None
 
 
 @dataclass
@@ -118,13 +139,22 @@ class PopfReport:
 
 def operating_features(case: NetworkCase, sample_values: np.ndarray) -> np.ndarray:
     """PQ-bus active and reactive consumption for each sample row."""
-    pq = case.pq_indices()
+    _check_observable(case)
+    return _features(case, np.atleast_2d(np.asarray(sample_values, dtype=float)))
+
+
+def _check_observable(case: NetworkCase) -> None:
     for i, src in enumerate(case.sources):
         if case.buses[src.bus].kind != PQ:
             raise ValidationError(
                 f"source {i}: bus {src.bus} is not PQ; the surrogate input cannot "
                 "observe it")
-    p, q = bus_loads(case, np.atleast_2d(np.asarray(sample_values, dtype=float)))
+
+
+def _features(case: NetworkCase, samples: np.ndarray) -> np.ndarray:
+    """``operating_features`` of an (n, n_sources) matrix, unchecked."""
+    pq = case.pq_indices()
+    p, q = bus_loads(case, samples)
     return np.hstack([p[:, pq], q[:, pq]])
 
 
@@ -298,31 +328,31 @@ def train_popf_model(dataset: TrainingDataset, cfg: sdae.TrainConfig):
 
 
 def infer(model: sdae.SdaeModel, x: np.ndarray) -> np.ndarray:
-    """Normalize, forward in fixed chunks, denormalize.
+    """The model's outputs for the input rows ``x``, in their own units.
 
-    Rows run in fixed blocks (a multiple of ``INFER_CHUNK``) on one thread
-    per BLAS thread team that fits on the usable cores, each block writing
-    only its own rows of the output, so the result does not depend on the
-    core count (see ``rowblocks``).
+    Runs the model's ``sdae.inference_copy`` (min-max scaling folded into its
+    first and top layers) in fixed blocks (a multiple of ``INFER_CHUNK``) on
+    one thread per BLAS thread team that fits on the usable cores, each block
+    writing only its own rows of the output, so the result does not depend on
+    the core count (see ``rowblocks``).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"model expects {model.input_dim} input features, got {x.shape[1]}")
+    net = sdae.inference_copy(model)
     out = np.empty((x.shape[0], model.output_dim))
-    for_each_block(x.shape[0], lambda start, stop: _infer_rows(model, x, out, start, stop),
+    for_each_block(x.shape[0], lambda start, stop: _infer_rows(net, x[start:stop],
+                                                               out[start:stop]),
                    blas=True)
     return out
 
 
-def _infer_rows(model: sdae.SdaeModel, x: np.ndarray, out: np.ndarray,
-                start: int, stop: int) -> None:
-    """Rows ``[start, stop)`` of ``infer``, in ``INFER_CHUNK`` chunks counted
-    from ``start``; ``start`` lies on the chunk grid."""
-    xn = sdae.normalize(x[start:stop], model.x_lo, model.x_hi)
-    for c in range(0, stop - start, INFER_CHUNK):
-        yn = sdae._run_layers(model, xn[c:c + INFER_CHUNK])
-        sdae.denormalize(yn, model.y_lo, model.y_hi, out=out[start + c:start + c + len(yn)])
+def _infer_rows(net: sdae.SdaeModel, x: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = the folded network ``net`` on ``x``, in ``INFER_CHUNK``
+    chunks counted from the first row."""
+    for c in range(0, len(x), INFER_CHUNK):
+        out[c:c + INFER_CHUNK] = sdae._run_layers(net, x[c:c + INFER_CHUNK])
 
 
 def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = None,
@@ -334,82 +364,115 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     Either a fixed sample count or convergence-driven: the run stops once the
     variance coefficient of every output index drops to the threshold, or at
     the sample cap. ``converged`` is true only when the threshold was met.
+    Rows go through one block pass per draw (see the module doc).
     """
-    if not converge:
-        if n_samples is None or n_samples < 1:
-            raise ValueError("n_samples must be at least 1 when not convergence-driven")
-        t0 = time.perf_counter()
-        rows = sample_operating_conditions(case, n_samples, spec, seed).values
-        t1 = time.perf_counter()
-        x = _model_features(model, case, rows)
-        t2 = time.perf_counter()
-        values = infer(model, x)
-        seconds = time.perf_counter() - t2
-        _log_popf_stages(t1 - t0, t2 - t1, seconds, len(rows), len(values), len(rows), len(x))
-        return PopfRunResult(values=values, seconds=seconds,
-                             n_samples=values.shape[0], converged=None)
-
-    if max_samples < 1:
+    if not converge and (n_samples is None or n_samples < 1):
+        raise ValueError("n_samples must be at least 1 when not convergence-driven")
+    if converge and max_samples < 1:
         raise ValueError("max_samples must be at least 1")
+    run = _SurrogatePass(model, case, spec, seed)
+    if not converge:
+        values, block_sums = run.rows(n_samples, moments=True)
+        stats = _merge_moments(block_sums) if n_samples > 1 else None
+        run.log(len(values))
+        return PopfRunResult(values=values, seconds=run.draw_s + run.pass_s,
+                             n_samples=len(values), converged=None, stats=stats)
+
     # Rows are drawn in chunks that double from 4 * INFER_CHUNK, each continuing
     # the column streams where the last stopped, so the rows equal those of one
     # max_samples draw and none is drawn twice; every chunk but the capped
     # last one is a multiple of INFER_CHUNK, so inference chunks stay aligned.
     state = ConvergenceState.for_dim(model.output_dim, threshold=cv_threshold,
                                      max_samples=max_samples)
-    stream = SampleStream(case, spec, seed)
     collected = []
     converged = False
-    seconds = draw_s = features_s = 0.0
-    drawn = widest = 0
     chunk = 4 * INFER_CHUNK
-    while drawn < max_samples and not converged:
+    while run.drawn < max_samples and not converged:
+        rows, _ = run.rows(min(chunk, max_samples - run.drawn))
         t0 = time.perf_counter()
-        rows = stream.draw(min(chunk, max_samples - drawn)).values
-        t1 = time.perf_counter()
-        x = _model_features(model, case, rows)
-        t2 = time.perf_counter()
-        for c in range(0, len(x), INFER_CHUNK):
-            block = infer(model, x[c:c + INFER_CHUNK])
-            used, converged = fold_convergence(state, block)
-            collected.append(block[:used])
-            if converged:
-                break
-        seconds += time.perf_counter() - t2
-        draw_s += t1 - t0
-        features_s += t2 - t1
-        drawn += len(rows)
-        widest = max(widest, len(rows))
+        used, converged = fold_convergence(state, rows)
+        run.stage_s[-1] += time.perf_counter() - t0
+        collected.append(rows[:used])
         chunk *= 2
     values = np.vstack(collected)
+    t0 = time.perf_counter()
+    stats = compute_statistics(values) if len(values) > 1 else None
+    run.stage_s[-1] += time.perf_counter() - t0
     _, _, stderr, limit = state.rule_terms()
     ratio = stderr / limit
     worst = int(np.argmax(ratio))
-    _log_popf_stages(draw_s, features_s, seconds, drawn, len(values), widest, INFER_CHUNK,
-                     f"; largest stderr/limit {ratio[worst]:.3g}, at {output_labels(case)[worst]}")
-    return PopfRunResult(values=values, seconds=seconds,
-                         n_samples=values.shape[0], converged=converged)
+    run.log(len(values), f"; largest stderr/limit {ratio[worst]:.3g}, at "
+                         f"{output_labels(case)[worst]}")
+    return PopfRunResult(values=values, seconds=run.draw_s + run.pass_s,
+                         n_samples=len(values), converged=converged, stats=stats)
 
 
-def _log_popf_stages(draw_s, features_s, infer_s, drawn, used, draw_rows, infer_rows,
-                     stop="") -> None:
-    """One DEBUG line per run; ``drawn`` counts every row the sampler made,
-    the thread counts are the row-block workers of the run's widest draw and
-    inference call (``draw_rows`` and ``infer_rows`` rows), and ``stop`` ends
-    a convergence run's line with the output that decided its stop."""
-    log.debug("popf: %.3g s drawing, %.3g s featurizing, %.3g s inferring; "
-              "%d rows drawn, %d used; %d drawing and %d inferring threads%s",
-              draw_s, features_s, infer_s, drawn, used, workers(draw_rows),
-              workers(infer_rows, blas=True), stop)
+class _SurrogatePass:
+    """One seed's Monte-Carlo rows through the folded network, block by block
+    (see the module doc), with the stage times of the run's DEBUG line."""
 
+    STAGES = ("transforming", "featurizing", "inferring", "summing moments")
 
-def _model_features(model: sdae.SdaeModel, case: NetworkCase, sample_values) -> np.ndarray:
-    x = operating_features(case, sample_values)
-    if x.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"case yields {x.shape[1]} features but the model was trained on "
-            f"{model.input_dim}; was the model trained on a different case?")
-    return x
+    def __init__(self, model: sdae.SdaeModel, case: NetworkCase,
+                 spec: CorrelationSpec | None, seed: int):
+        _check_observable(case)
+        width = 2 * len(case.pq_indices())
+        if width != model.input_dim:
+            raise DimensionMismatch(
+                f"case yields {width} features but the model was trained on "
+                f"{model.input_dim}; was the model trained on a different case?")
+        self.case = case
+        self.net = sdae.inference_copy(model)
+        self.stream = SampleStream(case, spec, seed)
+        self.draw_s = self.pass_s = 0.0
+        self.stage_s = np.zeros(len(self.STAGES))
+        self.drawn = self.widest = 0
+
+    def rows(self, n: int, moments: bool = False):
+        """The next n output rows, and with ``moments`` each block's
+        ``_shifted_sums`` in block order (else None)."""
+        t0 = time.perf_counter()
+        z = self.stream.normals(n)
+        t1 = time.perf_counter()
+        out = np.empty((n, self.net.output_dim))
+        n_blocks = -(-n // BLOCK_ROWS)
+        times = np.zeros((n_blocks, len(self.STAGES)))
+        sums = [None] * n_blocks
+
+        def block(start, stop):
+            k = start // BLOCK_ROWS
+            times[k], sums[k] = self._block(z[start:stop], out[start:stop], moments)
+
+        for_each_block(n, block, blas=True)
+        self.draw_s += t1 - t0
+        self.pass_s += time.perf_counter() - t1
+        self.stage_s += times.sum(axis=0)
+        self.drawn += n
+        self.widest = max(self.widest, n)
+        return out, sums if moments else None
+
+    def _block(self, z: np.ndarray, out: np.ndarray, moments: bool):
+        t0 = time.perf_counter()
+        samples = np.empty_like(z)
+        self.stream._transform_rows(z, samples)
+        t1 = time.perf_counter()
+        x = _features(self.case, samples)
+        t2 = time.perf_counter()
+        _infer_rows(self.net, x, out)
+        t3 = time.perf_counter()
+        sums = _shifted_sums(out) if moments else None
+        return (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3), sums
+
+    def log(self, used: int, stop: str = "") -> None:
+        """One DEBUG line per run; the workers are those of the widest pass,
+        and ``stop`` ends a convergence run's line with the output that
+        decided its stop. A convergence run's moment seconds are its
+        stopping-rule folds and final statistics."""
+        stages = ", ".join(f"{t:.3g} s {name}" for name, t in zip(self.STAGES, self.stage_s))
+        log.debug("popf: %.3g s drawing, %.3g s in the block pass (over blocks: %s); "
+                  "%d rows drawn, %d used; %d block workers%s",
+                  self.draw_s, self.pass_s, stages, self.drawn, used,
+                  workers(self.widest, blas=True), stop)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +480,48 @@ def _model_features(model: sdae.SdaeModel, case: NetworkCase, sample_values) -> 
 
 
 def compute_statistics(values: np.ndarray) -> Statistics:
-    """Column means and sample stds."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    """Column means and sample stds, from per-block shifted sums merged in
+    block order (see ``_merge_moments``), so the bits do not depend on the
+    worker count."""
+    values = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)))
     if values.shape[0] < 2:
         raise ValueError("need at least 2 samples for statistics")
-    return Statistics(mean=values.mean(axis=0), std=values.std(axis=0, ddof=1))
+    sums = [None] * -(-len(values) // BLOCK_ROWS)
+
+    def block(start, stop):
+        sums[start // BLOCK_ROWS] = _shifted_sums(values[start:stop])
+
+    for_each_block(len(values), block)
+    return _merge_moments(sums)
+
+
+def _shifted_sums(rows: np.ndarray):
+    """A block's row count, shift (its first row), and the column sums of
+    ``rows - shift`` and of its squares."""
+    shift = rows[0].copy()
+    d = rows - shift
+    return len(rows), shift, np.einsum("ij->j", d), np.einsum("ij,ij->j", d, d)
+
+
+def _merge_moments(blocks) -> Statistics:
+    """Means and sample stds from ``_shifted_sums`` of consecutive blocks,
+    merged one block at a time in block order by the pairwise update of
+    Chan, Golub & LeVeque (Amer. Stat. 37(3), 1983). Means are merged as
+    offsets from the first row, so their rounding follows the spread, not
+    the mean; a constant column has std exactly 0."""
+    origin = blocks[0][1]
+    n = 0
+    for count, shift, s1, s2 in blocks:
+        block_mean = (shift - origin) + s1 / count
+        block_m2 = np.maximum(s2 - s1 * s1 / count, 0.0)
+        if n == 0:
+            mean, m2 = block_mean, block_m2
+        else:
+            delta = block_mean - mean
+            mean = mean + delta * (count / (n + count))
+            m2 = m2 + block_m2 + delta * delta * (n * count / (n + count))
+        n += count
+    return Statistics(mean=origin + mean, std=np.sqrt(m2 / (n - 1)))
 
 
 def histogram_densities(columns, bins: int):

@@ -19,21 +19,24 @@ every round-0 stream, and no round-0 draw can reproduce it.
 The PV marginal inverts the regularized incomplete beta function without
 calling ``betaincinv`` per value. For each ``(alpha, beta)`` a start table of
 quantiles at 2,049 nodes of ``|z|`` in [0, 8.3] is built once with
-``betaincinv`` and cached. A value's start is interpolated between its two
-nodes, linearly in ``|z|`` on the log of the quantile, and then corrected by
-a fixed number of Newton steps on ``I_x(a, b)`` (Cran, Martin & Thomas, AS
-109, 1977), so no convergence test decides its bits. Each tail is solved on
+``betaincinv`` and cached, with the slope ``d log x / d|z| = -phi(|z|) /
+(f(x) x)`` at each node (``f`` the beta density). A value's start is the
+cubic Hermite interpolant of the log quantile between its two nodes, from
+their values and slopes, and one Newton step on ``I_x(a, b)`` (Cran, Martin
+& Thomas, AS 109, 1977) finishes it, so no convergence test decides its
+bits and each value costs one ``betainc`` call. Each tail is solved on
 its own side: ``z <= 0`` solves ``I_x(alpha, beta) = Phi(z)``, ``z > 0``
 solves ``I_y(beta, alpha) = Phi(-z)`` and returns ``1 - y``, so the upper
 tail is not lost to ``Phi(z)`` rounding near 1. Every value depends on its
 own ``z`` only, which keeps draws prefix-stable.
 
-Drawing the normals and correlating them run on the calling thread; the
-marginal transforms run over fixed row blocks on every usable core
-(``rowblocks``). Each block writes only its own rows, so a draw does not
-depend on the core count. A ``SampleStream`` keeps every column's generator
-between draws, so consecutive draws of n1, n2, ... rows are the rows of one
-draw of n1 + n2 + ... rows.
+Drawing the normals and correlating them run on the calling thread
+(``SampleStream.normals``); the marginal transforms run over fixed row blocks
+on every usable core (``rowblocks``), or inside the Monte-Carlo block pass of
+``pipeline.run_popf``. Each block writes only its own rows, so a draw does
+not depend on the core count. A ``SampleStream`` keeps every column's
+generator between draws, so consecutive draws of n1, n2, ... rows are the
+rows of one draw of n1 + n2 + ... rows.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ ZERO_MEAN = 1e-12
 # nodes of |z| for the beta quantile start table; past the last node
 # betaincinv answers directly
 _BETA_START_NODES = np.linspace(0.0, 8.3, 2049)
-_BETA_NEWTON_STEPS = 2
+_BETA_NEWTON_STEPS = 1
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,8 @@ def transform_marginal(z, source: StochasticSource):
     """Map standard-normal values to per-unit injections for one source.
 
     PV is ``rated * I^-1_{alpha,beta}(Phi(z))``, computed by
-    ``_beta_quantile_of_normal`` (start table plus fixed Newton steps, each
-    tail on its own side; see the module doc).
+    ``_beta_quantile_of_normal`` (Hermite start from a table plus one Newton
+    step, each tail on its own side; see the module doc).
     """
     z = np.asarray(z, dtype=float)
     p = source.params
@@ -176,20 +179,26 @@ def _beta_quantile_of_normal(a: float, b: float, z) -> np.ndarray:
 
 def _beta_lower_quantile(p: float, q: float, s: np.ndarray) -> np.ndarray:
     """Solve ``I_x(p, q) = Phi(-s)`` for each ``s >= 0``: the table start, then
-    ``_BETA_NEWTON_STEPS`` Newton steps. Each step is clipped to the start's
-    cell, which holds the root, so an iterate never leaves (0, 1)."""
+    ``_BETA_NEWTON_STEPS`` Newton steps. The start and each step are clipped
+    to the start's cell, which holds the root, so an iterate never leaves
+    (0, 1)."""
     t = ndtr(-s)
-    nodes, log_nodes, s_max = _beta_start_table(p, q)
+    nodes, log_nodes, slopes, s_max = _beta_start_table(p, q)
     inside = s <= s_max
     out = np.empty_like(s)
     out[~inside] = betaincinv(p, q, t[~inside])
     t = t[inside]
-    pos = s[inside] / _BETA_START_NODES[1]
+    step = _BETA_START_NODES[1]
+    pos = s[inside] / step
     cell = np.minimum(pos.astype(np.intp), len(nodes) - 2)
     frac = pos - cell
     # the quantile falls as s grows: a cell's left node is its upper bound
     hi, lo = nodes[cell], nodes[cell + 1]
-    x = np.exp(log_nodes[cell] + frac * (log_nodes[cell + 1] - log_nodes[cell]))
+    # cubic Hermite in log x from both nodes' values and slopes, in Horner form
+    log0, rise = log_nodes[cell], log_nodes[cell + 1] - log_nodes[cell]
+    m0, m1 = step * slopes[cell], step * slopes[cell + 1]
+    cubic = m0 + m1 - 2.0 * rise
+    x = np.clip(np.exp(log0 + frac * (m0 + frac * (rise - m0 - cubic + frac * cubic))), lo, hi)
     log_beta = betaln(p, q)
     for _ in range(_BETA_NEWTON_STEPS):
         density = np.exp((p - 1.0) * np.log(x) + (q - 1.0) * np.log1p(-x) - log_beta)
@@ -198,20 +207,24 @@ def _beta_lower_quantile(p: float, q: float, s: np.ndarray) -> np.ndarray:
     return out
 
 
-# 32 KB per entry; bounded so that a sweep over shape parameters cannot grow it
+# 48 KB per entry; bounded so that a sweep over shape parameters cannot grow it
 @functools.lru_cache(maxsize=128)
 def _beta_start_table(p: float, q: float):
-    """``I^-1_{p,q}(Phi(-s))`` at the start nodes, their logs, and the largest
-    ``s`` the table covers. A shape so small that some node underflows below
-    the smallest normal float or rounds up to 1 covers nothing (-inf), and
-    betaincinv answers that whole tail."""
+    """``I^-1_{p,q}(Phi(-s))`` at the start nodes, their logs, the slopes
+    ``d log x / ds = -phi(s) / (f(x) x)`` there (``f`` the beta density),
+    and the largest ``s`` the table covers. A shape so small that some node
+    underflows below the smallest normal float or rounds up to 1 covers
+    nothing (-inf), and betaincinv answers that whole tail."""
     nodes = betaincinv(p, q, ndtr(-_BETA_START_NODES))
     if not np.all((nodes >= np.finfo(float).tiny) & (nodes < 1.0)):
-        return nodes[:0], nodes[:0], -np.inf
+        return nodes[:0], nodes[:0], nodes[:0], -np.inf
     log_nodes = np.log(nodes)
-    nodes.flags.writeable = False
-    log_nodes.flags.writeable = False
-    return nodes, log_nodes, _BETA_START_NODES[-1]
+    log_phi = -0.5 * _BETA_START_NODES ** 2 - 0.5 * np.log(2.0 * np.pi)
+    log_density_x = p * log_nodes + (q - 1.0) * np.log1p(-nodes) - betaln(p, q)
+    slopes = -np.exp(log_phi - log_density_x)
+    for table in (nodes, log_nodes, slopes):
+        table.flags.writeable = False
+    return nodes, log_nodes, slopes, _BETA_START_NODES[-1]
 
 
 def wind_power_curve(speed, params):
@@ -259,16 +272,23 @@ class SampleStream:
     def draw(self, n: int) -> SampleMatrix:
         """The next n rows: drawn and correlated here, then transformed over
         fixed row blocks on every usable core."""
+        z = self.normals(n)
+        values = np.empty_like(z)
+        for_each_block(n, lambda start, stop: self._transform_rows(z[start:stop],
+                                                                   values[start:stop]))
+        return SampleMatrix(values=values)
+
+    def normals(self, n: int) -> np.ndarray:
+        """The next n rows of correlated standard normals, on this thread."""
         z = _draw_normals(self._generators, n)
         if self.spec is not None and self.spec.groups:
             z = correlate(z, self.spec)
-        values = np.empty_like(z)
-        for_each_block(n, lambda start, stop: self._transform_rows(z, values, start, stop))
-        return SampleMatrix(values=values)
+        return z
 
-    def _transform_rows(self, z, values, start, stop) -> None:
+    def _transform_rows(self, z, values) -> None:
+        """Write the marginal transforms of the normals ``z`` into ``values``."""
         for j, src in enumerate(self.sources):
-            values[start:stop, j] = transform_marginal(z[start:stop, j], src)
+            values[:, j] = transform_marginal(z[:, j], src)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ dtype they are given; normalization and the fine-tuning losses are float64.
 ``pipeline.train_popf_model`` trains in float32, which halves the bytes
 every epoch moves and runs its matrix products in single precision, then
 widens the final weights to float64; checkpoints and inference are float64.
+Inference runs an ``inference_copy`` of the model, whose first and top
+layers carry the min-max scaling, so no row is normalized or denormalized.
 
 Determinism: all randomness (init, corruption masks, batch shuffles) comes
 from PCG64 streams derived from the config seed, so identical configs yield
@@ -172,16 +174,12 @@ def normalize(v, lo, hi):
     return out.reshape(shape)
 
 
-def denormalize(v, lo, hi, out=None):
-    """Inverse of normalize: degenerate columns restore their stored constant.
-
-    With ``out`` (a float64 array of the result's shape) the result is
-    written there instead of into a new array.
-    """
+def denormalize(v, lo, hi):
+    """Inverse of normalize: degenerate columns restore their stored constant."""
     v, lo, hi, shape = _as_columns(v, lo, hi)
     span = hi - lo
     fixed = np.flatnonzero(span == 0)
-    out = np.multiply(v, span, out=out)
+    out = v * span
     out += lo
     out[..., fixed] = lo[fixed]
     return out.reshape(shape)
@@ -195,6 +193,43 @@ def _as_columns(v, lo, hi):
     v = np.broadcast_to(np.asarray(v, dtype=float), full)
     lo, hi = (np.broadcast_to(np.asarray(a, dtype=float), full[-1:]) for a in (lo, hi))
     return v, lo, hi, shape
+
+
+def inference_copy(model: SdaeModel) -> SdaeModel:
+    """A float64 inference model with ``model``'s min-max scaling folded into
+    new first and top layers (the layers between are shared):
+    ``_run_layers(copy, x)`` maps raw inputs to outputs in their own units,
+    with no normalize or denormalize pass.
+
+    The first layer takes the input scaling. A ranged column's weights are
+    divided by its span and its ``lo`` moves into the bias; a constant
+    nonzero column (normalized to 1) moves its weights into the bias and gets
+    weight 0; an all-zero column keeps its raw weight, as it passes through
+    normalization unchanged. The top layer takes the output scaling: a
+    ranged output's row and bias scale by its span and ``lo`` joins the
+    bias, and a constant output gets a zero row and returns exactly ``lo``.
+    """
+    if model.x_lo is None or model.y_lo is None:
+        raise ValueError("model has no stored normalization bounds; train it first")
+    span = model.x_hi - model.x_lo
+    ranged = span != 0
+    constant = ~ranged & (model.x_hi != 0)
+    first = model.layers[0]
+    w = first.w / np.where(ranged, span, 1.0)
+    w[:, constant] = 0.0
+    b = first.b + first.w[:, constant].sum(axis=1) - w[:, ranged] @ model.x_lo[ranged]
+
+    span = model.y_hi - model.y_lo
+    fixed = span == 0
+    top_w = model.top_w * span[:, None]
+    top_b = model.top_b * span + model.y_lo
+    top_w[fixed] = 0.0
+    top_b[fixed] = model.y_lo[fixed]
+
+    layers = [DaeLayer(w=w, b=b, w_dec=None, b_dec=None)]
+    layers += [DaeLayer(w=np.asarray(l.w, dtype=float), b=np.asarray(l.b, dtype=float),
+                        w_dec=None, b_dec=None) for l in model.layers[1:]]
+    return SdaeModel(layers=layers, top_w=top_w, top_b=top_b, corruption_level=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Case parsing, validation, and round-trip serialization."""
 
 import json
+import math
 
 import pytest
 
 from popflow.errors import SchemaError, ValidationError
 from popflow.grid import (case_hash, parse_case, serialize_case, validate_case)
 
-from conftest import make_branch, make_bus, make_case, make_gen, two_bus_case
+from conftest import (gaussian_source, make_branch, make_bus, make_case, make_gen,
+                      two_bus_case)
 
 
 def minimal_doc():
@@ -130,6 +132,25 @@ def test_validate_disconnected_graph():
         generators=[make_gen(0)],
     )
     assert any("not connected" in v for v in validate_case(case))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_validate_reports_every_non_finite_number(value):
+    """A case built in code skips the parser's finite check; validation names
+    each non-finite field, and a finite case reports none."""
+    case = make_case(
+        buses=[make_bus(0, "slack"), make_bus(1, "pq", p=value)],
+        branches=[make_branch(0, 1, b_sh=value)],
+        generators=[make_gen(0, p_max=value, a=value)],
+        sources=[gaussian_source(1, mean=value, std=0.1)],
+        base_mva=value,
+    )
+    violations = validate_case(case)
+    for entity, name in [("system", "base_mva"), ("bus 1", "p_load"), ("branch 0", "b_sh"),
+                         ("generator 0", "p_max"), ("generator 0", "cost_a"),
+                         ("source 0", "mean")]:
+        assert f"{entity}: {name} must be finite, got {value}" in violations
+    assert not any("must be finite" in v for v in validate_case(two_bus_case()))
 
 
 def test_validate_source_parameters():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -353,26 +353,31 @@ def test_popf_stage_times_go_to_the_debug_log(tiny_trained, caplog, monkeypatch)
         run_popf(model, case, n_samples=5 * rowblocks.BLOCK_ROWS, seed=2)
     lines = [r.getMessage() for r in caplog.records if r.name == "popflow"]
     assert len(lines) == 5
-    pattern = (r"popf: \S+ s drawing, \S+ s featurizing, \S+ s inferring; "
-               r"(\d+) rows drawn, (\d+) used; (\d+) drawing and (\d+) inferring threads"
+    seconds = r"(\S+) s"
+    pattern = (rf"popf: {seconds} drawing, {seconds} in the block pass \(over blocks: "
+               rf"{seconds} transforming, {seconds} featurizing, {seconds} inferring, "
+               rf"{seconds} summing moments\); "
+               r"(\d+) rows drawn, (\d+) used; (\d+) block workers"
                r"(?:; largest stderr/limit (\S+), at (\S+))?")
     matches = [re.fullmatch(pattern, line) for line in lines]
-    counts = [tuple(map(int, m.groups()[:4])) for m in matches]
-    stops = [m.groups()[4:] for m in matches]
-    assert counts[0] == (700, 700, 1, 1)
+    assert all(matches), lines
+    assert all(float(t) >= 0 for m in matches for t in m.groups()[:6])
+    counts = [tuple(map(int, m.groups()[6:9])) for m in matches]
+    stops = [m.groups()[9:] for m in matches]
+    assert counts[0] == (700, 700, 1)
     # the cap stops the run in its second round, which draws only rows
     # 2049..3000; no call reaches a second row block
     assert capped.converged is False
-    assert counts[1] == (3000, 3000, 1, 1)
+    assert counts[1] == (3000, 3000, 1)
     # only the convergence run names the output that held it to the cap
     assert stops[1][1] in output_labels(case) and float(stops[1][0]) > 1
     assert all(stop == (None, None) for i, stop in enumerate(stops) if i != 1)
-    # one thread per usable core, but no more than there are blocks
-    assert counts[2] == (rowblocks.BLOCK_ROWS + 1,) * 2 + (2, 2)
-    assert counts[3] == (5 * rowblocks.BLOCK_ROWS,) * 2 + (3, 3)
-    # a BLAS that spreads each product over the three cores leaves inference
-    # on one thread
-    assert counts[4] == (5 * rowblocks.BLOCK_ROWS,) * 2 + (3, 1)
+    # one block worker per usable core, but no more than there are blocks
+    assert counts[2] == (rowblocks.BLOCK_ROWS + 1,) * 2 + (2,)
+    assert counts[3] == (5 * rowblocks.BLOCK_ROWS,) * 2 + (3,)
+    # a BLAS that spreads each product over the three cores leaves the
+    # block pass, which infers, on one thread
+    assert counts[4] == (5 * rowblocks.BLOCK_ROWS,) * 2 + (1,)
 
 
 def test_popf_is_silent_by_default(tiny_trained, caplog):
@@ -398,6 +403,60 @@ def test_statistics_basic():
     stats = compute_statistics(np.array([[1.0], [2.0], [3.0]]))
     assert stats.mean[0] == pytest.approx(2.0)
     assert stats.std[0] == pytest.approx(1.0)
+
+
+def block_moment_rows(n, seed):
+    """n rows of five columns: offsets and scales far apart, means well away
+    from zero, and a constant column (index 2)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = rng.normal(size=(n, 5)) * [1.0, 1e-3, 0.0, 50.0, 2.0] + [5.0, 1e3, -7.25, 400.0, 0.0]
+    values[:, 4] = rng.uniform(0.0, 1.0, n) ** 3 - 1e2
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 3 * rowblocks.BLOCK_ROWS + 1), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2, seed=0)
+@example(n=rowblocks.BLOCK_ROWS, seed=1)
+@example(n=rowblocks.BLOCK_ROWS + 1, seed=2)
+@example(n=3 * rowblocks.BLOCK_ROWS + 1, seed=3)
+def test_block_moments_match_numpy(n, seed):
+    values = block_moment_rows(n, seed)
+    stats = compute_statistics(values)
+    ranged = [0, 1, 3, 4]
+    assert np.allclose(stats.mean, values.mean(axis=0), rtol=1e-12, atol=0.0)
+    assert np.allclose(stats.std[ranged], values.std(axis=0, ddof=1)[ranged], rtol=1e-12, atol=0.0)
+    assert stats.std[2] == 0.0 and stats.mean[2] == -7.25
+
+
+def test_block_moments_of_the_small_example_are_exact():
+    stats = compute_statistics([[1.0], [2.0], [3.0]])
+    assert stats.mean[0] == 2.0 and stats.std[0] == 1.0
+
+
+def test_block_moment_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    values = block_moment_rows(5 * rowblocks.BLOCK_ROWS + 77, 4)
+    results = []
+    for n_workers in (1, 2, 3):
+        monkeypatch.setattr(rowblocks, "_usable_cores", lambda: n_workers)
+        stats = compute_statistics(values)
+        results.append(stats.mean.tobytes() + stats.std.tobytes())
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_samples=2 * rowblocks.BLOCK_ROWS + 300),
+                                    dict(n_samples=2), dict(n_samples=1),
+                                    dict(converge=True, cv_threshold=1e-3, max_samples=9000),
+                                    dict(converge=True, max_samples=1)])
+def test_run_popf_stats_are_compute_statistics_of_its_values(tiny_trained, kwargs):
+    case, _, _, model, _ = tiny_trained
+    result = run_popf(model, case, seed=12, **kwargs)
+    if result.n_samples < 2:
+        assert result.stats is None
+        return
+    want = compute_statistics(result.values)
+    assert result.stats.mean.tobytes() == want.mean.tobytes()
+    assert result.stats.std.tobytes() == want.std.tobytes()
 
 
 def test_statistics_constant_column_degenerate_density():

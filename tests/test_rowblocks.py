@@ -1,5 +1,6 @@
-"""Row blocks: sampling and inference give the same bytes for any worker
-count, every row is covered once, and a block's error reaches the caller."""
+"""Row blocks: sampling, inference and the fused Monte-Carlo pass give the
+same bytes for any worker count, every row is covered once, and a block's
+error reaches the caller."""
 
 import sys
 import threading
@@ -9,7 +10,7 @@ import pytest
 
 from popflow import rowblocks, sdae
 from popflow.errors import NonFiniteLoss
-from popflow.pipeline import INFER_CHUNK, infer, operating_features
+from popflow.pipeline import INFER_CHUNK, infer, operating_features, run_popf
 from popflow.sampling import CorrelationSpec, sample_operating_conditions
 
 ROW_COUNTS = (1, 511, 513, 4095, 4097, 12345)
@@ -48,7 +49,8 @@ def test_blocks_lie_on_the_inference_grid():
 def test_sampling_and_inference_bytes_do_not_depend_on_the_worker_count(
         case14, case14_model, monkeypatch, n):
     """1, 2 and 3 workers (more than this machine may have cores) give the
-    same bytes; a short switch interval makes the threads interleave often."""
+    same bytes, and so do the fused block pass of ``run_popf`` and its
+    moments; a short switch interval makes the threads interleave often."""
     spec, model = case14_model
     results = []
     interval = sys.getswitchinterval()
@@ -57,24 +59,28 @@ def test_sampling_and_inference_bytes_do_not_depend_on_the_worker_count(
         for n_workers in (1, 2, 3):
             with_workers(monkeypatch, n_workers)
             values = sample_operating_conditions(case14, n, spec, seed=17).values
-            results.append((values.tobytes(), infer(model, operating_features(case14, values)).tobytes()))
+            inferred = infer(model, operating_features(case14, values))
+            run = run_popf(model, case14, n_samples=n, spec=spec, seed=17)
+            stats = (run.stats.mean.tobytes() + run.stats.std.tobytes()) if n > 1 else b""
+            results.append((values.tobytes(), inferred.tobytes(), run.values.tobytes(), stats))
     finally:
         sys.setswitchinterval(interval)
     assert results[1] == results[0]
     assert results[2] == results[0]
+    # the fused pass computes the rows of drawing, featurizing and inferring apart
+    assert results[0][2] == results[0][1]
 
 
 def test_inference_equals_the_chunked_forward_pass(case14, case14_model, monkeypatch):
-    """Inference over blocks gives the bits of normalizing the whole matrix,
-    running ``forward`` over consecutive INFER_CHUNK slices and
-    denormalizing the stacked result."""
+    """Inference over blocks gives the bits of running ``forward`` on the
+    model's scaling-folded ``inference_copy`` over consecutive INFER_CHUNK
+    slices of the raw inputs."""
     spec, model = case14_model
     with_workers(monkeypatch, 2)
     x = operating_features(case14, sample_operating_conditions(case14, 9000, spec, 3).values)
-    xn = sdae.normalize(x, model.x_lo, model.x_hi)
-    yn = np.vstack([sdae.forward(model, xn[i:i + INFER_CHUNK])[0]
-                    for i in range(0, len(xn), INFER_CHUNK)])
-    want = sdae.denormalize(yn, model.y_lo, model.y_hi)
+    net = sdae.inference_copy(model)
+    want = np.vstack([sdae.forward(net, x[i:i + INFER_CHUNK])[0]
+                      for i in range(0, len(x), INFER_CHUNK)])
     assert infer(model, x).tobytes() == want.tobytes()
 
 

@@ -24,6 +24,7 @@ from popflow.sdae import (RANGE_FLOOR, DaeLayer, SdaeModel, TrainConfig,
                           model_params, mse_loss, normalize, pretrain_layer,
                           pretrain_stack, relu, rmsprop_momentum_step,
                           save_model, _run_layers)
+from popflow.pipeline import infer
 
 
 def new_rng(seed=0):
@@ -122,9 +123,6 @@ def test_normalization_bits_match_the_where_rule():
             got, want = ours(x, lo, hi), where(x, lo, hi)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        out = np.full_like(x, np.nan)
-        denormalize(x, lo, hi, out=out)
-        assert out.tobytes() == _denormalize_by_where(x, lo, hi).tobytes()
     for args in ((2.5, 1.0, 3.0), (-0.0, -0.0, -0.0), (7.0, 4.0, 4.0)):
         assert normalize(*args).tobytes() == _normalize_by_where(*map(np.float64, args)).tobytes()
         assert denormalize(*args).tobytes() == _denormalize_by_where(*map(np.float64, args)).tobytes()
@@ -283,6 +281,46 @@ def test_inference_kernel_is_forward_bit_for_bit(dims, rows, model_dtype, x_dtyp
         assert got.dtype == other.dtype
         assert got.tobytes() == other.tobytes()
     assert x.tobytes() == x_before.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(1, 9), min_size=3, max_size=5), rows=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_folded_inference_matches_the_scaled_path(dims, rows, seed, data):
+    """``infer`` runs the scaling-folded ``inference_copy``; it agrees with
+    normalize -> ``_run_layers`` -> denormalize within 1e-12 of each output
+    column's scale, with ranged, constant nonzero and all-zero input columns,
+    and a constant output returns exactly its ``y_lo``."""
+    d_in, d_out = dims[0], dims[-1]
+    in_kinds = data.draw(st.lists(st.sampled_from(["ranged", "constant", "zero"]),
+                                  min_size=d_in, max_size=d_in))
+    out_kinds = data.draw(st.lists(st.sampled_from(["ranged", "constant", "zero"]),
+                                   min_size=d_out, max_size=d_out))
+    rng = new_rng(seed)
+    model = init_model(d_in, dims[1:-1], d_out, 0.0, rng)
+    for layer in model.layers:
+        layer.b = rng.uniform(-0.5, 0.5, layer.b.shape)
+    model.top_b = rng.uniform(-0.5, 0.5, d_out)
+
+    x_lo = rng.uniform(-10.0, 10.0, d_in)
+    x_hi = x_lo + rng.uniform(0.1, 10.0, d_in)
+    x = x_lo + rng.uniform(-0.2, 1.2, (rows, d_in)) * (x_hi - x_lo)
+    for j, kind in enumerate(in_kinds):
+        if kind != "ranged":
+            x_hi[j] = x_lo[j] = x_lo[j] if kind == "constant" else 0.0
+    y_lo = rng.uniform(-100.0, 100.0, d_out)
+    y_hi = y_lo + rng.uniform(1e-3, 100.0, d_out)
+    for j, kind in enumerate(out_kinds):
+        if kind != "ranged":
+            y_hi[j] = y_lo[j] = y_lo[j] if kind == "constant" else 0.0
+    model.x_lo, model.x_hi, model.y_lo, model.y_hi = x_lo, x_hi, y_lo, y_hi
+
+    want = denormalize(_run_layers(model, normalize(x, x_lo, x_hi)), y_lo, y_hi)
+    got = infer(model, x)
+    scale = np.maximum(np.abs(y_lo), np.abs(y_hi))
+    ranged = y_hi != y_lo
+    assert np.all(np.abs(got - want)[:, ranged] <= 1e-12 * scale[ranged])
+    assert np.array_equal(got[:, ~ranged], np.broadcast_to(y_lo[~ranged], (rows, (~ranged).sum())))
 
 
 def test_forward_dimension_mismatch():
