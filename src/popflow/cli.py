@@ -113,6 +113,27 @@ def _correlation_spec(cfg: dict, case) -> CorrelationSpec | None:
         raise UsageError(f"bad correlation spec: {exc}")
 
 
+def _report_options(cfg: dict, case) -> tuple:
+    """``report.bins`` and ``report.density_indexes`` (None when unset),
+    checked before any solve so that a bad value costs no work."""
+    report_cfg = cfg.get("report", {})
+    bins = report_cfg.get("bins", 50)
+    if isinstance(bins, bool) or not isinstance(bins, int) or bins < 1:
+        raise UsageError(f"report.bins must be a positive integer, got {bins!r}")
+    labels = report_cfg.get("density_indexes")
+    if labels is not None:
+        if not isinstance(labels, list):
+            raise UsageError(f"report.density_indexes must be a list of output labels, "
+                             f"got {labels!r}")
+        known = pipeline.output_labels(case)
+        for label in labels:
+            if label not in known:
+                raise UsageError(f"report.density_indexes: {label!r} is not an output "
+                                 f"label of the case (cost, v_mag:<bus>, p_gen:<i>, "
+                                 f"p_branch:<i>)")
+    return bins, labels
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -189,7 +210,7 @@ def cmd_popf(args) -> int:
     spec = _correlation_spec(cfg, case)
     sampling_cfg = cfg.get("sampling", {})
     seed = int(sampling_cfg.get("seed", 0))
-    bins = int(cfg.get("report", {}).get("bins", 50))
+    bins, density_labels = _report_options(cfg, case)
 
     model = sdae.load_model(checkpoint)
     if args.converge:
@@ -212,8 +233,7 @@ def cmd_popf(args) -> int:
     stats = result.stats
     write_tsv(stats_path, ["index", "mean", "std"], zip(labels, stats.mean, stats.std))
 
-    wanted = cfg.get("report", {}).get("density_indexes") or pipeline.default_density_labels(case)
-    for label in wanted:
+    for label in density_labels or pipeline.default_density_labels(case):
         col = result.values[:, labels.index(label)]
         edges, (dens,) = pipeline.histogram_densities([col], bins)
         pipeline.save_density_table(out_dir, label, edges, {"density": dens})
@@ -232,13 +252,11 @@ def cmd_compare(args) -> int:
     sampling_cfg = cfg.get("sampling", {})
     seed = int(sampling_cfg.get("seed", 0))
     n = int(sampling_cfg.get("n_mcs", 10_000))
-    report_cfg = cfg.get("report", {})
-    bins = int(report_cfg.get("bins", 50))
+    bins, density_labels = _report_options(cfg, case)
 
     model = sdae.load_model(checkpoint)
     report = pipeline.compare_methods(case, model, spec=spec, seed=seed, n_samples=n,
-                                      bins=bins,
-                                      density_labels=report_cfg.get("density_indexes"),
+                                      bins=bins, density_labels=density_labels,
                                       self_check=args.self_check)
     pipeline.save_report(report, out_dir)
     if report.self_check:

@@ -53,8 +53,8 @@ from .grid import PQ, NetworkCase, case_hash
 from .sampling import (DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, ZERO_MEAN,
                        ConvergenceState, CorrelationSpec, SampleStream, fold_convergence,
                        sample_operating_conditions)
-from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OracleBlock, bus_loads, compile_case,
-                     dispatch_block, dot_rows, oracle_block, solution_layout)
+from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OracleBlock, apply_sources, bus_loads,
+                     compile_case, dispatch_block, dot_rows, oracle_block, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
 from .rowblocks import BLOCK_ROWS, for_each_block, workers
 
@@ -152,10 +152,19 @@ def _check_observable(case: NetworkCase) -> None:
 
 
 def _features(case: NetworkCase, samples: np.ndarray) -> np.ndarray:
-    """``operating_features`` of an (n, n_sources) matrix, unchecked."""
-    pq = case.pq_indices()
-    p, q = bus_loads(case, samples)
-    return np.hstack([p[:, pq], q[:, pq]])
+    """``operating_features`` of an (n, n_sources) matrix, unchecked: the PQ
+    columns of ``bus_loads``, written in one pass into one array, the base
+    loads broadcast and each source applied to its own column."""
+    cc = compile_case(case)
+    n_pq = len(cc.pq)
+    column = {int(bus): i for i, bus in enumerate(cc.pq)}
+    out = np.empty((len(samples), 2 * n_pq))
+    p, q = out[:, :n_pq], out[:, n_pq:]
+    p[:] = cc.p_load[cc.pq]
+    q[:] = cc.q_load[cc.pq]
+    apply_sources(p, q, samples, [(column.get(bus), q_per_p)
+                                  for bus, q_per_p in cc.source_rules])
+    return out
 
 
 def feature_labels(case: NetworkCase) -> list:
@@ -548,20 +557,18 @@ def error_metrics(reference: np.ndarray, candidate: np.ndarray,
     """Relative mean/std errors and pooled exceedance probabilities.
 
     ``reference`` and ``candidate`` must be seed-matched sample sets of equal
-    shape: row i of both came from the same operating condition.
+    shape: row i of both came from the same operating condition. Means and
+    stds are ``compute_statistics``, the moments a report states.
     """
     reference = np.asarray(reference, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
     if reference.shape != candidate.shape:
         raise DimensionMismatch(f"reference {reference.shape} vs candidate {candidate.shape}")
 
-    mean0 = reference.mean(axis=0)
-    mean1 = candidate.mean(axis=0)
-    std0 = reference.std(axis=0, ddof=1)
-    std1 = candidate.std(axis=0, ddof=1)
-
-    e_mean, mean_flags = _relative_error(mean0, mean1)
-    e_std, std_flags = _relative_error(std0, std1)
+    stats0 = compute_statistics(reference)
+    stats1 = compute_statistics(candidate)
+    e_mean, mean_flags = _relative_error(stats0.mean, stats1.mean)
+    e_std, std_flags = _relative_error(stats0.std, stats1.std)
 
     layout = solution_layout(case)
     err = np.abs(candidate - reference)

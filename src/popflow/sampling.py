@@ -17,18 +17,24 @@ ahead of the key, so for such seeds a redraw stream is one word longer than
 every round-0 stream, and no round-0 draw can reproduce it.
 
 The PV marginal inverts the regularized incomplete beta function without
-calling ``betaincinv`` per value. For each ``(alpha, beta)`` a start table of
-quantiles at 2,049 nodes of ``|z|`` in [0, 8.3] is built once with
-``betaincinv`` and cached, with the slope ``d log x / d|z| = -phi(|z|) /
-(f(x) x)`` at each node (``f`` the beta density). A value's start is the
-cubic Hermite interpolant of the log quantile between its two nodes, from
-their values and slopes, and one Newton step on ``I_x(a, b)`` (Cran, Martin
-& Thomas, AS 109, 1977) finishes it, so no convergence test decides its
-bits and each value costs one ``betainc`` call. Each tail is solved on
-its own side: ``z <= 0`` solves ``I_x(alpha, beta) = Phi(z)``, ``z > 0``
-solves ``I_y(beta, alpha) = Phi(-z)`` and returns ``1 - y``, so the upper
-tail is not lost to ``Phi(z)`` rounding near 1. Every value depends on its
-own ``z`` only, which keeps draws prefix-stable.
+a special-function call per value (an inverse-CDF table with Hermite
+interpolation; Hoermann & Leydold, ACM TOMACS 13(4), 2003). Each tail is
+solved on its own side: ``z <= 0`` solves ``I_x(alpha, beta) = Phi(z)``,
+``z > 0`` solves ``I_y(beta, alpha) = Phi(-z)`` and returns ``1 - y``, so
+the upper tail is not lost to ``Phi(z)`` rounding near 1. For each
+``(p, q)`` a table is built once and cached: the quantiles ``x_k`` of
+``I_x(p, q) = Phi(-s_k)`` at the nodes ``s_k = k/256``, ``k = 0..2125``
+(``betaincinv``, polished by one Newton step on ``betainc``; Cran, Martin &
+Thomas, AS 109, 1977), and per cell the quintic Hermite interpolant of
+``w = log x`` from ``w``, ``h w'`` and ``h^2 w''`` at both ends (``h =
+1/256``), the derivatives taken from the quantile's ODE: ``w' = -phi(s) /
+(f(x) x)`` and ``w'' = -s w' - (p - (q - 1) x / (1 - x)) w'^2`` (``f`` the
+beta density). A value ``|z| = s`` falls in cell ``k = floor(256 s)`` at
+``u = 256 s - k``, both exact in binary, and is ``x_k exp(P_k(u))``
+clipped to the cell: no special function runs per value, and every node
+returns its table value. Past the last node, and for shapes so small that a
+node underflows or rounds to 1, ``betaincinv`` answers directly. Every value
+depends on its own ``z`` only, which keeps draws prefix-stable.
 
 Drawing the normals and correlating them run on the calling thread
 (``SampleStream.normals``); the marginal transforms run over fixed row blocks
@@ -58,10 +64,10 @@ DEFAULT_MAX_SAMPLES = 50_000
 # absolute criterion s/sqrt(n) <= threshold, and error metrics stay absolute
 ZERO_MEAN = 1e-12
 
-# nodes of |z| for the beta quantile start table; past the last node
-# betaincinv answers directly
-_BETA_START_NODES = np.linspace(0.0, 8.3, 2049)
-_BETA_NEWTON_STEPS = 1
+# nodes of |z| for the beta quantile table, s = k / 256 up to 8.30; past the
+# last node betaincinv answers directly
+_BETA_NODES_PER_UNIT = 256.0
+_BETA_NODES = np.arange(2126) / _BETA_NODES_PER_UNIT
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,8 @@ def transform_marginal(z, source: StochasticSource):
     """Map standard-normal values to per-unit injections for one source.
 
     PV is ``rated * I^-1_{alpha,beta}(Phi(z))``, computed by
-    ``_beta_quantile_of_normal`` (Hermite start from a table plus one Newton
-    step, each tail on its own side; see the module doc).
+    ``_beta_quantile_of_normal`` (quintic Hermite interpolation of a cached
+    table, each tail on its own side; see the module doc).
     """
     z = np.asarray(z, dtype=float)
     p = source.params
@@ -167,64 +173,85 @@ def transform_marginal(z, source: StochasticSource):
 
 
 def _beta_quantile_of_normal(a: float, b: float, z) -> np.ndarray:
-    """``I^-1_{a,b}(Phi(z))`` elementwise; the upper tail is ``1 - I^-1_{b,a}(Phi(-z))``."""
+    """``I^-1_{a,b}(Phi(z))`` elementwise; the upper tail is ``1 - I^-1_{b,a}(Phi(-z))``
+    (see the module doc)."""
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
+    s = np.abs(flat)
     upper = flat > 0
-    out = np.empty_like(flat)
-    out[~upper] = _beta_lower_quantile(a, b, -flat[~upper])
-    out[upper] = 1.0 - _beta_lower_quantile(b, a, flat[upper])
+    cells, lower_max, upper_max = _beta_quantile_table(a, b)
+    # NaN and values past the table read the last node here and are replaced below
+    pos = np.fmin(s, _BETA_NODES[-1]) * _BETA_NODES_PER_UNIT
+    cell = pos.astype(np.intp)
+    u = pos - cell
+    cell += upper * len(_BETA_NODES)
+    hi, lo, m0, c2, a3, a4, a5 = cells.take(cell, axis=1)
+    # x_k exp(u (m0 + u (c2 + u (a3 + u (a4 + u a5))))), clipped to the cell
+    x = a5 * u
+    for coef in (a4, a3, c2, m0):
+        x += coef
+        x *= u
+    np.exp(x, out=x)
+    x *= hi
+    np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+    out = np.where(upper, 1.0 - x, x)
+    past = ~(s <= np.where(upper, upper_max, lower_max))
+    if past.any():
+        i = np.flatnonzero(past & ~upper)
+        out[i] = betaincinv(a, b, ndtr(flat[i]))
+        i = np.flatnonzero(past & upper)
+        out[i] = 1.0 - betaincinv(b, a, ndtr(-flat[i]))
     return out.reshape(z.shape)
 
 
-def _beta_lower_quantile(p: float, q: float, s: np.ndarray) -> np.ndarray:
-    """Solve ``I_x(p, q) = Phi(-s)`` for each ``s >= 0``: the table start, then
-    ``_BETA_NEWTON_STEPS`` Newton steps. The start and each step are clipped
-    to the start's cell, which holds the root, so an iterate never leaves
-    (0, 1)."""
+# 238 KB per entry; bounded so that a sweep over shape parameters cannot grow it
+@functools.lru_cache(maxsize=32)
+def _beta_quantile_table(a: float, b: float):
+    """The cells of both tails side by side, lower (``_beta_tail_cells(a,
+    b)``) then upper (``_beta_tail_cells(b, a)``), and the largest ``s``
+    each tail's table covers."""
+    lower, lower_max = _beta_tail_cells(a, b)
+    upper, upper_max = _beta_tail_cells(b, a)
+    cells = np.hstack([lower, upper])
+    cells.flags.writeable = False
+    return cells, lower_max, upper_max
+
+
+def _beta_tail_cells(p: float, q: float):
+    """Rows ``x_k, x_{k+1}`` and the quintic's coefficients of ``u`` to
+    ``u^5`` over cell ``k`` of ``w = log I^-1_{p,q}(Phi(-s))`` (see the
+    module doc), one column per node; the last node's column is a cell of
+    zero width. A shape so small that some node underflows below the
+    smallest normal float or rounds up to 1 gets zeros and covers nothing
+    (-inf), and betaincinv answers that whole tail."""
+    s = _BETA_NODES
     t = ndtr(-s)
-    nodes, log_nodes, slopes, s_max = _beta_start_table(p, q)
-    inside = s <= s_max
-    out = np.empty_like(s)
-    out[~inside] = betaincinv(p, q, t[~inside])
-    t = t[inside]
-    step = _BETA_START_NODES[1]
-    pos = s[inside] / step
-    cell = np.minimum(pos.astype(np.intp), len(nodes) - 2)
-    frac = pos - cell
-    # the quantile falls as s grows: a cell's left node is its upper bound
-    hi, lo = nodes[cell], nodes[cell + 1]
-    # cubic Hermite in log x from both nodes' values and slopes, in Horner form
-    log0, rise = log_nodes[cell], log_nodes[cell + 1] - log_nodes[cell]
-    m0, m1 = step * slopes[cell], step * slopes[cell + 1]
-    cubic = m0 + m1 - 2.0 * rise
-    x = np.clip(np.exp(log0 + frac * (m0 + frac * (rise - m0 - cubic + frac * cubic))), lo, hi)
+    x = betaincinv(p, q, t)
+    cells = np.zeros((7, len(s)))
+    if not np.all((x >= np.finfo(float).tiny) & (x < 1.0)):
+        return cells, -np.inf
+    # betaincinv alone misses some nodes, by up to 4e-9 at symmetric medians
     log_beta = betaln(p, q)
-    for _ in range(_BETA_NEWTON_STEPS):
-        density = np.exp((p - 1.0) * np.log(x) + (q - 1.0) * np.log1p(-x) - log_beta)
-        x = np.clip(x - (betainc(p, q, x) - t) / density, lo, hi)
-    out[inside] = x
-    return out
-
-
-# 48 KB per entry; bounded so that a sweep over shape parameters cannot grow it
-@functools.lru_cache(maxsize=128)
-def _beta_start_table(p: float, q: float):
-    """``I^-1_{p,q}(Phi(-s))`` at the start nodes, their logs, the slopes
-    ``d log x / ds = -phi(s) / (f(x) x)`` there (``f`` the beta density),
-    and the largest ``s`` the table covers. A shape so small that some node
-    underflows below the smallest normal float or rounds up to 1 covers
-    nothing (-inf), and betaincinv answers that whole tail."""
-    nodes = betaincinv(p, q, ndtr(-_BETA_START_NODES))
-    if not np.all((nodes >= np.finfo(float).tiny) & (nodes < 1.0)):
-        return nodes[:0], nodes[:0], nodes[:0], -np.inf
-    log_nodes = np.log(nodes)
-    log_phi = -0.5 * _BETA_START_NODES ** 2 - 0.5 * np.log(2.0 * np.pi)
-    log_density_x = p * log_nodes + (q - 1.0) * np.log1p(-nodes) - betaln(p, q)
-    slopes = -np.exp(log_phi - log_density_x)
-    for table in (nodes, log_nodes, slopes):
-        table.flags.writeable = False
-    return nodes, log_nodes, slopes, _BETA_START_NODES[-1]
+    density = np.exp((p - 1.0) * np.log(x) + (q - 1.0) * np.log1p(-x) - log_beta)
+    x = x - (betainc(p, q, x) - t) / density
+    if not np.all((x >= np.finfo(float).tiny) & (x < 1.0)):
+        return cells, -np.inf
+    # w' and w'' times h and h^2, the slope in logs: w' = -phi(s) / (f(x) x)
+    log_density_x = p * np.log(x) + (q - 1.0) * np.log1p(-x) - log_beta
+    w1 = -np.exp(-0.5 * s * s - 0.5 * np.log(2.0 * np.pi) - log_density_x)
+    w2 = -s * w1 - (p - (q - 1.0) * x / (1.0 - x)) * w1 * w1
+    m = w1 / _BETA_NODES_PER_UNIT
+    c = w2 / _BETA_NODES_PER_UNIT ** 2
+    # P(0) = 0, P(1) = log(x_{k+1} / x_k), and P', P'' at both ends
+    rise = np.log(x[1:] / x[:-1]) - m[:-1] - 0.5 * c[:-1]
+    slope = m[1:] - m[:-1] - c[:-1]
+    bend = c[1:] - c[:-1]
+    cells[0], cells[1, :-1], cells[1, -1] = x, x[1:], x[-1]
+    cells[2:, :-1] = (m[:-1], 0.5 * c[:-1],
+                      10.0 * rise - 4.0 * slope + 0.5 * bend,
+                      -15.0 * rise + 7.0 * slope - bend,
+                      6.0 * rise - 3.0 * slope + 0.5 * bend)
+    return cells, s[-1]
 
 
 def wind_power_curve(speed, params):

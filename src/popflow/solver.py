@@ -798,13 +798,25 @@ def bus_loads(case: NetworkCase, samples: np.ndarray):
     cc = compile_case(case)
     p_load = np.tile(cc.p_load, (n, 1))
     q_load = np.tile(cc.q_load, (n, 1))
-    for k, (bus, q_per_p) in enumerate(cc.source_rules):
-        if q_per_p is None:
-            p_load[:, bus] -= samples[:, k]
-        else:
-            p_load[:, bus] = samples[:, k]
-            q_load[:, bus] = samples[:, k] * q_per_p
+    apply_sources(p_load, q_load, samples, cc.source_rules)
     return p_load, q_load
+
+
+def apply_sources(p_load: np.ndarray, q_load: np.ndarray, samples: np.ndarray,
+                  rules) -> None:
+    """Apply each source's column of ``samples`` to the load columns of
+    ``p_load`` and ``q_load``, in source order: a Gaussian load replaces the
+    column's P and sets its Q by the power factor, wind and PV inject against
+    it. ``rules`` are ``CompiledCase.source_rules`` with each bus replaced by
+    its column, or by None where no column holds that bus."""
+    for k, (col, q_per_p) in enumerate(rules):
+        if col is None:
+            continue
+        if q_per_p is None:
+            p_load[:, col] -= samples[:, k]
+        else:
+            p_load[:, col] = samples[:, k]
+            q_load[:, col] = samples[:, k] * q_per_p
 
 
 def oracle_opf(case: NetworkCase, sample: np.ndarray) -> OpfSolution:

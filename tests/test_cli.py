@@ -272,8 +272,36 @@ def test_popf_missing_checkpoint_fails(generated):
     assert rc != 0
 
 
+BAD_REPORT_SETTINGS = [("report.bins=0", "report.bins must be a positive integer"),
+                       ("report.bins=2.5", "report.bins must be a positive integer"),
+                       ("report.bins=fifty", "report.bins must be a positive integer"),
+                       ('report.density_indexes=["v_mag:99"]', "'v_mag:99' is not an output"),
+                       ('report.density_indexes="cost"', "must be a list of output labels")]
+
+
+def assert_bad_report_settings_refused(command, trained, capsys):
+    """Each bad report setting exits 2 with a usage message, and the command
+    writes nothing: the check runs before any sample is drawn or solved."""
+    cfg, tmp_path = trained
+    out_dir = tmp_path / "out"
+    before = sorted(p.relative_to(out_dir) for p in out_dir.rglob("*"))
+    capsys.readouterr()
+    for setting, message in BAD_REPORT_SETTINGS:
+        assert main([*command, "-c", str(cfg), "--set", setting]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.relative_to(out_dir) for p in out_dir.rglob("*")) == before
+
+
+def test_popf_bad_report_config_usage_error_before_sampling(trained, capsys):
+    assert_bad_report_settings_refused(["popf", "--samples", "50"], trained, capsys)
+
+
 # ---------------------------------------------------------------------------
 # compare
+
+
+def test_compare_bad_report_config_usage_error_before_solving(trained, capsys):
+    assert_bad_report_settings_refused(["compare"], trained, capsys)
 
 
 def test_compare_summary_and_report(trained, capsys):

@@ -14,7 +14,7 @@ from scipy.stats import norm
 from popflow import pipeline, rowblocks, sdae
 from popflow.errors import (DimensionMismatch, TooManyRejections,
                             ValidationError)
-from popflow.grid import bundled_case
+from popflow.grid import SRC_PV, SRC_WIND, StochasticSource, bundled_case
 from popflow.pipeline import (EXCEEDANCE_THRESHOLDS, compare_methods,
                               compute_statistics, error_metrics, feature_labels,
                               generate_training_data, histogram_densities,
@@ -22,7 +22,7 @@ from popflow.pipeline import (EXCEEDANCE_THRESHOLDS, compare_methods,
                               output_labels, run_popf, save_dataset,
                               save_report, split_indices, train_popf_model)
 from popflow.sampling import sample_operating_conditions
-from popflow.solver import oracle_opf
+from popflow.solver import bus_loads, oracle_opf
 
 from conftest import (apply_sample_reference, gaussian_source, make_branch,
                       make_bus, make_case, make_gen, stall_dispatch,
@@ -53,6 +53,43 @@ def test_features_match_per_sample_application(case14):
         p_load, q_load = apply_sample_reference(case14, row)
         assert np.array_equal(x[i, : len(pq)], p_load[pq])
         assert np.array_equal(x[i, len(pq):], q_load[pq])
+
+
+@st.composite
+def stacked_source_cases(draw):
+    """A ring of 2 to 4 PQ buses behind a slack bus, with a Gaussian load and
+    one or two wind or PV plants on one PQ bus (in any order), maybe a source
+    on another, and 1 or 2 to 9 rows of samples."""
+    n_pq = draw(st.integers(2, 4))
+    buses = [make_bus(0, "slack")] + [make_bus(i, "pq", p=0.1 * i, q=0.02 * i)
+                                      for i in range(1, n_pq + 1)]
+    target = draw(st.integers(1, n_pq))
+    stacked = [gaussian_source(target, 0.3, 0.05, pf=draw(st.floats(0.5, 1.0)))]
+    stacked += [StochasticSource(bus=target, kind=kind, params={})
+                for kind in draw(st.lists(st.sampled_from([SRC_WIND, SRC_PV]),
+                                          min_size=1, max_size=2))]
+    sources = draw(st.permutations(stacked))
+    if draw(st.booleans()):
+        sources.append(StochasticSource(bus=draw(st.integers(1, n_pq)), kind=SRC_PV,
+                                        params={}))
+    case = make_case(buses=buses, branches=[make_branch(i - 1, i) for i in range(1, n_pq + 1)],
+                     generators=[make_gen(0)], sources=sources)
+    n = draw(st.sampled_from([1, draw(st.integers(2, 9))]))
+    flat = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * len(sources),
+                         max_size=n * len(sources)))
+    return case, np.array(flat).reshape(n, len(sources))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_source_cases())
+def test_one_pass_features_are_the_pq_columns_of_bus_loads(case_and_samples):
+    """Features written in one pass are the PQ columns of bus_loads, bit for
+    bit, when several sources share a bus."""
+    case, samples = case_and_samples
+    pq = case.pq_indices()
+    p, q = bus_loads(case, samples)
+    want = np.hstack([p[:, pq], q[:, pq]])
+    assert operating_features(case, samples).tobytes() == want.tobytes()
 
 
 def test_features_reject_source_on_non_pq_bus():
@@ -521,6 +558,20 @@ def test_error_metrics_identity_is_zero(case14, rng):
     assert np.all(metrics.e_std == 0.0)
     for probs in metrics.exceedance.values():
         assert all(p == 0.0 for p in probs.values())
+
+
+def test_error_metrics_take_the_moments_of_compute_statistics(case14):
+    """A report's errors come from the moments it states: e_mean and e_std
+    are the relative errors of compute_statistics, bit for bit, over more
+    rows than one statistics block."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    d = case14.solution_dim()
+    reference = rng.uniform(1e3, 2e3, size=(rowblocks.BLOCK_ROWS + 700, d))
+    candidate = reference + rng.normal(0.0, 3.0, size=reference.shape)
+    metrics = error_metrics(reference, candidate, case14)
+    ref, cand = compute_statistics(reference), compute_statistics(candidate)
+    assert metrics.e_mean.tobytes() == (np.abs(cand.mean - ref.mean) / ref.mean).tobytes()
+    assert metrics.e_std.tobytes() == (np.abs(cand.std - ref.std) / ref.std).tobytes()
 
 
 def test_exceedance_fraction_example():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import betainc, betaincinv, ndtr
 
+from popflow import sampling
 from popflow.errors import NotPositiveDefinite
 from popflow.grid import SRC_PV, SRC_WIND, StochasticSource
 from popflow.sampling import (ConvergenceState, CorrelationSpec, SampleStream, correlate,
@@ -152,6 +153,38 @@ def mp_beta_quantile(alpha, beta, z):
             mpmath.mpf(betaincinv(p, q, ndtr(s))), solver="newton",
             df=lambda x: x ** (p - 1) * (1 - x) ** (q - 1) / mpmath.beta(p, q))
         return float(y if z <= 0 else 1 - y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=0.5, max_value=50.0), st.floats(min_value=0.5, max_value=50.0),
+       st.lists(st.floats(min_value=-8.3, max_value=8.3), min_size=1, max_size=6))
+# betaincinv(a, a, 1/2) is 3.8e-9 off here, the table's node 0 must not be
+@example(1.0990200757735384, 1.0990200757735384, [0.0, -1e-3, 2e-3])
+@example(50.0, 50.0, [-8.29, -5.0, 5.0, 8.29])
+@example(0.5, 30.0, [-8.3, 8.3, 6.2])
+def test_pv_quantile_matches_a_40_digit_quantile(alpha, beta, z):
+    """The table quantile is within 1e-13 of the 40-digit quantile, relative
+    to the quantity its tail solves for (x for z <= 0, 1 - x above), plus a
+    float spacing of x for the rounding of 1 - y. No Phi(z) is rounded per
+    value, so no reference-error term is needed near 1."""
+    x = transform_marginal(np.array(z), pv_source(alpha=alpha, beta=beta, rated=1.0))
+    for xi, zi in zip(x, z):
+        ref = mp_beta_quantile(alpha, beta, zi)
+        scale = ref if zi <= 0 else 1.0 - ref
+        assert abs(xi - ref) <= 1e-13 * scale + np.spacing(ref)
+
+
+@pytest.mark.parametrize("alpha,beta", [(2.06, 2.5), (0.5, 30.0), (50.0, 50.0)])
+def test_pv_quantile_returns_each_table_node_exactly(alpha, beta):
+    """At |z| = k/256 a value sits on a node (u = 0 exactly) and is that
+    node's table quantile, bit for bit, on either tail."""
+    nodes = sampling._BETA_NODES
+    assert np.array_equal(nodes * 256.0, np.arange(len(nodes)))
+    lower = sampling._beta_tail_cells(alpha, beta)[0][0]
+    upper = sampling._beta_tail_cells(beta, alpha)[0][0]
+    src = pv_source(alpha=alpha, beta=beta, rated=1.0)
+    assert transform_marginal(-nodes, src).tobytes() == lower.tobytes()
+    assert transform_marginal(nodes[1:], src).tobytes() == (1.0 - upper[1:]).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
