@@ -93,6 +93,20 @@ def _paths(cfg: dict):
     return out_dir, dataset_dir, checkpoint
 
 
+def _sampling_int(cfg: dict, key: str, default: int | None, minimum: int) -> int:
+    """``sampling.<key>`` (``default`` when unset) as an integer of at least
+    ``minimum``; anything else is a usage error, raised before any case
+    load, draw or write."""
+    section = cfg.get("sampling", {})
+    if not isinstance(section, dict):
+        raise UsageError(f"sampling must be a JSON object, got {section!r}")
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise UsageError(f"sampling.{key} must be an integer of at least {minimum}, "
+                         f"got {value!r}")
+    return value
+
+
 def _train_config(cfg: dict) -> sdae.TrainConfig:
     section = dict(cfg.get("train", {}))
     if "hidden_sizes" in section:
@@ -158,12 +172,9 @@ def cmd_validate(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.set)
+    n = _sampling_int(cfg, "n_train", 0, 1)
+    seed = _sampling_int(cfg, "seed", 0, 0)
     case = _require_case(cfg)
-    sampling_cfg = cfg.get("sampling", {})
-    n = int(sampling_cfg.get("n_train", 0))
-    if n < 1:
-        raise UsageError("sampling.n_train must be at least 1")
-    seed = int(sampling_cfg.get("seed", 0))
     spec = _correlation_spec(cfg, case)
     _, dataset_dir, _ = _paths(cfg)
 
@@ -205,20 +216,21 @@ def cmd_train(args) -> int:
 
 def cmd_popf(args) -> int:
     cfg = load_config(args.config, args.set)
+    seed = _sampling_int(cfg, "seed", 0, 0)
+    n = None
+    if not args.converge:
+        n = args.samples if args.samples is not None else _sampling_int(cfg, "n_mcs", None, 1)
+        if n < 1:
+            raise UsageError(f"--samples must be at least 1, got {n}")
     case = _require_case(cfg)
     out_dir, _, checkpoint = _paths(cfg)
     spec = _correlation_spec(cfg, case)
-    sampling_cfg = cfg.get("sampling", {})
-    seed = int(sampling_cfg.get("seed", 0))
     bins, density_labels = _report_options(cfg, case)
 
     model = sdae.load_model(checkpoint)
     if args.converge:
         result = pipeline.run_popf(model, case, spec=spec, seed=seed, converge=True)
     else:
-        n = args.samples if args.samples is not None else int(sampling_cfg.get("n_mcs", 0))
-        if n < 1:
-            raise UsageError("need --samples N (or sampling.n_mcs) of at least 1, or --converge")
         result = pipeline.run_popf(model, case, n_samples=n, spec=spec, seed=seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -246,12 +258,11 @@ def cmd_popf(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config, args.set)
+    seed = _sampling_int(cfg, "seed", 0, 0)
+    n = _sampling_int(cfg, "n_mcs", 10_000, 1)
     case = _require_case(cfg)
     out_dir, _, checkpoint = _paths(cfg)
     spec = _correlation_spec(cfg, case)
-    sampling_cfg = cfg.get("sampling", {})
-    seed = int(sampling_cfg.get("seed", 0))
-    n = int(sampling_cfg.get("n_mcs", 10_000))
     bins, density_labels = _report_options(cfg, case)
 
     model = sdae.load_model(checkpoint)

@@ -233,6 +233,8 @@ class _OracleWork:
         self.rounds = 0          # active-set rounds of every dispatched row
         self.newton_iterations = 0
         self.newton_blocks = 0
+        self.dispatch_s = 0.0    # wall-clock seconds; kept out of the output files
+        self.newton_s = 0.0
         self.drops = Counter()   # failed solves by exception type name
 
     @property
@@ -249,15 +251,17 @@ class _OracleWork:
         self.rounds += int(block.rounds.sum())
         self.newton_iterations += int(block.iterations[block.solved].sum())
         self.newton_blocks += block.newton_blocks
+        self.dispatch_s += block.dispatch_s
+        self.newton_s += block.newton_s
         self.drops.update(type(exc).__name__ for exc in block.errors.values())
 
     def log(self, stage: str) -> None:
         log.debug("%s: %d oracle solves, %d warm dispatch hits, %d active-set fallbacks, "
                   "%d active-set rounds, %.3g Newton iterations per solve, %d Newton sub-blocks, "
-                  "drops %s",
+                  "drops %s; %.3g s dispatching, %.3g s in Newton",
                   stage, self.solves, self.warm_hits, self.solves - self.warm_hits, self.rounds,
                   self.newton_iterations / max(self.solves, 1), self.newton_blocks,
-                  dict(self.drops))
+                  dict(self.drops), self.dispatch_s, self.newton_s)
 
 
 def save_dataset(ds: TrainingDataset, directory, case: NetworkCase) -> None:

@@ -8,7 +8,7 @@ from the final generator outputs.
 
 All quantities per-unit. Slack and PV buses regulate 1.0 pu voltage.
 
-Per-case constants (Ybus, PTDF, constraint rows, index grids) live in a
+Per-case constants (the Ybus pattern, PTDF, constraint rows) live in a
 ``CompiledCase`` that ``compile_case`` builds once per case object.
 
 The dispatch QP has one linear-algebra kernel, the KKT system of the rows
@@ -19,14 +19,17 @@ The oracle works on blocks of sample rows (``oracle_block``): the loads of
 the block are mapped once, each remembered dispatch active set is tried on
 every unsolved row at once, Newton runs on stacked Jacobians with each row
 frozen as soon as it converges or fails, and the slack correction and cost
-apply to the whole block. ``oracle_opf``, ``dc_opf`` and ``ac_power_flow``
-are one-row calls of the same kernels. A row's bits never depend on the rows
-that share its block, which the kernels keep by three rules:
+apply to the whole block. Newton works on Ybus's sparsity pattern, as
+MATPOWER's ``newtonpf`` does: bus currents sum gathered neighbours, and
+``dSbus_dV`` is evaluated at the nonzeros only. ``oracle_opf``, ``dc_opf``
+and ``ac_power_flow`` are one-row calls of the same kernels. A row's bits
+never depend on the rows that share its block, which the kernels keep by
+three rules:
 
 - No BLAS product touches row data. NumPy sends a product to another BLAS
   routine for another row count (gemv for one row, gemm for several), and
   the routines round differently. Row products are elementwise products
-  summed along the contiguous last axis (``dot_rows``).
+  summed along an axis of a fixed length (``dot_rows``, the bus currents).
 - Newton, the Jacobian and the branch flows use real arithmetic: ``e + jf``
   for the voltages, ``G + jB`` for Ybus. NumPy does a complex product of
   temporaries of 256 KiB or more in place with its operands swapped (its
@@ -37,14 +40,14 @@ that share its block, which the kernels keep by three rules:
   LAPACK ``gesv`` once per row. A stack holding a singular matrix is solved
   again row by row, so that a singular row fails alone.
 
-Row temporaries are bounded: Newton runs over sub-blocks whose
-``(rows, n_bus, n_bus)`` float64 temporaries stay near ``_BLOCK_BYTES``, and
-``dot_rows`` slices its rows the same way.
+Row temporaries are bounded: Newton runs over sub-blocks of
+``_rows_within(n_bus ** 2)`` rows, and ``dot_rows`` slices its rows the same way.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -128,7 +131,7 @@ class OracleBlock:
     ``iterations`` hold every row's active-set rounds (0 where a remembered
     set solved its dispatch) and Newton iterations. ``errors`` maps each
     failed row to its exception, in row order; ``newton_blocks`` counts the
-    Newton sub-blocks run.
+    Newton sub-blocks run. ``dispatch_s`` and ``newton_s`` are wall-clock times.
     """
 
     solved: np.ndarray
@@ -137,6 +140,8 @@ class OracleBlock:
     iterations: np.ndarray
     errors: dict
     newton_blocks: int
+    dispatch_s: float
+    newton_s: float
 
 
 def solution_layout(case: NetworkCase) -> dict:
@@ -300,12 +305,18 @@ class CompiledCase:
     case at worst lose an entry; results never depend on the tuple.
     """
 
-    gb_bus: np.ndarray      # (2 n_bus, n_bus): G stacked over B, where Ybus = G + jB
     slack: int
     pq: np.ndarray
     pvpq: np.ndarray
-    jac_index: np.ndarray   # (m, m) flat indices of the Jacobian in a row of _jacobians' parts
-    jac_diag: np.ndarray    # (4, n_bus) flat indices of each part's diagonal there
+    nbr: np.ndarray         # (1 + max degree, n_bus) Ybus neighbours of each bus, itself first
+    nbr_g: np.ndarray       # G and B at those entries (Ybus = G + jB), 0 on the pads
+    nbr_b: np.ndarray
+    nz_row: np.ndarray      # the Ybus nonzeros (i, k), the diagonal first in bus order,
+    nz_col: np.ndarray      # and their G and B
+    nz_g: np.ndarray
+    nz_b: np.ndarray
+    jac_src: np.ndarray     # flat index in _jacobians' (4, nonzeros) parts of each Jacobian
+    jac_dst: np.ndarray     # entry, and its flat index in the (m, m) Jacobian
     br_from: np.ndarray
     br_to: np.ndarray
     br_g: np.ndarray        # series admittance per branch, g + j b
@@ -343,16 +354,23 @@ def _compile(case: NetworkCase) -> CompiledCase:
     n = case.n_bus
     pv, pq = case.pv_indices(), case.pq_indices()
     pvpq = np.concatenate([pv, pq]).astype(int)
-    # J = [[Re dS/dVa, Re dS/dVm], [Im dS/dVa, Im dS/dVm]] over (pvpq | pq) rows and
-    # (pvpq angles | pq magnitudes) columns, read from the four (n, n) parts
-    # [Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm]: entry (r, c) of part k sits
-    # at k*n*n + r*n + c
-    rows = np.concatenate([pvpq, pq])
-    second = np.arange(len(rows)) >= len(pvpq)   # Q rows; magnitude columns
-    part = 2 * second[:, None] + second[None, :]
-    jac_index = part * n * n + rows[:, None] * n + rows[None, :]
     bus = np.arange(n)
     ybus = build_ybus(case)
+    # the nonzero list, diagonal first; neighbour lists: slot 0 the bus, pads weight 0
+    off = (ybus != 0) & ~np.eye(n, dtype=bool)
+    row, col = np.nonzero(off)
+    nz_row, nz_col = np.concatenate([bus, row]), np.concatenate([bus, col])
+    slot = np.concatenate([np.zeros(n, dtype=int), np.cumsum(off, axis=1)[row, col]])
+    nbr = np.repeat(bus[None, :], 1 + slot.max(), axis=0)
+    nbr[slot, nz_row] = nz_col
+    nbr_y = np.where(np.arange(len(nbr))[:, None] <= off.sum(axis=1), ybus[bus, nbr], 0.0)
+    # J = [[Re dS/dVa, Re dS/dVm], [Im dS/dVa, Im dS/dVm]] over (pvpq | pq) rows and columns:
+    # part k of _jacobians puts nonzero (i, j) at row pos[k // 2, i], column pos[k % 2, j]
+    m = len(pvpq) + len(pq)
+    pos = np.full((2, n), -1)
+    pos[0, pvpq], pos[1, pq] = np.arange(len(pvpq)), np.arange(len(pvpq), m)
+    jac_row, jac_col = pos[[0, 0, 1, 1]][:, nz_row], pos[[0, 1, 0, 1]][:, nz_col]
+    placed = (jac_row >= 0) & (jac_col >= 0)
 
     slack = case.slack_index
     gen_bus = np.array([g.bus for g in case.generators], dtype=int)
@@ -362,8 +380,10 @@ def _compile(case: NetworkCase) -> CompiledCase:
     inj_map[:, slack_gens] = 0.0
     series = np.array([1.0 / complex(br.r, br.x) for br in case.branches], dtype=complex)
     return CompiledCase(
-        gb_bus=np.vstack([ybus.real, ybus.imag]), slack=slack, pq=pq, pvpq=pvpq,
-        jac_index=jac_index, jac_diag=np.arange(4)[:, None] * n * n + bus * n + bus,
+        slack=slack, pq=pq, pvpq=pvpq, nbr=nbr, nbr_g=nbr_y.real.copy(),
+        nbr_b=nbr_y.imag.copy(), nz_row=nz_row, nz_col=nz_col, nz_g=ybus.real[nz_row, nz_col],
+        nz_b=ybus.imag[nz_row, nz_col], jac_src=np.flatnonzero(placed),
+        jac_dst=(jac_row * m + jac_col)[placed],
         br_from=np.array([br.from_bus for br in case.branches], dtype=int),
         br_to=np.array([br.to_bus for br in case.branches], dtype=int),
         br_g=series.real.copy(), br_b=series.imag.copy(),
@@ -498,42 +518,38 @@ def _bus_state(cc: CompiledCase, vm: np.ndarray, va: np.ndarray) -> _BusState:
     rot = np.exp(1j * va)   # cos and sin of each angle in one call
     c, s = rot.real, rot.imag
     e, f = vm * c, vm * s
-    ge_be, gf_bf = dot_rows(cc.gb_bus, e), dot_rows(cc.gb_bus, f)
-    n = vm.shape[1]
-    i_re = ge_be[:, :n] - gf_bf[:, n:]
-    i_im = ge_be[:, n:] + gf_bf[:, :n]
+    e_nbr, f_nbr = e.take(cc.nbr, axis=1), f.take(cc.nbr, axis=1)
+    i_re = (cc.nbr_g * e_nbr - cc.nbr_b * f_nbr).sum(axis=1)
+    i_im = (cc.nbr_g * f_nbr + cc.nbr_b * e_nbr).sum(axis=1)
     return _BusState(c, s, e, f, i_re, i_im, e * i_re + f * i_im, f * i_re - e * i_im)
 
 
 def _jacobians(cc: CompiledCase, vm: np.ndarray, bus: _BusState) -> np.ndarray:
     """Power-flow Jacobians, one (m, m) matrix per row of ``vm``.
 
-    Elementwise form of MATPOWER's ``dSbus_dV``: with
+    MATPOWER's ``dSbus_dV`` at Ybus's nonzeros, scattered into zeros: with
     ``A[i, k] = V[i] conj(Y[i, k] Vn[k])`` and ``Vn = V / |V|``,
-    ``dS/dVm = A + diag(conj(I) Vn)`` and
-    ``dS/dVa = j (diag(V conj(I)) - A diag(|V|))``, each split into real
-    and imaginary parts with ``V = e + jf``, ``Vn = c + js``, ``Y = G + jB``.
+    ``dS/dVm = A + diag(conj(I) Vn)`` and ``dS/dVa = j (diag(V conj(I)) -
+    A diag(|V|))``, each split into real and imaginary parts with
+    ``V = e + jf``, ``Vn = c + js``, ``Y = G + jB``.
     """
     rows, n = vm.shape
-    g, b = cc.gb_bus[:n], cc.gb_bus[n:]
-    c, s = bus.c[:, None, :], bus.s[:, None, :]
-    yv_re = g * c - b * s                        # Y[i, k] Vn[k]
-    yv_im = g * s + b * c
-    e, f = bus.e[:, :, None], bus.f[:, :, None]
+    c, s = bus.c.take(cc.nz_col, axis=1), bus.s.take(cc.nz_col, axis=1)
+    yv_re = cc.nz_g * c - cc.nz_b * s            # Y[i, k] Vn[k]
+    yv_im = cc.nz_g * s + cc.nz_b * c
+    e, f = bus.e.take(cc.nz_row, axis=1), bus.f.take(cc.nz_row, axis=1)
     a_re = e * yv_re + f * yv_im
     a_im = f * yv_re - e * yv_im
-    parts = np.empty((rows, 4, n, n))            # Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm
-    np.multiply(a_im, vm[:, None, :], out=parts[:, 0])
-    parts[:, 1] = a_re
-    np.multiply(a_re, -vm[:, None, :], out=parts[:, 2])
-    parts[:, 3] = a_im
-    flat = parts.reshape(rows, -1)
-    diag = cc.jac_diag
-    flat[:, diag[0]] -= bus.q
-    flat[:, diag[1]] += bus.i_re * bus.c + bus.i_im * bus.s
-    flat[:, diag[2]] += bus.p
-    flat[:, diag[3]] += bus.i_re * bus.s - bus.i_im * bus.c
-    return flat.take(cc.jac_index, axis=1)
+    vm_col = vm.take(cc.nz_col, axis=1)    # parts: Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm
+    parts = np.stack([a_im * vm_col, a_re, a_re * -vm_col, a_im], axis=1)
+    parts[:, 0, :n] -= bus.q                     # the first n nonzeros: the diagonal
+    parts[:, 1, :n] += bus.i_re * bus.c + bus.i_im * bus.s
+    parts[:, 2, :n] += bus.p
+    parts[:, 3, :n] += bus.i_re * bus.s - bus.i_im * bus.c
+    m = len(cc.pvpq) + len(cc.pq)
+    jac = np.zeros((rows, m * m))
+    jac[:, cc.jac_dst] = parts.reshape(rows, -1)[:, cc.jac_src]
+    return jac.reshape(rows, m, m)
 
 
 def _solve_rows(jac: np.ndarray, rhs: np.ndarray):
@@ -843,7 +859,9 @@ def oracle_block(case: NetworkCase, samples: np.ndarray) -> OracleBlock:
     cc = compile_case(case)
     p_load, q_load = bus_loads(case, samples)
     rows = len(p_load)
+    start = time.perf_counter()
     dispatch = dispatch_block(case, p_load)
+    dispatch_s = time.perf_counter() - start
     errors = dict(dispatch.errors)
     dispatched = np.setdiff1d(np.arange(rows), list(errors))
     if not len(cc.slack_gens):
@@ -853,7 +871,9 @@ def oracle_block(case: NetworkCase, samples: np.ndarray) -> OracleBlock:
 
     p_gen = dispatch.p_gen[dispatched]
     p_inj = dot_rows(cc.inj_map, p_gen) - p_load[dispatched]
+    start = time.perf_counter()
     flows = _power_flow_rows(cc, p_inj, -q_load[dispatched], NEWTON_TOL, NEWTON_MAX_ITER)
+    newton_s = time.perf_counter() - start
     errors.update((int(dispatched[k]), exc) for k, exc in flows.errors.items())
     iterations = np.zeros(rows, dtype=int)
     iterations[dispatched] = flows.iterations
@@ -866,4 +886,4 @@ def oracle_block(case: NetworkCase, samples: np.ndarray) -> OracleBlock:
     solved[list(errors)] = False
     return OracleBlock(solved=solved, values=values[solved[dispatched]], rounds=dispatch.rounds,
                        iterations=iterations, errors=dict(sorted(errors.items())),
-                       newton_blocks=flows.blocks)
+                       newton_blocks=flows.blocks, dispatch_s=dispatch_s, newton_s=newton_s)

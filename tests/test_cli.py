@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from popflow import cli
 from popflow.cli import main
 from popflow.grid import bundled_case, case_hash, load_case, serialize_case
 from popflow.pipeline import load_dataset
@@ -330,6 +331,39 @@ def test_config_override_precedence(trained, capsys):
     assert main(["compare", "-c", str(cfg), "--set", "sampling.n_mcs=60"]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["n_samples"] + report["dropped"] == 60
+
+
+@pytest.mark.parametrize("command, key, minimum", [("gen-data", "seed", 0),
+                                                     ("gen-data", "n_train", 1),
+                                                     ("popf", "seed", 0), ("popf", "n_mcs", 1),
+                                                     ("compare", "seed", 0),
+                                                     ("compare", "n_mcs", 1)])
+def test_bad_sampling_integer_usage_error_before_case_load(tmp_path, capsys, monkeypatch,
+                                                           command, key, minimum):
+    """A sampling integer that is not an integer, or is below its minimum,
+    exits 2 with a usage message before the case is loaded, so nothing is
+    drawn or written."""
+    def no_case_load(path):
+        raise AssertionError("the case was loaded")
+
+    monkeypatch.setattr(cli, "load_case", no_case_load)
+    cfg = write_config(tmp_path, write_case(tmp_path))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "kept.txt").write_text("kept", encoding="utf-8")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for raw, shown in [("abc", "'abc'"), ("2.5", "2.5"), ("true", "True"),
+                       (str(minimum - 1), str(minimum - 1))]:
+        assert main([command, "-c", str(cfg), "--set", f"sampling.{key}={raw}"]) == 2
+        assert (f"sampling.{key} must be an integer of at least {minimum}, got {shown}"
+                in capsys.readouterr().err)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_sampling_not_an_object_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, write_case(tmp_path))
+    assert main(["gen-data", "-c", str(cfg), "--set", "sampling=5"]) == 2
+    assert "sampling must be a JSON object, got 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_override_usage_error(trained):

@@ -137,6 +137,13 @@ def test_redraw_rounds_use_their_own_streams(monkeypatch):
                               sample_operating_conditions(case, 1, None, 4 + 1_000_003).values[0])
 
 
+def assert_layer_seconds(line):
+    """The oracle line ends with the seconds spent dispatching and in Newton."""
+    match = re.search(r"; (\S+) s dispatching, (\S+) s in Newton$", line)
+    assert match, line
+    assert all(float(t) >= 0.0 for t in match.groups())
+
+
 def test_oracle_work_goes_to_the_debug_log(caplog, monkeypatch):
     stall_dispatch(monkeypatch, stalled=lambda call: call == 1)
     with caplog.at_level(logging.DEBUG, logger="popflow"):
@@ -149,13 +156,14 @@ def test_oracle_work_goes_to_the_debug_log(caplog, monkeypatch):
     assert line.startswith("gen-data: 30 oracle solves, 29 warm dispatch hits, "
                            "1 active-set fallbacks, ")
     assert ", 1 active-set rounds, " in line
-    assert line.endswith(" Newton iterations per solve, 2 Newton sub-blocks, "
-                         "drops {'DispatchStalled': 1}")
+    assert " Newton iterations per solve, 2 Newton sub-blocks, drops {'DispatchStalled': 1}; " \
+        in line
+    assert_layer_seconds(line)
     assert ds.provenance["dropped"] == 1
     assert set(ds.provenance) == {"case_hash", "seed", "n", "dropped", "oracle"}
 
 
-def test_oracle_sub_blocks_go_to_the_debug_log(caplog):
+def test_oracle_sub_blocks_go_to_the_debug_log(caplog, tmp_path):
     """case14 Newton runs 65 rows per sub-block; compare logs its own pass."""
     case = bundled_case("case14")
     with caplog.at_level(logging.DEBUG, logger="popflow"):
@@ -166,10 +174,15 @@ def test_oracle_sub_blocks_go_to_the_debug_log(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "popflow"]
     gen_data, compare = [line for line in lines if "oracle solves" in line]
     assert gen_data.startswith("gen-data: 131 oracle solves, ")
-    assert ", 3 Newton sub-blocks, drops {}" in gen_data
+    assert ", 3 Newton sub-blocks, drops {}; " in gen_data
     assert compare.startswith("compare: 65 oracle solves, 65 warm dispatch hits, ")
-    assert ", 1 Newton sub-blocks, drops {}" in compare
+    assert ", 1 Newton sub-blocks, drops {}; " in compare
+    for line in (gen_data, compare):
+        assert_layer_seconds(line)
     assert report.dropped == 0 and report.failures == {}
+    save_report(report, tmp_path)
+    saved = (tmp_path / "report.json").read_text()
+    assert "dispatch" not in saved and "newton" not in saved.lower()
 
 
 def test_zero_variance_dataset_rows_identical():

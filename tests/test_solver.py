@@ -4,7 +4,8 @@ Independent oracles used here:
 - closed-form two-bus feeder voltage (quadratic in V^2)
 - brute-force grid search over feasible dispatches, with branch flows
   recomputed from bus angles (not via the solver's PTDF path)
-- MATPOWER's dense dSbus_dV matrix products for the Newton Jacobian
+- MATPOWER's dense dSbus_dV matrix products for the Newton Jacobian, and
+  the dense complex ``Ybus @ V`` for the bus currents
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from popflow.errors import DispatchStalled, Infeasible, NonConvergence, SingularJacobian
 from popflow.grid import PQ, PV, SLACK, SRC_PV, SRC_WIND, StochasticSource, bundled_case
@@ -243,6 +245,46 @@ def test_elementwise_jacobian_matches_dense_reference(which, case14, rng):
         ref = dense_jacobian_reference(build_ybus(case), v, case.pv_indices(), case.pq_indices())
         assert jac.shape == ref.shape
         assert np.max(np.abs(jac - ref)) <= 1e-12
+
+
+@st.composite
+def meshed_cases(draw):
+    """A connected case of 2 to 12 buses: a random spanning tree plus random
+    extra branches, one bus pair doubled by a parallel branch, PV and PQ
+    buses mixed, line charging on some branches and not on others."""
+    n = draw(st.integers(2, 12))
+    kinds = [SLACK] + draw(st.lists(st.sampled_from([PV, PQ]), min_size=n - 1, max_size=n - 1))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda pair: pair[0] != pair[1]), max_size=2 * n))
+    pairs.append(draw(st.sampled_from(pairs)))
+    charging = [0.0] + [draw(st.sampled_from([0.0, 0.02, 0.1])) for _ in pairs[1:-1]] + [0.05]
+    return make_case(
+        buses=[make_bus(i, kind) for i, kind in enumerate(kinds)],
+        branches=[make_branch(f, t, r=draw(st.floats(0.0, 0.05)), x=draw(st.floats(0.05, 0.5)),
+                              b_sh=b_sh) for (f, t), b_sh in zip(pairs, charging)],
+        generators=[make_gen(i) for i, kind in enumerate(kinds) if kind != PQ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=meshed_cases(), data=st.data())
+def test_pattern_kernels_match_dense_ybus(case, data):
+    """Bus currents and Jacobians from the Ybus pattern gathers, row by row
+    against the complex ``Ybus @ V`` and the dense dSbus_dV products."""
+    rows, n = data.draw(st.integers(1, 4)), case.n_bus
+    vm = data.draw(arrays(np.float64, (rows, n), elements=st.floats(0.5, 1.5)))
+    va = data.draw(arrays(np.float64, (rows, n), elements=st.floats(-1.0, 1.0)))
+    cc = compile_case(case)
+    bus = _bus_state(cc, vm, va)
+    jacs = _jacobians(cc, vm, bus)
+    ybus = build_ybus(case)
+    for k, v in enumerate(vm * np.exp(1j * va)):
+        scale = np.max(np.abs(ybus) @ np.abs(v)) * max(1.0, np.abs(v).max())
+        currents = bus.i_re[k] + 1j * bus.i_im[k]
+        assert np.max(np.abs(currents - ybus @ v)) <= 1e-12 * scale
+        ref = dense_jacobian_reference(ybus, v, case.pv_indices(), case.pq_indices())
+        assert jacs[k].shape == ref.shape
+        assert np.max(np.abs(jacs[k] - ref), initial=0.0) <= 1e-12 * scale
 
 
 def test_equal_cases_compile_separately():
