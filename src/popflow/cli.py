@@ -108,9 +108,9 @@ def _sampling_int(cfg: dict, key: str, default: int | None, minimum: int) -> int
 
 
 def _train_config(cfg: dict) -> sdae.TrainConfig:
-    section = dict(cfg.get("train", {}))
-    if "hidden_sizes" in section:
-        section["hidden_sizes"] = tuple(section["hidden_sizes"])
+    section = cfg.get("train", {})
+    if not isinstance(section, dict):
+        raise UsageError(f"train must be a JSON object, got {section!r}")
     try:
         return sdae.TrainConfig(**section)
     except (TypeError, ValueError) as exc:

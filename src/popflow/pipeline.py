@@ -24,7 +24,9 @@ the same pass before the stopping rule folds it.
 Statistics are block-merged moments: each block sums ``x - shift`` and its
 squares (``shift`` the block's first row), and the calling thread merges the
 blocks in block order, so means and stds have the same bits for any worker
-count, and a run's ``stats`` equal ``compute_statistics`` of its values.
+count, and a run's ``stats`` equal ``compute_statistics`` of its values. A
+``--converge`` run's stopping rule (``fold_convergence``) carries the same
+``(count, shift, s1, s2)`` sums from chunk to chunk.
 
 Method comparison runs three solvers over one seed-matched sample matrix and
 pools their errors at the fixed ``EXCEEDANCE_THRESHOLDS``:
@@ -50,9 +52,7 @@ import numpy as np
 from . import sdae
 from .errors import DimensionMismatch, TooManyRejections, ValidationError
 from .grid import PQ, NetworkCase, case_hash
-from .sampling import (DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, ZERO_MEAN,
-                       ConvergenceState, CorrelationSpec, SampleStream, fold_convergence,
-                       sample_operating_conditions)
+from .sampling import CorrelationSpec, SampleStream, sample_operating_conditions
 from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OracleBlock, apply_sources, bus_loads,
                      compile_case, dispatch_block, dot_rows, oracle_block, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
@@ -61,6 +61,13 @@ from .rowblocks import BLOCK_ROWS, for_each_block, workers
 # inference always walks the sample matrix in chunks of this many rows, so
 # predictions do not depend on how callers batch their queries
 INFER_CHUNK = 512
+
+DEFAULT_CV_THRESHOLD = 0.05
+DEFAULT_MAX_SAMPLES = 50_000
+
+# below this magnitude a mean counts as zero: the cv test switches to the
+# absolute criterion s/sqrt(n) <= threshold, and error metrics stay absolute
+ZERO_MEAN = 1e-12
 
 log = logging.getLogger("popflow")
 
@@ -151,6 +158,16 @@ def _check_observable(case: NetworkCase) -> None:
                 "observe it")
 
 
+def _check_fits(model: sdae.SdaeModel, case: NetworkCase) -> None:
+    """Refuse a case the model cannot observe or whose features it does not take."""
+    _check_observable(case)
+    width = 2 * len(case.pq_indices())
+    if width != model.input_dim:
+        raise DimensionMismatch(
+            f"case yields {width} features but the model was trained on "
+            f"{model.input_dim}; was the model trained on a different case?")
+
+
 def _features(case: NetworkCase, samples: np.ndarray) -> np.ndarray:
     """``operating_features`` of an (n, n_sources) matrix, unchecked: the PQ
     columns of ``bus_loads``, written in one pass into one array, the base
@@ -196,6 +213,7 @@ def generate_training_data(case: NetworkCase, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_observable(case)
     samples = np.empty((0, case.n_sources))
     y = np.empty((0, case.solution_dim()))
     work = _OracleWork()
@@ -395,15 +413,12 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     # the column streams where the last stopped, so the rows equal those of one
     # max_samples draw and none is drawn twice; every chunk but the capped
     # last one is a multiple of INFER_CHUNK, so inference chunks stay aligned.
-    state = ConvergenceState.for_dim(model.output_dim, threshold=cv_threshold,
-                                     max_samples=max_samples)
-    collected = []
-    converged = False
+    sums, collected, converged = None, [], False
     chunk = 4 * INFER_CHUNK
     while run.drawn < max_samples and not converged:
         rows, _ = run.rows(min(chunk, max_samples - run.drawn))
         t0 = time.perf_counter()
-        used, converged = fold_convergence(state, rows)
+        used, converged, sums = fold_convergence(sums, rows, cv_threshold)
         run.stage_s[-1] += time.perf_counter() - t0
         collected.append(rows[:used])
         chunk *= 2
@@ -411,7 +426,7 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     t0 = time.perf_counter()
     stats = compute_statistics(values) if len(values) > 1 else None
     run.stage_s[-1] += time.perf_counter() - t0
-    _, _, stderr, limit = state.rule_terms()
+    stderr, limit = rule_terms(*sums, cv_threshold)
     ratio = stderr / limit
     worst = int(np.argmax(ratio))
     run.log(len(values), f"; largest stderr/limit {ratio[worst]:.3g}, at "
@@ -428,12 +443,7 @@ class _SurrogatePass:
 
     def __init__(self, model: sdae.SdaeModel, case: NetworkCase,
                  spec: CorrelationSpec | None, seed: int):
-        _check_observable(case)
-        width = 2 * len(case.pq_indices())
-        if width != model.input_dim:
-            raise DimensionMismatch(
-                f"case yields {width} features but the model was trained on "
-                f"{model.input_dim}; was the model trained on a different case?")
+        _check_fits(model, case)
         self.case = case
         self.net = sdae.inference_copy(model)
         self.stream = SampleStream(case, spec, seed)
@@ -537,6 +547,40 @@ def _merge_moments(blocks) -> Statistics:
     return Statistics(mean=origin + mean, std=np.sqrt(m2 / (n - 1)))
 
 
+def rule_terms(n, shift, s1, s2, threshold: float):
+    """The standard error of the mean of n rows whose sums of ``x - shift``
+    and its squares are s1 and s2 (variance 0 for one row), and its limit:
+    ``threshold * |mean|``, or ``threshold`` where ``|mean| < ZERO_MEAN``."""
+    mean = s1 / n + shift
+    var = np.maximum(s2 - s1 ** 2 / n, 0.0) / np.maximum(n - 1, 1)
+    limit = np.where(np.abs(mean) < ZERO_MEAN, threshold, threshold * np.abs(mean))
+    return np.sqrt(var / n), limit
+
+
+def fold_convergence(sums, rows, threshold: float) -> tuple:
+    """Fold an (n, d) block into the carried ``(count, shift, s1, s2)`` sums
+    (None before the stream's first row, which becomes ``shift``) up to the
+    first row, from the second, where every index's standard error is within
+    its limit (``rule_terms``; Billinton & Li, 1994); return the rows folded,
+    whether the test held, and the new sums. One ``cumsum`` over the carried
+    sums stacked on the block gives the same bits for any cuts of a stream."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or sums is not None and rows.shape[1] != len(sums[1]):
+        raise ValueError(f"expected rows as wide as the sums, got {rows.shape}")
+    if not len(rows):
+        return 0, False, sums
+    count, shift, s1, s2 = sums or (0, rows[0].copy(), np.zeros(rows.shape[1]),
+                                    np.zeros(rows.shape[1]))
+    shifted = rows - shift
+    s1 = np.cumsum(np.vstack([s1, shifted]), axis=0)[1:]
+    s2 = np.cumsum(np.vstack([s2, shifted ** 2]), axis=0)[1:]
+    n = np.arange(count + 1, count + len(rows) + 1)[:, None]
+    stderr, limit = rule_terms(n, shift, s1, s2, threshold)
+    fired = np.flatnonzero(np.all(stderr <= limit, axis=1) & (n[:, 0] > 1))
+    used = int(fired[0]) + 1 if fired.size else len(rows)
+    return used, bool(fired.size), (count + used, shift, s1[used - 1].copy(), s2[used - 1].copy())
+
+
 def histogram_densities(columns, bins: int):
     """Unit-area histogram densities of several columns over shared bins.
 
@@ -616,6 +660,7 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
     (no inference): every surrogate error column must then come out zero,
     which exercises the metric plumbing end to end.
     """
+    _check_fits(model, case)
     draw = sample_operating_conditions(case, n_samples, spec, seed).values
     labels = output_labels(case)
 

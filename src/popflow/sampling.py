@@ -1,12 +1,8 @@
 """Monte-Carlo sampling of operating conditions.
 
-Draws correlated standard normals (Gaussian copula via Cholesky), pushes them
-through the per-source marginal transforms, and tracks the stopping rule for
-incremental simulation: every tracked index must reach a variance coefficient
-(standard error over mean) at or below the threshold, or the sample-count cap
-is hit. The rule keeps running sums of ``x - shift`` and ``(x - shift)**2``,
-``shift`` being the first row (so the sums do not cancel when the spread is
-small beside the mean), and tests every prefix of a block from one ``cumsum``.
+Draws correlated standard normals (Gaussian copula via Cholesky) and pushes
+them through the per-source marginal transforms. The statistics of a run, its
+stopping rule included, live in ``pipeline``.
 
 Reproducibility contract: the generator is PCG64 and column ``j`` of a draw
 uses the stream ``SeedSequence(seed, spawn_key=(j,))``, so columns can be
@@ -56,13 +52,6 @@ from scipy.special import betainc, betaincinv, betaln, ndtr
 from .errors import NotPositiveDefinite
 from .grid import SRC_GAUSSIAN_LOAD, SRC_PV, SRC_WIND, NetworkCase, StochasticSource
 from .rowblocks import for_each_block
-
-DEFAULT_CV_THRESHOLD = 0.05
-DEFAULT_MAX_SAMPLES = 50_000
-
-# below this magnitude a mean counts as zero: the cv test switches to the
-# absolute criterion s/sqrt(n) <= threshold, and error metrics stay absolute
-ZERO_MEAN = 1e-12
 
 # nodes of |z| for the beta quantile table, s = k / 256 up to 8.30; past the
 # last node betaincinv answers directly
@@ -316,76 +305,3 @@ class SampleStream:
         """Write the marginal transforms of the normals ``z`` into ``values``."""
         for j, src in enumerate(self.sources):
             values[:, j] = transform_marginal(z[:, j], src)
-
-
-# ---------------------------------------------------------------------------
-# MCS stopping rule
-
-
-@dataclass
-class ConvergenceState:
-    """Per-index running sums of ``x - shift`` and ``(x - shift)**2``, where
-    ``shift`` is the first row folded (see ``fold_convergence``)."""
-
-    count: int
-    shift: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    threshold: float = DEFAULT_CV_THRESHOLD
-    max_samples: int = DEFAULT_MAX_SAMPLES
-
-    @classmethod
-    def for_dim(cls, d: int, threshold: float = DEFAULT_CV_THRESHOLD,
-                max_samples: int = DEFAULT_MAX_SAMPLES) -> "ConvergenceState":
-        return cls(0, np.zeros(d), np.zeros(d), np.zeros(d), threshold, max_samples)
-
-    def rule_terms(self, s1=None, s2=None, n=None):
-        """Mean, variance (0 for one row), standard error and its limit
-        (``threshold * |mean|``, or ``threshold`` if ``|mean| < ZERO_MEAN``) of
-        the n rows whose shifted sums are s1 and s2; by default, the rows folded."""
-        if s1 is None:
-            s1, s2, n = self.s1, self.s2, max(self.count, 1)
-        mean = s1 / n + self.shift
-        var = np.maximum(s2 - s1 ** 2 / n, 0.0) / np.maximum(n - 1, 1)
-        limit = np.where(np.abs(mean) < ZERO_MEAN, self.threshold, self.threshold * np.abs(mean))
-        return mean, var, np.sqrt(var / n), limit
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.rule_terms()[0]
-
-    def std(self) -> np.ndarray:
-        return np.sqrt(self.rule_terms()[1]) if self.count > 1 else np.full_like(self.shift, np.nan)
-
-
-def fold_convergence(state: ConvergenceState, rows) -> tuple:
-    """Fold an (n, d) block into ``state`` up to the first row (from the
-    stream's second) at which every index's standard error is within its
-    limit, or to ``max_samples`` rows in all; return the rows folded and
-    whether the test held. Prefix sums are one ``cumsum`` over the carried
-    sums stacked on the block, so any cuts of a stream give the same bits."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(state.shift):
-        raise ValueError(f"expected rows of {len(state.shift)} index values, got {rows.shape}")
-    rows = rows[:max(state.max_samples - state.count, 0)]
-    if not len(rows):
-        return 0, False
-    if state.count == 0:
-        state.shift = rows[0].copy()
-    shifted = rows - state.shift
-    s1 = np.cumsum(np.vstack([state.s1, shifted]), axis=0)[1:]
-    s2 = np.cumsum(np.vstack([state.s2, shifted ** 2]), axis=0)[1:]
-    n = np.arange(state.count + 1, state.count + len(rows) + 1)[:, None]
-    _, _, stderr, limit = state.rule_terms(s1, s2, n)
-    fired = np.flatnonzero(np.all(stderr <= limit, axis=1) & (n[:, 0] > 1))
-    used = int(fired[0]) + 1 if fired.size else len(rows)
-    state.count += used
-    state.s1, state.s2 = s1[used - 1].copy(), s2[used - 1].copy()
-    return used, bool(fired.size)
-
-
-def update_convergence(state: ConvergenceState, values) -> tuple:
-    """Fold one sample of d index values into the state; the rule fires when
-    the variance-coefficient test holds or the count reaches max_samples."""
-    _, converged = fold_convergence(state, np.asarray(values, dtype=float)[None])
-    return state, converged or state.count >= state.max_samples

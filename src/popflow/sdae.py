@@ -78,14 +78,20 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if not 0 <= self.corruption_level < 1:
             raise ValueError("corruption_level must be in [0, 1)")
         if self.corruption_level_finetune is not None and not 0 <= self.corruption_level_finetune < 1:
             raise ValueError("corruption_level_finetune must be in [0, 1)")
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if not self.hidden_sizes:
             raise ValueError("need at least one hidden layer")
+        for name, value, minimum in (*(("every hidden size", h, 1) for h in self.hidden_sizes),
+                                     ("batch_size", self.batch_size, 1),
+                                     ("epochs_sup", self.epochs_sup, 1),
+                                     ("epochs_unsup", self.epochs_unsup, 0),
+                                     ("patience", self.patience, 0), ("seed", self.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+                raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
     @property
     def finetune_corruption(self) -> float:
@@ -171,17 +177,6 @@ def normalize(v, lo, hi):
     out = v - lo
     out /= np.where(span == 0, 1.0, span)
     out[..., fixed] = np.where(hi[fixed] != 0, 1.0, v[..., fixed])
-    return out.reshape(shape)
-
-
-def denormalize(v, lo, hi):
-    """Inverse of normalize: degenerate columns restore their stored constant."""
-    v, lo, hi, shape = _as_columns(v, lo, hi)
-    span = hi - lo
-    fixed = np.flatnonzero(span == 0)
-    out = v * span
-    out += lo
-    out[..., fixed] = lo[fixed]
     return out.reshape(shape)
 
 

@@ -54,7 +54,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
-from scipy.optimize import linprog
 
 from .errors import DispatchStalled, Infeasible, NonConvergence, SingularJacobian
 from .grid import SRC_GAUSSIAN_LOAD, NetworkCase
@@ -720,6 +719,7 @@ def _feasible_start(qp: _DispatchQP, total: float, h: np.ndarray) -> np.ndarray:
         return p0
 
     # proportional fill violates a flow limit: phase-1 LP for a feasible point
+    from scipy.optimize import linprog  # here: rarely needed, and slow to import
     ng = len(p_min)
     n_rows = G.shape[0] - 2 * ng
     c = np.concatenate([np.zeros(ng), np.ones(n_rows)])
@@ -749,8 +749,10 @@ def _cold_dispatch(qp: _DispatchQP, total: float, h: np.ndarray):
     minimizer and multipliers. The working set starts empty and gains only
     rows with ``G_i d > 0`` along a step ``d`` with ``C d = 0``, so its rows
     stay independent and the system is singular only where linear-cost
-    generators leave a flat direction. Such a round adds ``|y - x|^2 / 2``
-    over those generators and takes an exact line search on the true cost.
+    generators leave a flat direction: where ``C`` over their columns has
+    rank below their count, which is tested, since a solve of a singular
+    system need not raise. Such a round adds ``|y - x|^2 / 2`` over those
+    generators and takes an exact line search on the true cost.
     Either step stops at the first blocking row, which joins the working set.
     Returns the solution, the final working set (sorted) and the rounds.
     """
@@ -763,13 +765,13 @@ def _cold_dispatch(qp: _DispatchQP, total: float, h: np.ndarray):
     for rounds in range(1, max_rounds + 1):
         active = qp.active_set(working)
         kkt, rhs = active.kkt, _kkt_rhs(qp, active, np.array([total]), h[None])[0]
-        try:
-            sol, step = np.linalg.solve(kkt, rhs), 1.0
-        except np.linalg.LinAlgError:
+        step = 1.0
+        if np.linalg.matrix_rank(kkt[ng:, flat]) < len(flat):
             kkt = kkt.copy()
             kkt[flat, flat] += 1.0
             rhs[flat] += x[flat]
-            sol, step = np.linalg.solve(kkt, rhs), None
+            step = None
+        sol = np.linalg.solve(kkt, rhs)
         d = sol[:ng] - x
 
         if np.linalg.norm(d) <= _STEP_TOL:

@@ -9,13 +9,39 @@ import pytest
 
 from popflow.grid import (PQ, SLACK, SRC_GAUSSIAN_LOAD, Branch, Bus,
                           Generator, NetworkCase, StochasticSource, bundled_case)
+from popflow.pipeline import DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, fold_convergence
 from popflow.sampling import _column_generators, _draw_normals
+from popflow.sdae import _as_columns
 from popflow.solver import DispatchSolution, build_ybus, compile_case
 
 
 def draw_standard_normals(n, d, seed, redraw=0):
     """n x d standard normals from the sampler's per-column PCG64 streams."""
     return _draw_normals(_column_generators(d, seed, redraw), n)
+
+
+def update_convergence(sums, values, threshold=DEFAULT_CV_THRESHOLD,
+                       max_samples=DEFAULT_MAX_SAMPLES):
+    """Per-row reference of ``run_popf``'s stopping rule: fold one row of d
+    index values into the ``(count, shift, s1, s2)`` sums (None before the
+    first row); the rule fires when the variance-coefficient test holds or
+    the count reaches max_samples, and no row past the cap is folded."""
+    if sums is not None and sums[0] >= max_samples:
+        return sums, True
+    _, converged, sums = fold_convergence(sums, np.asarray(values, dtype=float)[None], threshold)
+    return sums, converged or sums[0] >= max_samples
+
+
+def denormalize(v, lo, hi):
+    """Inverse of ``sdae.normalize``: degenerate columns restore their stored
+    constant."""
+    v, lo, hi, shape = _as_columns(v, lo, hi)
+    span = hi - lo
+    fixed = np.flatnonzero(span == 0)
+    out = v * span
+    out += lo
+    out[..., fixed] = lo[fixed]
+    return out.reshape(shape)
 
 
 def make_bus(i, kind, p=0.0, q=0.0, v_min=0.9, v_max=1.1):

@@ -15,14 +15,14 @@ import pytest
 
 from popflow import pipeline
 from popflow.errors import Infeasible
-from popflow.pipeline import compare_methods, generate_training_data, train_popf_model
-from popflow.sampling import ConvergenceState, update_convergence
-from popflow.sdae import (TrainConfig, backward, batch_loss, denormalize,
+from popflow.pipeline import (_merge_moments, compare_methods, generate_training_data,
+                              train_popf_model)
+from popflow.sdae import (TrainConfig, backward, batch_loss,
                           forward, init_model, init_opt_state, model_params,
                           normalize, rmsprop_momentum_step)
 from popflow.solver import ac_power_flow, dc_opf
 
-from conftest import dispatch_kkt_residual
+from conftest import denormalize, dispatch_kkt_residual, update_convergence
 from test_sampling import brute_cv_converged_at
 from test_sdae import transcribed_scalar_run
 from test_solver import _random_small_case, closed_form_two_bus, grid_search_dispatch
@@ -240,24 +240,26 @@ def test_criterion_08_inference_speedup(end_to_end):
 def test_criterion_09_mcs_convergence_rule():
     stream = [0.9 if i % 2 == 0 else 1.1 for i in range(200)]
     expected = brute_cv_converged_at(stream, 0.05)
-    state = ConvergenceState.for_dim(1)
+    sums = None
     fired = None
     for i, v in enumerate(stream):
-        state, done = update_convergence(state, [v])
+        sums, done = update_convergence(sums, [v])
         if done:
             fired = i + 1
             break
     exact = fired == expected
 
-    state = ConvergenceState.for_dim(1, max_samples=50_000)
+    sums = None
     capped = None
     for i in range(55_000):
-        state, done = update_convergence(state, [1.001 if i % 2 == 0 else -0.999])
+        sums, done = update_convergence(sums, [1.001 if i % 2 == 0 else -0.999],
+                                        max_samples=50_000)
         if done:
             capped = i + 1
             break
-    se = state.std()[0] / math.sqrt(state.count)
-    cv_above = se / abs(state.mean[0]) > 0.05
+    stats = _merge_moments([sums])
+    se = stats.std[0] / math.sqrt(sums[0])
+    cv_above = se / abs(stats.mean[0]) > 0.05
     ok = exact and capped == 50_000 and cv_above
     report_line(9, ok, f"threshold fires at n={fired} (direct formula: {expected}); "
                        f"cap fires at n={capped} with cv still above 5%")

@@ -204,6 +204,35 @@ def test_train_writes_pretraining_losses_and_stop(generated, capsys):
     assert f"({reason}); best validation epoch {best}" in printed
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("train=5", "train must be a JSON object, got 5"),
+    ("train.hidden_sizes=5", "bad train config"),
+    ("train.hidden_sizes=[0]", "every hidden size must be an integer of at least 1, got 0"),
+    ("train.hidden_sizes=[8.0]", "every hidden size must be an integer of at least 1, got 8.0"),
+    ("train.batch_size=2.5", "batch_size must be an integer of at least 1, got 2.5"),
+    ("train.batch_size=true", "batch_size must be an integer of at least 1, got True"),
+    ("train.epochs_sup=0", "epochs_sup must be an integer of at least 1, got 0"),
+    ("train.epochs_unsup=2.5", "epochs_unsup must be an integer of at least 0, got 2.5"),
+    ("train.patience=-1", "patience must be an integer of at least 0, got -1"),
+    ("train.seed=-1", "seed must be an integer of at least 0, got -1"),
+    ("train.seed=abc", "seed must be an integer of at least 0, got 'abc'"),
+])
+def test_bad_train_config_usage_error_before_dataset_load(generated, capsys, monkeypatch,
+                                                          setting, message):
+    """A bad train setting exits 2 with a usage message before the dataset
+    loads, and no file changes."""
+    def no_dataset_load(directory):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr(cli.pipeline, "load_dataset", no_dataset_load)
+    cfg, tmp_path = generated
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["train", "-c", str(cfg), "--set", setting]) == 2
+    assert message in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_train_missing_dataset_exit_two(tmp_path):
     case_path = write_case(tmp_path)
     cfg = write_config(tmp_path, case_path)

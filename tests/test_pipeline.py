@@ -3,6 +3,7 @@ batched inference, statistics, error metrics, and method comparison."""
 
 import logging
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,25 @@ def test_stalled_dispatch_counts_as_dropped(monkeypatch):
     ds = generate_training_data(two_bus_case(), 20, seed=4)
     assert ds.n_rows == 20
     assert ds.provenance["dropped"] == 1
+
+
+def count_oracle_blocks(monkeypatch):
+    """Count the pipeline's ``oracle_block`` calls (the calls still run)."""
+    calls = []
+    real = pipeline.oracle_block
+    monkeypatch.setattr(pipeline, "oracle_block",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_unobservable_source_refused_before_labelling(monkeypatch, case14):
+    """A source on a PV bus is refused before the oracle labels any row."""
+    calls = count_oracle_blocks(monkeypatch)
+    pv = next(b.id for b in case14.buses if b.kind == "pv")
+    case = replace(case14, sources=(replace(case14.sources[0], bus=pv), *case14.sources[1:]))
+    with pytest.raises(ValidationError, match="not PQ"):
+        generate_training_data(case, 500, seed=1)
+    assert calls == []
 
 
 def test_redraw_rounds_use_their_own_streams(monkeypatch):
@@ -682,6 +702,18 @@ def test_compare_methods_self_check_zero_errors(tiny_trained):
     assert np.all(err.e_mean == 0.0)
     assert np.all(err.e_std == 0.0)
     assert all(p == 0.0 for probs in err.exceedance.values() for p in probs.values())
+
+
+def test_compare_refuses_a_model_of_another_case_before_the_oracle(tiny_trained, case14,
+                                                                    monkeypatch):
+    """A checkpoint whose input width does not fit the case is refused before
+    any oracle work, with and without self-check."""
+    _, _, _, model, _ = tiny_trained
+    calls = count_oracle_blocks(monkeypatch)
+    for self_check in (False, True):
+        with pytest.raises(DimensionMismatch, match="different case"):
+            compare_methods(case14, model, seed=0, n_samples=2000, self_check=self_check)
+    assert calls == []
 
 
 def test_compare_drops_failed_rows_like_gen_data(monkeypatch):

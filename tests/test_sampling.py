@@ -15,12 +15,13 @@ from scipy.special import betainc, betaincinv, ndtr
 from popflow import sampling
 from popflow.errors import NotPositiveDefinite
 from popflow.grid import SRC_PV, SRC_WIND, StochasticSource
-from popflow.sampling import (ConvergenceState, CorrelationSpec, SampleStream, correlate,
-                              fold_convergence, sample_operating_conditions,
-                              transform_marginal, update_convergence, wind_power_curve)
+from popflow.pipeline import _merge_moments, fold_convergence
+from popflow.sampling import (CorrelationSpec, SampleStream, correlate,
+                              sample_operating_conditions, transform_marginal,
+                              wind_power_curve)
 
 from conftest import (draw_standard_normals, gaussian_source, make_branch, make_bus,
-                      make_case, make_gen)
+                      make_case, make_gen, update_convergence)
 
 
 def wind_source(bus=1, shape=2.0, scale=8.0, cut_in=3.0, rated_speed=12.0,
@@ -362,20 +363,19 @@ def brute_cv_converged_at(stream, threshold):
 
 
 def test_identical_values_converge_at_two():
-    state = ConvergenceState.for_dim(1)
-    state, done = update_convergence(state, [3.0])
+    sums, done = update_convergence(None, [3.0])
     assert not done
-    state, done = update_convergence(state, [3.0])
-    assert done and state.count == 2
+    sums, done = update_convergence(sums, [3.0])
+    assert done and sums[0] == 2
 
 
 def test_alternating_stream_matches_direct_formula():
     stream = [0.9 if i % 2 == 0 else 1.1 for i in range(100)]
     expected = brute_cv_converged_at(stream, 0.05)
-    state = ConvergenceState.for_dim(1)
+    sums = None
     fired_at = None
     for i, v in enumerate(stream):
-        state, done = update_convergence(state, [v])
+        sums, done = update_convergence(sums, [v])
         if done:
             fired_at = i + 1
             break
@@ -384,50 +384,54 @@ def test_alternating_stream_matches_direct_formula():
 
 def test_sample_cap_rule():
     """cv that never reaches 5% still stops at the maximum sample count."""
-    state = ConvergenceState.for_dim(1, max_samples=50_000)
+    sums = None
     fired_at = None
     for i in range(60_000):
         value = 1.001 if i % 2 == 0 else -0.999  # mean ~1e-3, std ~1
-        state, done = update_convergence(state, [value])
+        sums, done = update_convergence(sums, [value], max_samples=50_000)
         if done:
             fired_at = i + 1
             break
     assert fired_at == 50_000
     # confirm the cv was genuinely still above threshold at the cap
-    se = state.std()[0] / math.sqrt(state.count)
-    assert se / abs(state.mean[0]) > 0.05
+    stats = _merge_moments([sums])
+    se = stats.std[0] / math.sqrt(sums[0])
+    assert se / abs(stats.mean[0]) > 0.05
 
 
 def test_near_zero_mean_uses_absolute_criterion():
     """Alternating +1/-1 has an exactly-zero running mean at even counts, so
     the relative cv is undefined; the rule switches to s/sqrt(n) <= threshold,
     which for s ~ 1 first holds at n ~ 1/threshold^2."""
-    state = ConvergenceState.for_dim(1, max_samples=10_000)
+    sums = None
     fired = None
     for i in range(2000):
-        state, done = update_convergence(state, [1.0 if i % 2 == 0 else -1.0])
+        sums, done = update_convergence(sums, [1.0 if i % 2 == 0 else -1.0],
+                                        max_samples=10_000)
         if done:
             fired = i + 1
             break
     assert fired is not None
-    assert abs(state.mean[0]) < 1e-12
-    s = state.std()[0]
+    stats = _merge_moments([sums])
+    assert abs(stats.mean[0]) < 1e-12
+    s = stats.std[0]
     assert s / math.sqrt(fired) <= 0.05
     assert s / math.sqrt(fired - 2) > 0.05  # previous even count was still above
 
 
 def test_vector_indices_all_must_converge():
-    state = ConvergenceState.for_dim(2, max_samples=10_000)
+    sums = None
     rng = np.random.Generator(np.random.PCG64(0))
     done = False
     n = 0
     while not done:
         n += 1
         # index 0 converges fast, index 1 slowly
-        state, done = update_convergence(
-            state, [10.0 + rng.normal(0, 0.01), 1.0 + rng.normal(0, 1.0)])
-    stderr = state.std() / math.sqrt(state.count)
-    assert np.all(stderr / np.abs(state.mean) <= 0.05)
+        sums, done = update_convergence(
+            sums, [10.0 + rng.normal(0, 0.01), 1.0 + rng.normal(0, 1.0)], max_samples=10_000)
+    stats = _merge_moments([sums])
+    stderr = stats.std / math.sqrt(sums[0])
+    assert np.all(stderr / np.abs(stats.mean) <= 0.05)
     assert n > 10
 
 
@@ -436,12 +440,13 @@ def test_vector_indices_all_must_converge():
                           allow_nan=False, allow_infinity=False),
                 min_size=2, max_size=400))
 def test_running_sums_match_two_pass(values):
-    state = ConvergenceState.for_dim(1, max_samples=10 ** 9)
+    sums = None
     for v in values:
-        state, _ = update_convergence(state, [v])
+        sums, _ = update_convergence(sums, [v], max_samples=10 ** 9)
     arr = np.array(values)
-    assert state.mean[0] == pytest.approx(arr.mean(), rel=1e-10, abs=1e-10)
-    assert state.std()[0] == pytest.approx(arr.std(ddof=1), rel=1e-10, abs=1e-10)
+    stats = _merge_moments([sums])
+    assert stats.mean[0] == pytest.approx(arr.mean(), rel=1e-10, abs=1e-10)
+    assert stats.std[0] == pytest.approx(arr.std(ddof=1), rel=1e-10, abs=1e-10)
 
 
 @st.composite
@@ -472,51 +477,54 @@ def cv_streams(draw):
 
 def fold_by_rows(stream, threshold, cap):
     """The per-row reference: update_convergence until the rule fires."""
-    state = ConvergenceState.for_dim(stream.shape[1], threshold=threshold, max_samples=cap)
+    sums = None
     for row in stream:
-        state, done = update_convergence(state, row)
+        sums, done = update_convergence(sums, row, threshold, cap)
         if done:
             break
-    return state
+    return sums
 
 
-def state_bits(state):
-    return state.count, state.shift.tobytes(), state.s1.tobytes(), state.s2.tobytes()
+def sums_bits(sums):
+    count, shift, s1, s2 = sums
+    return count, shift.tobytes(), s1.tobytes(), s2.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(cv_streams())
 def test_folding_at_any_cuts_is_the_row_by_row_fold(case):
-    """Blocks cut anywhere leave the bits of the one-row fold and fire at the
-    two-pass formula's row, or stop at the cap without converging."""
+    """Blocks cut anywhere, and cut short at the cap as ``run_popf``'s draw
+    loop does, leave the bits of the one-row fold and fire at the two-pass
+    formula's row, or stop at the cap without converging."""
     stream, threshold, cap, cuts = case
-    state = ConvergenceState.for_dim(stream.shape[1], threshold=threshold, max_samples=cap)
-    converged = False
-    for start, stop in zip([0] + cuts, cuts + [len(stream)]):
-        used, converged = fold_convergence(state, stream[start:stop])
-        if converged or state.count == cap:
+    capped = stream[:cap]
+    cuts = [min(c, cap) for c in cuts]
+    sums, converged = None, False
+    for start, stop in zip([0] + cuts, cuts + [len(capped)]):
+        used, converged, sums = fold_convergence(sums, capped[start:stop], threshold)
+        if converged:
             break
         assert used == stop - start
-    assert state_bits(state) == state_bits(fold_by_rows(stream, threshold, cap))
+    assert sums_bits(sums) == sums_bits(fold_by_rows(stream, threshold, cap))
     fired = brute_cv_converged_at(stream[:cap], threshold)
     assert converged == (fired is not None)
-    assert state.count == (fired if converged else min(cap, len(stream)))
+    assert sums[0] == (fired if converged else min(cap, len(stream)))
 
 
 def test_identical_rows_fire_at_two_in_one_block():
-    state = ConvergenceState.for_dim(3)
-    assert fold_convergence(state, np.tile([3.0, 0.0, -1e-13], (10, 1))) == (2, True)
-    assert state.count == 2 and np.array_equal(state.std(), np.zeros(3))
+    used, converged, sums = fold_convergence(None, np.tile([3.0, 0.0, -1e-13], (10, 1)), 0.05)
+    assert (used, converged) == (2, True)
+    assert sums[0] == 2 and np.array_equal(_merge_moments([sums]).std, np.zeros(3))
 
 
 def test_a_test_that_holds_on_the_cap_row_is_convergence():
-    """The cap row counts as converged when the cv test holds there too."""
-    state = ConvergenceState.for_dim(1, max_samples=2)
-    assert fold_convergence(state, np.ones((5, 1))) == (2, True)
-    state = ConvergenceState.for_dim(1, max_samples=2)
-    assert fold_convergence(state, np.array([[1.0], [2.0], [1.0]])) == (2, False)
-    assert update_convergence(state, [1.0]) == (state, True)
-    assert state.count == 2
+    """The cap row counts as converged when the cv test holds there too; the
+    draw loop folds no row past the cap."""
+    assert fold_convergence(None, np.ones((5, 1))[:2], 0.05)[:2] == (2, True)
+    used, converged, sums = fold_convergence(None, np.array([[1.0], [2.0], [1.0]])[:2], 0.05)
+    assert (used, converged) == (2, False)
+    assert update_convergence(sums, [1.0], max_samples=2) == (sums, True)
+    assert sums[0] == 2
 
 
 def test_shifted_sums_keep_a_small_spread_beside_a_large_mean():
@@ -527,16 +535,19 @@ def test_shifted_sums_keep_a_small_spread_beside_a_large_mean():
     exact = [Fraction(v) for v in values]
     mean = sum(exact) / len(exact)
     var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
-    state = ConvergenceState.for_dim(1, threshold=0.0, max_samples=10 ** 9)
-    assert fold_convergence(state, values[:, None]) == (200, False)
-    assert state.std()[0] == pytest.approx(math.sqrt(var), rel=1e-12)
-    assert state.mean[0] == pytest.approx(float(mean), rel=1e-15)
+    used, converged, sums = fold_convergence(None, values[:, None], 0.0)
+    assert (used, converged) == (200, False)
+    stats = _merge_moments([sums])
+    assert stats.std[0] == pytest.approx(math.sqrt(var), rel=1e-12)
+    assert stats.mean[0] == pytest.approx(float(mean), rel=1e-15)
 
 
 def test_fold_rejects_rows_of_the_wrong_width():
-    state = ConvergenceState.for_dim(2)
+    _, _, sums = fold_convergence(None, np.zeros((1, 2)), 0.05)
     with pytest.raises(ValueError):
-        fold_convergence(state, np.zeros((3, 3)))
+        fold_convergence(sums, np.zeros((3, 3)), 0.05)
     with pytest.raises(ValueError):
-        update_convergence(state, [1.0, 2.0, 3.0])
-    assert state.count == 0
+        update_convergence(sums, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        fold_convergence(None, np.zeros(3), 0.05)
+    assert sums[0] == 1

@@ -19,12 +19,14 @@ from popflow.errors import (CorruptFile, DimensionMismatch,
                             FormatVersionMismatch, NonFiniteGradient)
 from popflow.sdae import (RANGE_FLOOR, DaeLayer, SdaeModel, TrainConfig,
                           backward, batch_loss, cast_model, corrupt,
-                          denormalize, early_stop, finetune, fit_bounds,
+                          early_stop, finetune, fit_bounds,
                           forward, init_model, init_opt_state, load_model,
                           model_params, mse_loss, normalize, pretrain_layer,
                           pretrain_stack, relu, rmsprop_momentum_step,
                           save_model, _run_layers)
 from popflow.pipeline import infer
+
+from conftest import denormalize
 
 
 def new_rng(seed=0):

@@ -10,6 +10,9 @@ Independent oracles used here:
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -337,6 +340,16 @@ def test_dispatch_round_cap_raises_domain_error(monkeypatch):
         solver.dc_opf(two_bus_case(), np.array([0.0, 0.5]))
 
 
+def test_import_leaves_the_lp_solver_unloaded():
+    """``import popflow`` does not import scipy.optimize: the phase-1 LP
+    imports it on its first call."""
+    code = "import sys, popflow; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def three_bus_limited_case(limit=0.4):
     """Cheap generation at bus 0 separated from the load by a tight line."""
     return make_case(
@@ -385,6 +398,62 @@ def _random_small_case(rng):
     loads = np.zeros(len(buses))
     loads[load_bus] = load
     return make_case(buses=buses, branches=branches, generators=gens), loads
+
+
+# Rings where most generators have linear costs: generator i at bus i (bus 0
+# slack, the others PV), then PQ buses with the given loads; branch i joins
+# bus i to bus i + 1 (mod the bus count). Rounding the data to 4 decimals
+# hides both failures.
+# In both, a KKT matrix singular along a flat direction factored without an
+# exact zero pivot, and the step it gave was garbage (|d| ~ 1e32).
+DEGENERATE_RINGS = {
+    # rows that depend on the working set then joined it, and a later KKT
+    # solve raised numpy.linalg.LinAlgError
+    "dependent row": (
+        [(0.14385789317865755, 1.4079308830594954, 0.7679880610181695, 24.438985194176116),
+         (0.1339032784868468, 1.3247539841501452, 0, 19.795935716049478),
+         (0.06519325709752022, 1.0779698698460736, 0, 11.7379032900778),
+         (0.009195343257791967, 1.1276425260416554, 0, 9.443639843741865),
+         (0.1851708572029608, 1.2762323402705835, 0, 6.675383915759445)],
+        [(0.2776926369348817, 0.3649493804165537), (0.29223369307942504, 1.0327042518665965),
+         (0.22239384716706195, 0.6333926704221629), (0.05343558553996709, 0.6726110260936855),
+         (0.11445297109817056, 1.0710645305343918), (0.053166186197110984, 1.5139370345753516)],
+        [2.3060408284519975]),
+    # the iteration ended below a generator's p_min
+    "below p_min": (
+        [(0.1636994707104291, 1.326668059236316, 0, 21.639008124227438),
+         (0.12402115411821912, 1.093320270335154, 0, 12.348518454073407),
+         (0.03027264628630999, 1.1626845798711374, 0, 24.55286966845175),
+         (0.14346330749447564, 1.1919103083682057, 0, 10.075993263745385),
+         (0.12263136205580867, 1.337814940022094, 0, 21.829772113934872),
+         (0.07963657850606415, 1.0897414281167574, 0.8072594676777067, 16.437554980602755)],
+        [(0.15689578777912327, 0.8721589792290974), (0.12718964645602704, 0.8906967474164813),
+         (0.21340403460503077, 0.9681835306286843), (0.16001841950657775, 0.5046563567876583),
+         (0.0861551954422941, 0.5267869649471351), (0.1507475819985722, 0.7700140319171801),
+         (0.21288590286198877, 0.8185993766788522), (0.1967582576242342, 1.575026620220276),
+         (0.2557347760949858, 1.5783084816327686)],
+        [0.7041066264492077, 0.5292185104506881, 0.3424766251827163]),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_RINGS)
+def test_degenerate_linear_cost_rings_dispatch_to_a_kkt_point(name):
+    gens, ring, pq_loads = DEGENERATE_RINGS[name]
+    ng = len(gens)
+    loads = np.array([0.0] * ng + pq_loads)
+    case = make_case(
+        buses=[make_bus(0, SLACK), *(make_bus(i, PV) for i in range(1, ng)),
+               *(make_bus(ng + k, PQ, p=load) for k, load in enumerate(pq_loads))],
+        branches=[make_branch(i, (i + 1) % len(loads), x=x, limit=limit)
+                  for i, (x, limit) in enumerate(ring)],
+        generators=[make_gen(i, *g) for i, g in enumerate(gens)])
+    sol = dc_opf(case, loads)
+    flows = _dc_flows_from_angles(case, sol.p_gen[None], loads)[0]
+    assert np.all(np.abs(flows) <= np.array([limit for _, limit in ring]) + 1e-9)
+    assert np.all((sol.p_gen >= [g[0] - 1e-9 for g in gens])
+                  & (sol.p_gen <= [g[1] + 1e-9 for g in gens]))
+    assert sol.p_gen.sum() == pytest.approx(loads.sum(), abs=1e-9)
+    assert dispatch_kkt_residual(case, loads, sol) <= 1e-8
 
 
 def test_remembered_active_set_skips_the_iteration():
