@@ -69,11 +69,35 @@ def load_config(path: str, overrides) -> dict:
             if not isinstance(node, dict):
                 raise UsageError(f"override {dotted!r} descends into a non-object")
         node[parts[-1]] = value
+    _check_shapes(cfg)
     return cfg
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_shapes(cfg: dict) -> None:
+    """Refuse a path that is not a string, a section that is not an object
+    and a correlation that is not an object of square matrices, before any
+    case load, draw or write."""
+    for key in ("case", "output_dir", "dataset_dir", "checkpoint"):
+        if key in cfg and not isinstance(cfg[key], str):
+            raise UsageError(f"{key} must be a path string, got {cfg[key]!r}")
+    for key in ("train", "sampling", "report"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise UsageError(f"{key} must be a JSON object, got {cfg[key]!r}")
+    matrices = cfg.get("sampling", {}).get("correlation")
+    if matrices is not None and not isinstance(matrices, dict):
+        raise UsageError(f"sampling.correlation must be a JSON object of group matrices, "
+                         f"got {matrices!r}")
+    for name, matrix in (matrices or {}).items():
+        if not (isinstance(matrix, list) and matrix and all(
+                isinstance(row, list) and len(row) == len(matrix)
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
+                for row in matrix)):
+            raise UsageError(f"sampling.correlation.{name} must be a square matrix of "
+                             f"numbers, got {matrix!r}")
 
 
 def _require_case(cfg: dict):
@@ -97,10 +121,7 @@ def _sampling_int(cfg: dict, key: str, default: int | None, minimum: int) -> int
     """``sampling.<key>`` (``default`` when unset) as an integer of at least
     ``minimum``; anything else is a usage error, raised before any case
     load, draw or write."""
-    section = cfg.get("sampling", {})
-    if not isinstance(section, dict):
-        raise UsageError(f"sampling must be a JSON object, got {section!r}")
-    value = section.get(key, default)
+    value = cfg.get("sampling", {}).get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise UsageError(f"sampling.{key} must be an integer of at least {minimum}, "
                          f"got {value!r}")
@@ -108,11 +129,8 @@ def _sampling_int(cfg: dict, key: str, default: int | None, minimum: int) -> int
 
 
 def _train_config(cfg: dict) -> sdae.TrainConfig:
-    section = cfg.get("train", {})
-    if not isinstance(section, dict):
-        raise UsageError(f"train must be a JSON object, got {section!r}")
     try:
-        return sdae.TrainConfig(**section)
+        return sdae.TrainConfig(**cfg.get("train", {}))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad train config: {exc}")
 

@@ -18,7 +18,8 @@ File schema
 ``sources``     ``{"bus": id, "kind": ..., "corr_group": str?}`` plus per kind:
                 - ``gaussian_load``: ``mean_mw``, ``std_mw``, ``power_factor``
                 - ``wind``: ``weibull_shape``, ``weibull_scale``, ``cut_in``,
-                  ``rated_speed``, ``cut_out`` (m/s), ``rated_mw``
+                  ``rated_speed``, ``cut_out`` (m/s, ``0 <= cut_in <
+                  rated_speed < cut_out``), ``rated_mw``
                 - ``pv``: ``alpha``, ``beta``, ``rated_mw``
 
 Bus ids must be dense 0-based so they double as matrix indices. Slack and PV
@@ -429,8 +430,8 @@ def _source_violations(s: StochasticSource) -> list:
     elif s.kind == SRC_WIND:
         if not (p["weibull_shape"] > 0 and p["weibull_scale"] > 0):
             out.append("Weibull shape and scale must be positive")
-        if not p["cut_in"] < p["rated_speed"] < p["cut_out"]:
-            out.append("requires cut_in < rated_speed < cut_out")
+        if not 0 <= p["cut_in"] < p["rated_speed"] < p["cut_out"]:
+            out.append("requires 0 <= cut_in < rated_speed < cut_out")
         if not p["rated"] > 0:
             out.append("rated power must be positive")
     elif s.kind == SRC_PV:

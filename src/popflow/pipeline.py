@@ -8,18 +8,19 @@ generator outputs, branch flows.
 
 Inference runs the model's ``sdae.inference_copy``, whose first and top
 layers carry the min-max scaling, so rows are never normalized or
-denormalized. It runs in fixed row blocks on the ``INFER_CHUNK`` grid, on one
-thread per BLAS thread team that fits on the usable cores, each block writing
-only its own rows: predictions do not depend on the core count (see
-``rowblocks``).
+denormalized. It runs on the calling thread, in ``INFER_CHUNK`` chunks
+counted from the first row.
 
 A Monte-Carlo run (``run_popf``) is one block pass: the normals are drawn and
 correlated on the calling thread, then every 4,096-row block transforms its
 marginals, computes its features, runs the folded network on its
-``INFER_CHUNK`` grid and writes its outputs, on the same workers as
-inference; no feature matrix spans the run. A fixed-count run's blocks also
-write their shifted moment sums, and each ``--converge`` chunk goes through
-the same pass before the stopping rule folds it.
+``INFER_CHUNK`` grid and writes its outputs; no feature matrix spans the run.
+The pass is popflow's only threaded work: its blocks run on one thread per
+BLAS thread team that fits on the usable cores, each writing only its own
+rows, so outputs do not depend on the core count (see ``rowblocks``). A
+fixed-count run's blocks also return their shifted moment sums, and each
+``--converge`` chunk goes through the same pass before the stopping rule
+folds it.
 
 Statistics are block-merged moments: each block sums ``x - shift`` and its
 squares (``shift`` the block's first row), and the calling thread merges the
@@ -362,20 +363,15 @@ def infer(model: sdae.SdaeModel, x: np.ndarray) -> np.ndarray:
     """The model's outputs for the input rows ``x``, in their own units.
 
     Runs the model's ``sdae.inference_copy`` (min-max scaling folded into its
-    first and top layers) in fixed blocks (a multiple of ``INFER_CHUNK``) on
-    one thread per BLAS thread team that fits on the usable cores, each block
-    writing only its own rows of the output, so the result does not depend on
-    the core count (see ``rowblocks``).
+    first and top layers) on the calling thread, in ``INFER_CHUNK`` chunks
+    counted from the first row.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"model expects {model.input_dim} input features, got {x.shape[1]}")
-    net = sdae.inference_copy(model)
     out = np.empty((x.shape[0], model.output_dim))
-    for_each_block(x.shape[0], lambda start, stop: _infer_rows(net, x[start:stop],
-                                                               out[start:stop]),
-                   blas=True)
+    _infer_rows(sdae.inference_copy(model), x, out)
     return out
 
 
@@ -458,26 +454,18 @@ class _SurrogatePass:
         z = self.stream.normals(n)
         t1 = time.perf_counter()
         out = np.empty((n, self.net.output_dim))
-        n_blocks = -(-n // BLOCK_ROWS)
-        times = np.zeros((n_blocks, len(self.STAGES)))
-        sums = [None] * n_blocks
-
-        def block(start, stop):
-            k = start // BLOCK_ROWS
-            times[k], sums[k] = self._block(z[start:stop], out[start:stop], moments)
-
-        for_each_block(n, block, blas=True)
+        blocks = for_each_block(n, lambda start, stop: self._block(z[start:stop],
+                                                                   out[start:stop], moments))
         self.draw_s += t1 - t0
         self.pass_s += time.perf_counter() - t1
-        self.stage_s += times.sum(axis=0)
+        self.stage_s += np.sum([times for times, _ in blocks], axis=0)
         self.drawn += n
         self.widest = max(self.widest, n)
-        return out, sums if moments else None
+        return out, [sums for _, sums in blocks] if moments else None
 
     def _block(self, z: np.ndarray, out: np.ndarray, moments: bool):
         t0 = time.perf_counter()
-        samples = np.empty_like(z)
-        self.stream._transform_rows(z, samples)
+        samples = self.stream._transform_rows(z)
         t1 = time.perf_counter()
         x = _features(self.case, samples)
         t2 = time.perf_counter()
@@ -495,7 +483,7 @@ class _SurrogatePass:
         log.debug("popf: %.3g s drawing, %.3g s in the block pass (over blocks: %s); "
                   "%d rows drawn, %d used; %d block workers%s",
                   self.draw_s, self.pass_s, stages, self.drawn, used,
-                  workers(self.widest, blas=True), stop)
+                  workers(self.widest), stop)
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +491,14 @@ class _SurrogatePass:
 
 
 def compute_statistics(values: np.ndarray) -> Statistics:
-    """Column means and sample stds, from per-block shifted sums merged in
-    block order (see ``_merge_moments``), so the bits do not depend on the
-    worker count."""
+    """Column means and sample stds, from the shifted sums of consecutive
+    ``BLOCK_ROWS`` slices merged in block order (see ``_merge_moments``), so
+    the bits equal those of ``run_popf``'s block-pass moments."""
     values = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)))
     if values.shape[0] < 2:
         raise ValueError("need at least 2 samples for statistics")
-    sums = [None] * -(-len(values) // BLOCK_ROWS)
-
-    def block(start, stop):
-        sums[start // BLOCK_ROWS] = _shifted_sums(values[start:stop])
-
-    for_each_block(len(values), block)
-    return _merge_moments(sums)
+    return _merge_moments([_shifted_sums(values[start:start + BLOCK_ROWS])
+                           for start in range(0, len(values), BLOCK_ROWS)])
 
 
 def _shifted_sums(rows: np.ndarray):

@@ -1,15 +1,15 @@
-"""Row-independent work split into fixed row blocks, one thread per usable core.
+"""The row blocks of ``popf``'s Monte-Carlo block pass (``pipeline``), on one
+thread per BLAS thread team that fits on the usable cores.
 
 Rows are cut into blocks of ``BLOCK_ROWS`` from row 0, whatever the worker
-count, and each block's work writes only that block's rows of an output its
-caller allocated. Every bit of the result is therefore independent of the
-number of workers and of the order the blocks run in. One worker, or a
-single block, runs the same work inline on the calling thread.
+count; each block's work writes only that block's rows of an output its
+caller allocated, and its result comes back in block order, so every bit is
+independent of the number of workers and of the order the blocks run in.
+One worker, or a single block, runs the work inline on the calling thread.
 
-Work made of BLAS matrix products gets one worker per BLAS thread team that
-fits on the usable cores: a multi-threaded BLAS already spreads each
-product over the cores, and products issued from several threads at once
-then contend for the same BLAS threads and run slower than one at a time.
+The work is BLAS matrix products: a multi-threaded BLAS already spreads
+each product over the cores, and products issued from several threads at
+once contend for the same BLAS threads and run slower than one at a time.
 
 The block work must not call the functions a tracer may wrap (the public
 layer entry points such as ``pipeline.infer``); it calls private helpers.
@@ -46,32 +46,24 @@ def _blas_threads() -> int:
     return _usable_cores()
 
 
-def workers(n_rows: int, blas: bool = False) -> int:
-    """Threads ``for_each_block`` uses for ``n_rows`` rows: one per usable
-    core, or with ``blas`` one per BLAS thread team that fits on them, but
-    no more than there are blocks."""
-    teams = _usable_cores() // _blas_threads() if blas else _usable_cores()
-    return max(1, min(teams, -(-n_rows // BLOCK_ROWS)))
+def workers(n_rows: int) -> int:
+    """Threads ``for_each_block`` uses for ``n_rows`` rows: one per BLAS
+    thread team that fits on the usable cores, but no more than there are
+    blocks."""
+    return max(1, min(_usable_cores() // _blas_threads(), -(-n_rows // BLOCK_ROWS)))
 
 
-def for_each_block(n_rows: int, work, blas: bool = False) -> None:
-    """Call ``work(start, stop)`` for every block of rows ``[start, stop)``;
-    ``blas`` marks work made of BLAS matrix products (see ``workers``).
+def for_each_block(n_rows: int, work) -> list:
+    """``work(start, stop)`` for every block of rows ``[start, stop)``, the
+    results in block order.
 
     An exception raised by a block reaches the caller as it was raised;
     blocks not yet started are then cancelled.
     """
-    blocks = [(start, min(start + BLOCK_ROWS, n_rows)) for start in range(0, n_rows, BLOCK_ROWS)]
-    n_workers = workers(n_rows, blas)
+    starts = range(0, n_rows, BLOCK_ROWS)
+    stops = [min(start + BLOCK_ROWS, n_rows) for start in starts]
+    n_workers = workers(n_rows)
     if n_workers == 1:
-        for start, stop in blocks:
-            work(start, stop)
-        return
+        return list(map(work, starts, stops))
     with ThreadPoolExecutor(n_workers, thread_name_prefix="popflow-rows") as pool:
-        futures = [pool.submit(work, start, stop) for start, stop in blocks]
-        try:
-            for future in futures:
-                future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        return list(pool.map(work, starts, stops))

@@ -32,13 +32,13 @@ returns its table value. Past the last node, and for shapes so small that a
 node underflows or rounds to 1, ``betaincinv`` answers directly. Every value
 depends on its own ``z`` only, which keeps draws prefix-stable.
 
-Drawing the normals and correlating them run on the calling thread
-(``SampleStream.normals``); the marginal transforms run over fixed row blocks
-on every usable core (``rowblocks``), or inside the Monte-Carlo block pass of
-``pipeline.run_popf``. Each block writes only its own rows, so a draw does
-not depend on the core count. A ``SampleStream`` keeps every column's
-generator between draws, so consecutive draws of n1, n2, ... rows are the
-rows of one draw of n1 + n2 + ... rows.
+A draw runs on the calling thread. Inside the Monte-Carlo block pass of
+``pipeline.run_popf`` the normals are drawn and correlated here
+(``SampleStream.normals``) and each row block transforms its own marginals;
+the transforms are elementwise, so a row's values do not depend on the rows
+transformed with it. A ``SampleStream`` keeps every column's generator
+between draws, so consecutive draws of n1, n2, ... rows are the rows of one
+draw of n1 + n2 + ... rows.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from scipy.special import betainc, betaincinv, betaln, ndtr
 
 from .errors import NotPositiveDefinite
 from .grid import SRC_GAUSSIAN_LOAD, SRC_PV, SRC_WIND, NetworkCase, StochasticSource
-from .rowblocks import for_each_block
 
 # nodes of |z| for the beta quantile table, s = k / 256 up to 8.30; past the
 # last node betaincinv answers directly
@@ -247,16 +246,13 @@ def wind_power_curve(speed, params):
     """Piecewise curve: zero outside [cut_in, cut_out], cubic ramp to rated.
 
     The ramp is proportional to speed^3 and reaches rated power exactly at
-    the rated speed; between rated and cut-out output holds at rated.
+    the rated speed; past it, up to cut-out, the clip holds output at rated
+    (``rated_speed > 0``, see ``grid``). A NaN speed gives 0.
     """
     speed = np.asarray(speed, dtype=float)
     rated = params["rated"]
-    v_in, v_r, v_out = params["cut_in"], params["rated_speed"], params["cut_out"]
-    ramp = rated * (speed / v_r) ** 3
-    power = np.where(speed < v_in, 0.0,
-                     np.where(speed < v_r, ramp,
-                              np.where(speed <= v_out, rated, 0.0)))
-    return np.clip(power, 0.0, rated)
+    return np.where((speed >= params["cut_in"]) & (speed <= params["cut_out"]),
+                    np.clip(rated * (speed / params["rated_speed"]) ** 3, 0.0, rated), 0.0)
 
 
 def sample_operating_conditions(case: NetworkCase, n: int,
@@ -286,13 +282,8 @@ class SampleStream:
         self._generators = _column_generators(case.n_sources, seed, redraw)
 
     def draw(self, n: int) -> SampleMatrix:
-        """The next n rows: drawn and correlated here, then transformed over
-        fixed row blocks on every usable core."""
-        z = self.normals(n)
-        values = np.empty_like(z)
-        for_each_block(n, lambda start, stop: self._transform_rows(z[start:stop],
-                                                                   values[start:stop]))
-        return SampleMatrix(values=values)
+        """The next n rows: drawn, correlated and transformed on this thread."""
+        return SampleMatrix(values=self._transform_rows(self.normals(n)))
 
     def normals(self, n: int) -> np.ndarray:
         """The next n rows of correlated standard normals, on this thread."""
@@ -301,7 +292,9 @@ class SampleStream:
             z = correlate(z, self.spec)
         return z
 
-    def _transform_rows(self, z, values) -> None:
-        """Write the marginal transforms of the normals ``z`` into ``values``."""
+    def _transform_rows(self, z) -> np.ndarray:
+        """The marginal transforms of the normals ``z``, column by column."""
+        values = np.empty_like(z)
         for j, src in enumerate(self.sources):
             values[:, j] = transform_marginal(z[:, j], src)
+        return values

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -74,14 +75,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta_unsup <= 0 or self.eta_sup <= 0:
-            raise ValueError("learning rates must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if not 0 <= self.corruption_level < 1:
-            raise ValueError("corruption_level must be in [0, 1)")
-        if self.corruption_level_finetune is not None and not 0 <= self.corruption_level_finetune < 1:
-            raise ValueError("corruption_level_finetune must be in [0, 1)")
+        rates = (("eta_unsup", self.eta_unsup), ("eta_sup", self.eta_sup))
+        fractions = (("momentum", self.momentum), ("corruption_level", self.corruption_level))
+        if self.corruption_level_finetune is not None:
+            fractions += (("corruption_level_finetune", self.corruption_level_finetune),)
+        for name, value in rates + fractions:
+            if isinstance(value, bool) or not isinstance(value, Real) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name, value in rates:
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name, value in fractions:
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if not self.hidden_sizes:
             raise ValueError("need at least one hidden layer")

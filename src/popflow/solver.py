@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import DispatchStalled, Infeasible, NonConvergence, SingularJacobian
 from .grid import SRC_GAUSSIAN_LOAD, NetworkCase
@@ -568,6 +567,7 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray):
         try:
             out[k] = np.linalg.solve(jac[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError:
+            from scipy.linalg.lapack import dgesv  # here: only names the pivot, slow to import
             pivots[k] = int(dgesv(jac[k], rhs[k])[-1])
     return out, pivots
 

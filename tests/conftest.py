@@ -44,6 +44,19 @@ def denormalize(v, lo, hi):
     return out.reshape(shape)
 
 
+def nested_wind_power_curve(speed, params):
+    """Reference wind curve: zero below cut-in, cubic ramp below the rated
+    speed, rated up to cut-out and zero past it, then clipped to [0, rated]."""
+    speed = np.asarray(speed, dtype=float)
+    rated = params["rated"]
+    v_in, v_r, v_out = params["cut_in"], params["rated_speed"], params["cut_out"]
+    ramp = rated * (speed / v_r) ** 3
+    power = np.where(speed < v_in, 0.0,
+                     np.where(speed < v_r, ramp,
+                              np.where(speed <= v_out, rated, 0.0)))
+    return np.clip(power, 0.0, rated)
+
+
 def make_bus(i, kind, p=0.0, q=0.0, v_min=0.9, v_max=1.1):
     return Bus(id=i, kind=kind, v_min=v_min, v_max=v_max, p_load=p, q_load=q)
 

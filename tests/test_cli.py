@@ -216,6 +216,19 @@ def test_train_writes_pretraining_losses_and_stop(generated, capsys):
     ("train.patience=-1", "patience must be an integer of at least 0, got -1"),
     ("train.seed=-1", "seed must be an integer of at least 0, got -1"),
     ("train.seed=abc", "seed must be an integer of at least 0, got 'abc'"),
+    ("train.eta_sup=true", "eta_sup must be a finite number, got True"),
+    ("train.eta_unsup=true", "eta_unsup must be a finite number, got True"),
+    ('train.eta_sup="1e-3"', "eta_sup must be a finite number, got '1e-3'"),
+    ("train.eta_sup=NaN", "eta_sup must be a finite number, got nan"),
+    ("train.eta_unsup=Infinity", "eta_unsup must be a finite number, got inf"),
+    ("train.momentum=false", "momentum must be a finite number, got False"),
+    ("train.momentum=[0.9]", "momentum must be a finite number, got [0.9]"),
+    ("train.corruption_level=false", "corruption_level must be a finite number, got False"),
+    ("train.corruption_level=NaN", "corruption_level must be a finite number, got nan"),
+    ("train.corruption_level_finetune=true",
+     "corruption_level_finetune must be a finite number, got True"),
+    ("train.corruption_level_finetune=-Infinity",
+     "corruption_level_finetune must be a finite number, got -inf"),
 ])
 def test_bad_train_config_usage_error_before_dataset_load(generated, capsys, monkeypatch,
                                                           setting, message):
@@ -393,6 +406,48 @@ def test_sampling_not_an_object_usage_error(tmp_path, capsys):
     assert main(["gen-data", "-c", str(cfg), "--set", "sampling=5"]) == 2
     assert "sampling must be a JSON object, got 5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+BAD_SHAPE_SETTINGS = [
+    ("report=5", "report must be a JSON object, got 5"),
+    ("report=[1]", "report must be a JSON object, got [1]"),
+    ("sampling.correlation=5", "sampling.correlation must be a JSON object of group matrices, got 5"),
+    ("sampling.correlation=[[1]]",
+     "sampling.correlation must be a JSON object of group matrices, got [[1]]"),
+    ('sampling.correlation={"area_loads":5}',
+     "sampling.correlation.area_loads must be a square matrix of numbers, got 5"),
+    ('sampling.correlation={"area_loads":[[1,0.5]]}',
+     "sampling.correlation.area_loads must be a square matrix of numbers, got [[1, 0.5]]"),
+    ('sampling.correlation={"area_loads":[[true]]}',
+     "sampling.correlation.area_loads must be a square matrix of numbers, got [[True]]"),
+    ("output_dir=5", "output_dir must be a path string, got 5"),
+    ("checkpoint=5", "checkpoint must be a path string, got 5"),
+    ("dataset_dir=5", "dataset_dir must be a path string, got 5"),
+    ("case=[1]", "case must be a path string, got [1]"),
+    ("case=5", "case must be a path string, got 5"),
+    ("case=true", "case must be a path string, got True"),
+]
+
+
+@pytest.mark.parametrize("command", [["gen-data"], ["train"], ["popf", "--samples", "20"],
+                                     ["compare"]])
+def test_config_value_of_the_wrong_shape_usage_error_before_case_load(tmp_path, capsys,
+                                                                      monkeypatch, command):
+    """A path that is not a string, a section that is not an object or a
+    correlation that is not an object of square matrices exits 2 with a
+    usage message before the case or dataset loads, so nothing is drawn or
+    written; a number is never opened as a file descriptor."""
+    def no_load(path):
+        raise AssertionError("the case or dataset was loaded")
+
+    monkeypatch.setattr(cli, "load_case", no_load)
+    monkeypatch.setattr(cli.pipeline, "load_dataset", no_load)
+    cfg = write_config(tmp_path, write_case(tmp_path))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for setting, message in BAD_SHAPE_SETTINGS:
+        assert main([*command, "-c", str(cfg), "--set", setting]) == 2, setting
+        assert message in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_bad_override_usage_error(trained):

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from popflow.errors import SchemaError, ValidationError
-from popflow.grid import (case_hash, parse_case, serialize_case, validate_case)
+from popflow.grid import (SRC_WIND, StochasticSource, case_hash, parse_case, serialize_case,
+                          validate_case)
 
 from conftest import (gaussian_source, make_branch, make_bus, make_case, make_gen,
                       two_bus_case)
@@ -157,6 +158,17 @@ def test_validate_source_parameters():
     bad = two_bus_case()
     bad.sources[0].params["std"] = -1.0
     assert any("std must be positive" in v for v in validate_case(bad))
+
+
+def test_validate_refuses_a_negative_cut_in_speed():
+    params = {"weibull_shape": 2.0, "weibull_scale": 8.0, "cut_in": -1.0,
+              "rated_speed": 12.0, "cut_out": 25.0, "rated": 0.4}
+    base = two_bus_case()
+    case = make_case(base.buses, base.branches, base.generators,
+                     [StochasticSource(bus=1, kind=SRC_WIND, params=params)])
+    assert validate_case(case) == ["source 0: requires 0 <= cut_in < rated_speed < cut_out"]
+    params["cut_in"] = 0.0
+    assert validate_case(case) == []
 
 
 @pytest.mark.parametrize("name", ["twobus", "case14"])

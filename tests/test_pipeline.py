@@ -504,16 +504,6 @@ def test_block_moments_of_the_small_example_are_exact():
     assert stats.mean[0] == 2.0 and stats.std[0] == 1.0
 
 
-def test_block_moment_bytes_do_not_depend_on_the_worker_count(monkeypatch):
-    values = block_moment_rows(5 * rowblocks.BLOCK_ROWS + 77, 4)
-    results = []
-    for n_workers in (1, 2, 3):
-        monkeypatch.setattr(rowblocks, "_usable_cores", lambda: n_workers)
-        stats = compute_statistics(values)
-        results.append(stats.mean.tobytes() + stats.std.tobytes())
-    assert results[1] == results[0] and results[2] == results[0]
-
-
 @pytest.mark.parametrize("kwargs", [dict(n_samples=2 * rowblocks.BLOCK_ROWS + 300),
                                     dict(n_samples=2), dict(n_samples=1),
                                     dict(converge=True, cv_threshold=1e-3, max_samples=9000),

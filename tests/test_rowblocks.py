@@ -1,6 +1,6 @@
 """Row blocks: sampling, inference and the fused Monte-Carlo pass give the
-same bytes for any worker count, every row is covered once, and a block's
-error reaches the caller."""
+same bytes for any worker count, every row is covered once, only the pass
+starts threads, and a block's error reaches the caller."""
 
 import sys
 import threading
@@ -10,7 +10,8 @@ import pytest
 
 from popflow import rowblocks, sdae
 from popflow.errors import NonFiniteLoss
-from popflow.pipeline import INFER_CHUNK, infer, operating_features, run_popf
+from popflow.pipeline import (INFER_CHUNK, compute_statistics, infer, operating_features,
+                              run_popf)
 from popflow.sampling import CorrelationSpec, sample_operating_conditions
 
 ROW_COUNTS = (1, 511, 513, 4095, 4097, 12345)
@@ -36,7 +37,7 @@ def case14_model(case14):
 
 
 def with_workers(monkeypatch, n):
-    """n usable cores and a single-threaded BLAS: n threads for every call."""
+    """n usable cores and a single-threaded BLAS: n threads for the block pass."""
     monkeypatch.setattr(rowblocks, "_usable_cores", lambda: n)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
@@ -97,6 +98,35 @@ def test_blocks_cover_each_row_once(monkeypatch, n_workers, expect_pool):
     assert all(on_pool) if expect_pool else not any(on_pool)
 
 
+def test_block_results_come_back_in_block_order(monkeypatch):
+    with_workers(monkeypatch, 3)
+    b = rowblocks.BLOCK_ROWS
+    assert rowblocks.for_each_block(4 * b + 5, lambda start, stop: (start, stop)) == [
+        (0, b), (b, 2 * b), (2 * b, 3 * b), (3 * b, 4 * b), (4 * b, 4 * b + 5)]
+
+
+def test_only_the_block_pass_starts_threads(case14, case14_model, monkeypatch):
+    """Drawing, inference and statistics run on the calling thread even
+    where the block pass of ``run_popf`` gets three workers."""
+    spec, model = case14_model
+    with_workers(monkeypatch, 3)
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    n = 3 * rowblocks.BLOCK_ROWS + 1
+    values = sample_operating_conditions(case14, n, spec, seed=6).values
+    inferred = infer(model, operating_features(case14, values))
+    compute_statistics(inferred)
+    assert started == []
+    run_popf(model, case14, n_samples=n, spec=spec, seed=6)
+    assert started
+
+
 def test_a_single_block_runs_inline(monkeypatch):
     with_workers(monkeypatch, 3)
     seen = []
@@ -119,9 +149,7 @@ def test_blas_work_gets_one_thread_per_blas_team(monkeypatch, variables, blas_wo
         monkeypatch.delenv(name, raising=False)
     for name, value in variables.items():
         monkeypatch.setenv(name, value)
-    n_rows = 10 * rowblocks.BLOCK_ROWS
-    assert rowblocks.workers(n_rows) == 4
-    assert rowblocks.workers(n_rows, blas=True) == blas_workers
+    assert rowblocks.workers(10 * rowblocks.BLOCK_ROWS) == blas_workers
 
 
 def test_a_block_error_reaches_the_caller_unchanged(monkeypatch):
@@ -138,8 +166,8 @@ def test_a_block_error_reaches_the_caller_unchanged(monkeypatch):
 
 
 def test_an_inference_worker_error_reaches_the_caller_unchanged(case14, case14_model, monkeypatch):
-    """A domain error raised on a pool thread keeps its type, so the CLI
-    still turns it into exit code 1."""
+    """A domain error raised on a pool thread of ``run_popf``'s block pass,
+    which infers, keeps its type, so the CLI still turns it into exit code 1."""
     spec, model = case14_model
     with_workers(monkeypatch, 2)
     error = NonFiniteLoss("kernel failed")
@@ -151,8 +179,6 @@ def test_an_inference_worker_error_reaches_the_caller_unchanged(case14, case14_m
         return run_layers(*args)
 
     monkeypatch.setattr(sdae, "_run_layers", failing_run_layers)
-    x = operating_features(case14, sample_operating_conditions(case14, 3 * rowblocks.BLOCK_ROWS,
-                                                                 spec, 4).values)
     with pytest.raises(NonFiniteLoss) as raised:
-        infer(model, x)
+        run_popf(model, case14, n_samples=3 * rowblocks.BLOCK_ROWS, spec=spec, seed=4)
     assert raised.value is error

@@ -21,7 +21,7 @@ from popflow.sampling import (CorrelationSpec, SampleStream, correlate,
                               wind_power_curve)
 
 from conftest import (draw_standard_normals, gaussian_source, make_branch, make_bus,
-                      make_case, make_gen, update_convergence)
+                      make_case, make_gen, nested_wind_power_curve, update_convergence)
 
 
 def wind_source(bus=1, shape=2.0, scale=8.0, cut_in=3.0, rated_speed=12.0,
@@ -132,6 +132,33 @@ def test_wind_curve_regions():
     assert wind_power_curve(25.1, p) == 0.0
     # cubic ramp normalized to the rated speed
     assert wind_power_curve(6.0, p) == pytest.approx(p["rated"] * (6.0 / 12.0) ** 3)
+
+
+@st.composite
+def wind_curves(draw):
+    """Curve parameters that pass case validation: 0 <= cut_in < rated_speed
+    < cut_out and rated > 0."""
+    cut_in = draw(st.floats(0.0, 30.0))
+    # a rated speed far below 1e-3 overflows the cubic ramp of a 1e3 m/s speed
+    rated_speed = draw(st.floats(max(cut_in, 1e-3), 60.0, exclude_min=True))
+    cut_out = draw(st.floats(rated_speed, 100.0, exclude_min=True))
+    return {"cut_in": cut_in, "rated_speed": rated_speed, "cut_out": cut_out,
+            "rated": draw(st.floats(1e-6, 10.0))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(wind_curves(), st.lists(st.floats(-1e3, 1e3), max_size=20))
+@example({"cut_in": 0.0, "rated_speed": 12.0, "cut_out": 25.0, "rated": 0.4}, [])
+def test_wind_curve_has_the_bits_of_the_nested_form(params, speeds):
+    """The one-``where`` curve gives the nested reference's bits at NaN,
+    infinities, negative speeds, every threshold and its neighbours, and
+    random speeds."""
+    thresholds = [params[k] for k in ("cut_in", "rated_speed", "cut_out")]
+    speeds = np.array([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, *speeds,
+                       *thresholds, *np.nextafter(thresholds, math.inf),
+                       *np.nextafter(thresholds, -math.inf)])
+    assert (wind_power_curve(speeds, params).tobytes()
+            == nested_wind_power_curve(speeds, params).tobytes())
 
 
 def test_pv_symmetric_beta_median():

@@ -341,13 +341,15 @@ def test_dispatch_round_cap_raises_domain_error(monkeypatch):
 
 
 def test_import_leaves_the_lp_solver_unloaded():
-    """``import popflow`` does not import scipy.optimize: the phase-1 LP
-    imports it on its first call."""
-    code = "import sys, popflow; print('scipy.optimize' in sys.modules)"
+    """``import popflow`` imports neither scipy.optimize nor scipy.linalg:
+    the phase-1 LP imports the one on its first call, and a singular
+    Jacobian row the other."""
+    code = ("import sys, popflow; "
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def three_bus_limited_case(limit=0.4):
