@@ -101,13 +101,18 @@ def _check_shapes(cfg: dict) -> None:
 
 
 def _require_case(cfg: dict):
+    """The config's case, which the commands that load it all sample: a case
+    without stochastic sources is refused before any draw or write."""
     case_path = cfg.get("case")
     if not case_path:
         raise UsageError("config is missing the 'case' path")
     try:
-        return load_case(case_path)
+        case = load_case(case_path)
     except OSError as exc:
         raise UsageError(f"cannot read case {case_path}: {exc}")
+    if case.n_sources == 0:
+        raise UsageError(f"case {case_path} has no stochastic sources to sample")
+    return case
 
 
 def _paths(cfg: dict):

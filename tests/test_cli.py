@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +122,45 @@ def test_gen_data_rows_equal_solves_alone(tmp_path, capsys):
     for i in (0, 17, 39):
         alone = oracle_opf(load_case(case_path), ds.samples[i])
         assert np.array_equal(alone.as_vector(), ds.y[i])
+
+
+@pytest.mark.parametrize("command", [["gen-data"], ["popf", "--samples", "20"],
+                                     ["popf", "--converge"], ["compare"]])
+def test_case_without_sources_usage_error_before_drawing(tmp_path, capsys, command):
+    """A valid case with no stochastic sources passes validate; each command
+    that samples it exits 2 with a one-line usage message before it loads a
+    checkpoint, draws or writes anything."""
+    doc = json.loads(serialize_case(bundled_case("case14")))
+    doc["sources"] = []
+    case_path = tmp_path / "case.json"
+    case_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(case_path)]) == 0
+    cfg = write_config(tmp_path, case_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main([*command, "-c", str(cfg)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: case {case_path} has no stochastic sources to sample\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_case14_commands_load_no_scipy(tmp_path):
+    """gen-data, train, popf --samples, popf --converge and compare on case14
+    each exit 0 in a fresh process, print nothing to stderr (logging stays
+    quiet by default) and load no scipy module."""
+    case_path = write_case(tmp_path, bundled_case("case14"))
+    cfg = write_config(tmp_path, case_path, sampling={
+        "n_train": 300, "n_mcs": 60, "seed": 5,
+        "correlation": {"area_loads": [[1.0, 0.6], [0.6, 1.0]]}})
+    code = ("import sys; from popflow.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for command in (["gen-data"], ["train"], ["popf", "--samples", "5000"],
+                    ["popf", "--converge"], ["compare"]):
+        run = subprocess.run([sys.executable, "-c", code, *command, "-c", str(cfg)],
+                             env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, ""), command
+        assert run.stdout.splitlines()[-1] == "0 []", command
 
 
 def test_gen_data_zero_samples_usage_error(tmp_path):

@@ -1,6 +1,11 @@
 """Monte-Carlo sampling: determinism, correlation, marginals, stopping rule."""
 
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -139,8 +144,7 @@ def wind_curves(draw):
     """Curve parameters that pass case validation: 0 <= cut_in < rated_speed
     < cut_out and rated > 0."""
     cut_in = draw(st.floats(0.0, 30.0))
-    # a rated speed far below 1e-3 overflows the cubic ramp of a 1e3 m/s speed
-    rated_speed = draw(st.floats(max(cut_in, 1e-3), 60.0, exclude_min=True))
+    rated_speed = draw(st.floats(cut_in, 60.0, exclude_min=True))
     cut_out = draw(st.floats(rated_speed, 100.0, exclude_min=True))
     return {"cut_in": cut_in, "rated_speed": rated_speed, "cut_out": cut_out,
             "rated": draw(st.floats(1e-6, 10.0))}
@@ -152,13 +156,35 @@ def wind_curves(draw):
 def test_wind_curve_has_the_bits_of_the_nested_form(params, speeds):
     """The one-``where`` curve gives the nested reference's bits at NaN,
     infinities, negative speeds, every threshold and its neighbours, and
-    random speeds."""
+    random speeds, without a warning where the reference's ramp overflows
+    (a rated speed far below the speed, down to the smallest subnormal)."""
     thresholds = [params[k] for k in ("cut_in", "rated_speed", "cut_out")]
     speeds = np.array([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, *speeds,
                        *thresholds, *np.nextafter(thresholds, math.inf),
                        *np.nextafter(thresholds, -math.inf)])
-    assert (wind_power_curve(speeds, params).tobytes()
-            == nested_wind_power_curve(speeds, params).tobytes())
+    with np.errstate(over="ignore"):
+        reference = nested_wind_power_curve(speeds, params)
+    assert wind_power_curve(speeds, params).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("changes", [{"cut_in": 0.0, "rated_speed": 1e-300},
+                                     {"shape": 0.01}, {"shape": 1e-3}])
+def test_wind_marginal_is_silent_at_extreme_valid_parameters(changes):
+    """A tiny rated speed or Weibull shape overflows the ramp or the power of
+    a valid case; the marginal is silent and gives the saturated answers: an
+    infinite speed is past cut-out and gives 0. Checked against the nested
+    curve of the Weibull speed, both taken here with scipy's ndtr and
+    overflow allowed."""
+    src = wind_source(**changes)
+    z = np.linspace(-6.0, 6.0, 1201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        power = transform_marginal(z, src)
+    p = src.params
+    with np.errstate(over="ignore"):
+        speed = p["weibull_scale"] * (-np.log(ndtr(-z))) ** (1.0 / p["weibull_shape"])
+        reference = nested_wind_power_curve(speed, p)
+    assert np.allclose(power, reference, rtol=1e-12, atol=0.0)
 
 
 def test_pv_symmetric_beta_median():
@@ -301,12 +327,115 @@ def test_pv_lower_tail_is_solved_on_its_own_side(alpha, beta):
     assert np.all(np.abs(betainc(alpha, beta, x / rated) - t) <= 1e-12 * t)
 
 
+@pytest.mark.parametrize("alpha, beta, z", [(2.06, 2.5, [-9.0, 9.0, -40.0]),
+                                             (0.01, 2.0, [-1.0, 0.0, 1.5])])
+def test_rare_pv_paths_load_scipy_special_on_first_use(alpha, beta, z):
+    """A value past the table, or of a shape whose nodes underflow or round
+    to 1, draws betaincinv's bits in a fresh process, which loads
+    scipy.special then and not before."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from popflow.grid import SRC_PV, StochasticSource\n"
+            "from popflow.sampling import transform_marginal\n"
+            f"src = StochasticSource(bus=1, kind=SRC_PV, params={{'alpha': {alpha!r}, "
+            f"'beta': {beta!r}, 'rated': 1.0}})\n"
+            "print('scipy.special' in sys.modules)\n"
+            f"print([v.hex() for v in transform_marginal(np.array({z!r}), src).tolist()])\n"
+            "print('scipy.special' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    z = np.array(z)
+    ref = np.where(z <= 0, betaincinv(alpha, beta, ndtr(np.minimum(z, 0.0))),
+                   1.0 - betaincinv(beta, alpha, ndtr(-np.maximum(z, 0.0))))
+    assert out == ["False", str([v.hex() for v in ref.tolist()]), "True"]
+
+
+def test_table_build_goes_to_the_debug_log(caplog):
+    """Each PV table build writes one DEBUG line with its shape and time; a
+    shape already built writes none."""
+    sampling._beta_quantile_table.cache_clear()
+    src = pv_source(alpha=2.0625, beta=3.25, rated=1.0)
+    with caplog.at_level(logging.DEBUG, logger="popflow"):
+        transform_marginal(np.array([-1.0, 0.5]), src)
+        transform_marginal(np.array([2.0]), src)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "popflow"]
+    assert re.fullmatch(r"PV quantile table for beta\(2\.0625, 3\.25\) built in "
+                        r"\d[\d.e+-]* ms", line)
+
+
 def test_renewable_output_within_rating():
     z = draw_standard_normals(20_000, 1, seed=3)[:, 0]
     for src in (wind_source(), pv_source()):
         vals = transform_marginal(z, src)
         assert np.all(vals >= 0.0)
         assert np.all(vals <= src.params["rated"] + 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# special functions
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=50))
+@example([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, -0.5, 1.0, 1.4142135623730951,
+          -8.0, 11.5, -37.6, -38.4, -38.5, 38.5])
+def test_ndtr_is_the_cephes_routine(a):
+    """``_ndtr`` runs Cephes' operations in Cephes' order, so it has
+    scipy's bits wherever no exp is taken (``|a| / sqrt 2 < 1``, NaN, +-inf)
+    and is within 3 ulp elsewhere: numpy's exp differs from the C library's
+    by one ulp on some arguments, which the rational's roundings can carry
+    to 2.5 ulp (seen over 2e7 values). A subnormal value is within 2 of the
+    smallest subnormal."""
+    a = np.array(a)
+    ours, ref = sampling._ndtr(a), ndtr(a)
+    plain = ~(np.abs(a * math.sqrt(0.5)) >= 1.0) | np.isinf(a)
+    assert ours[plain].tobytes() == ref[plain].tobytes()
+    assert np.all(np.abs(ours - ref)[~plain] <= 3 * EPS * ref[~plain] + 2 * 5e-324)
+    assert sampling._ndtr(0.0) == 0.5 and sampling._ndtr(np.float64(0.5)).shape == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape_params, shape_params,
+       st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=30))
+# 1 - I_{1-x}(q, p) would carry 2.6e-13 here; the mean keeps it out
+@example(50.0, 0.2, [0.977, 0.9791125605240605, 0.996, 0.9999])
+# scipy's value is 1.5e-13 off here, and 0 where the true one is 1.8e-308
+@example(1.997958759897481, 45.12973080847214, [2.7854749940757906e-147])
+@example(1.1018846586142332, 36.3961691181335, [1.4375233592840697e-281])
+def test_betainc_matches_scipy_or_40_digits(p, q, x):
+    """``_betainc`` is within 1e-13 of scipy's betainc, relative; where
+    scipy's value is off by more than that itself (deep lower tails), a
+    40-digit value is judged under the same bound. A value below the
+    smallest normal float is held to 1e-13 of it."""
+    x = np.array(x)
+    ours, ref = sampling._betainc(p, q, x), betainc(p, q, x)
+    for i in np.flatnonzero(~(np.abs(ours - ref) <= 1e-13 * (ref + TINY))):
+        with mpmath.workdps(40):
+            exact = mpmath.betainc(p, q, 0, x[i], regularized=True)
+        assert abs(ours[i] - exact) <= 1e-13 * (exact + TINY)
+    assert sampling._betainc(p, q, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=0.5, max_value=50.0), st.floats(min_value=0.5, max_value=50.0),
+       st.lists(st.integers(min_value=0, max_value=len(sampling._BETA_NODES) - 1),
+                min_size=1, max_size=3))
+@example(2.06, 2.5, [0, 1, 1000, 2125])
+@example(0.5, 30.0, [0, 2125])
+@example(30.0, 0.5, [0, 2125])
+@example(50.0, 50.0, [0, 2125])
+def test_table_nodes_match_40_digit_quantiles(p, q, ks):
+    """A tail's nodes, solved by Newton on ``_betainc`` from AS 109's start,
+    are within 5e-14 of the 40-digit quantiles, relative."""
+    nodes = sampling._beta_tail_cells(p, q)[0][0]
+    for k in ks:
+        ref = mp_beta_quantile(p, q, -sampling._BETA_NODES[k])
+        assert abs(nodes[k] - ref) <= 5e-14 * ref
 
 
 # ---------------------------------------------------------------------------

@@ -343,13 +343,16 @@ def test_dispatch_round_cap_raises_domain_error(monkeypatch):
 def test_import_leaves_the_lp_solver_unloaded():
     """``import popflow`` imports neither scipy.optimize nor scipy.linalg:
     the phase-1 LP imports the one on its first call, and a singular
-    Jacobian row the other."""
+    Jacobian row the other. ``import popflow.cli`` loads no scipy module at
+    all; PV values past the quantile table import scipy.special."""
     code = ("import sys, popflow; "
-            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules); "
+            "import popflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False False"
+    assert out.splitlines() == ["False False", "[]"]
 
 
 def three_bus_limited_case(limit=0.4):
