@@ -16,9 +16,9 @@ Config keys (all optional except ``case``)::
       "dataset_dir": "out/dataset",        # default: <output_dir>/dataset
       "checkpoint": "out/model.ckpt",      # default: <output_dir>/model.ckpt
       "train": { ... TrainConfig fields ... },
-      "sampling": {"n_train": 20000, "n_mcs": 10000, "seed": 0,
+      "sampling": {"n_train": 20000, "n_mcs": 10000, "seed": 0,  # compare: n_mcs >= 2
                    "correlation": {"group_name": [[...], ...]}},
-      "report": {"bins": 50, "density_indexes": ["cost", "v_mag:8"]}
+      "report": {"bins": 50, "density_indexes": ["cost", "v_mag:8"]}  # []: no density tables
     }
 """
 
@@ -151,23 +151,24 @@ def _correlation_spec(cfg: dict, case) -> CorrelationSpec | None:
 
 
 def _report_options(cfg: dict, case) -> tuple:
-    """``report.bins`` and ``report.density_indexes`` (None when unset),
-    checked before any solve so that a bad value costs no work."""
+    """``report.bins`` and ``report.density_indexes`` (default labels when
+    unset), checked before any solve so that a bad value costs no work."""
     report_cfg = cfg.get("report", {})
     bins = report_cfg.get("bins", 50)
     if isinstance(bins, bool) or not isinstance(bins, int) or bins < 1:
         raise UsageError(f"report.bins must be a positive integer, got {bins!r}")
     labels = report_cfg.get("density_indexes")
-    if labels is not None:
-        if not isinstance(labels, list):
-            raise UsageError(f"report.density_indexes must be a list of output labels, "
-                             f"got {labels!r}")
-        known = pipeline.output_labels(case)
-        for label in labels:
-            if label not in known:
-                raise UsageError(f"report.density_indexes: {label!r} is not an output "
-                                 f"label of the case (cost, v_mag:<bus>, p_gen:<i>, "
-                                 f"p_branch:<i>)")
+    if labels is None:
+        return bins, pipeline.default_density_labels(case)
+    if not isinstance(labels, list):
+        raise UsageError(f"report.density_indexes must be a list of output labels, "
+                         f"got {labels!r}")
+    known = pipeline.output_labels(case)
+    for label in labels:
+        if label not in known:
+            raise UsageError(f"report.density_indexes: {label!r} is not an output "
+                             f"label of the case (cost, v_mag:<bus>, p_gen:<i>, "
+                             f"p_branch:<i>)")
     return bins, labels
 
 
@@ -268,7 +269,7 @@ def cmd_popf(args) -> int:
     stats = result.stats
     write_tsv(stats_path, ["index", "mean", "std"], zip(labels, stats.mean, stats.std))
 
-    for label in density_labels or pipeline.default_density_labels(case):
+    for label in density_labels:
         col = result.values[:, labels.index(label)]
         edges, (dens,) = pipeline.histogram_densities([col], bins)
         pipeline.save_density_table(out_dir, label, edges, {"density": dens})
@@ -282,7 +283,7 @@ def cmd_popf(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config, args.set)
     seed = _sampling_int(cfg, "seed", 0, 0)
-    n = _sampling_int(cfg, "n_mcs", 10_000, 1)
+    n = _sampling_int(cfg, "n_mcs", 10_000, 2)
     case = _require_case(cfg)
     out_dir, _, checkpoint = _paths(cfg)
     spec = _correlation_spec(cfg, case)

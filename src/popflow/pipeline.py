@@ -8,19 +8,19 @@ generator outputs, branch flows.
 
 Inference runs the model's ``sdae.inference_copy``, whose first and top
 layers carry the min-max scaling, so rows are never normalized or
-denormalized. It runs on the calling thread, in ``INFER_CHUNK`` chunks
-counted from the first row.
+denormalized, in ``INFER_CHUNK`` chunks counted from the first row.
 
 A Monte-Carlo run (``run_popf``) is one block pass: the normals are drawn and
 correlated on the calling thread, then every 4,096-row block transforms its
 marginals, computes its features, runs the folded network on its
-``INFER_CHUNK`` grid and writes its outputs; no feature matrix spans the run.
-The pass is popflow's only threaded work: its blocks run on one thread per
-BLAS thread team that fits on the usable cores, each writing only its own
-rows, so outputs do not depend on the core count (see ``rowblocks``). A
-fixed-count run's blocks also return their shifted moment sums, and each
-``--converge`` chunk goes through the same pass before the stopping rule
-folds it.
+``INFER_CHUNK`` grid, writes its outputs and returns their shifted moment
+sums; no feature matrix spans the run. ``compare_methods`` sends the rows the
+oracle kept through the same pass, each block slicing its own. The pass is
+popflow's only threaded work: its blocks run on one thread per BLAS thread
+team that fits on the usable cores, each writing only its own rows, so
+outputs do not depend on the core count (see ``rowblocks``); ``infer`` runs
+on the calling thread. Each ``--converge`` chunk goes through the same pass
+before the stopping rule folds it.
 
 Statistics are block-merged moments: each block sums ``x - shift`` and its
 squares (``shift`` the block's first row), and the calling thread merges the
@@ -34,7 +34,7 @@ pools their errors at the fixed ``EXCEEDANCE_THRESHOLDS``:
 
 - ``oracle``      dispatch + AC power flow per sample (the reference), by the
                   block oracle pass that also labels the training data
-- ``surrogate``   batched network inference
+- ``surrogate``   the kept rows through ``run_popf``'s block pass
 - ``dc_only``     linear dispatch alone (the same block dispatch), voltages
                   pinned at 1.0 pu
 """
@@ -397,9 +397,10 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
         raise ValueError("n_samples must be at least 1 when not convergence-driven")
     if converge and max_samples < 1:
         raise ValueError("max_samples must be at least 1")
-    run = _SurrogatePass(model, case, spec, seed)
+    _check_fits(model, case)
+    run, stream = _SurrogatePass(model, case), SampleStream(case, spec, seed)
     if not converge:
-        values, block_sums = run.rows(n_samples, moments=True)
+        values, block_sums = run.draw(stream, n_samples)
         stats = _merge_moments(block_sums) if n_samples > 1 else None
         run.log(len(values))
         return PopfRunResult(values=values, seconds=run.draw_s + run.pass_s,
@@ -412,7 +413,7 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     sums, collected, converged = None, [], False
     chunk = 4 * INFER_CHUNK
     while run.drawn < max_samples and not converged:
-        rows, _ = run.rows(min(chunk, max_samples - run.drawn))
+        rows, _ = run.draw(stream, min(chunk, max_samples - run.drawn))
         t0 = time.perf_counter()
         used, converged, sums = fold_convergence(sums, rows, cv_threshold)
         run.stage_s[-1] += time.perf_counter() - t0
@@ -422,8 +423,7 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     t0 = time.perf_counter()
     stats = compute_statistics(values) if len(values) > 1 else None
     run.stage_s[-1] += time.perf_counter() - t0
-    stderr, limit = rule_terms(*sums, cv_threshold)
-    ratio = stderr / limit
+    ratio = np.divide(*rule_terms(*sums, cv_threshold))   # standard errors over their limits
     worst = int(np.argmax(ratio))
     run.log(len(values), f"; largest stderr/limit {ratio[worst]:.3g}, at "
                          f"{output_labels(case)[worst]}")
@@ -432,52 +432,53 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
 
 
 class _SurrogatePass:
-    """One seed's Monte-Carlo rows through the folded network, block by block
-    (see the module doc), with the stage times of the run's DEBUG line."""
+    """Sample rows through the folded network, block by block (see the module
+    doc), with the stage times of the run's DEBUG line."""
 
     STAGES = ("transforming", "featurizing", "inferring", "summing moments")
 
-    def __init__(self, model: sdae.SdaeModel, case: NetworkCase,
-                 spec: CorrelationSpec | None, seed: int):
-        _check_fits(model, case)
+    def __init__(self, model: sdae.SdaeModel, case: NetworkCase):
         self.case = case
         self.net = sdae.inference_copy(model)
-        self.stream = SampleStream(case, spec, seed)
         self.draw_s = self.pass_s = 0.0
         self.stage_s = np.zeros(len(self.STAGES))
         self.drawn = self.widest = 0
 
-    def rows(self, n: int, moments: bool = False):
-        """The next n output rows, and with ``moments`` each block's
-        ``_shifted_sums`` in block order (else None)."""
+    def draw(self, stream: SampleStream, n: int):
+        """``samples`` of the next n rows of ``stream``: the normals are drawn
+        on this thread, and each block transforms its own."""
         t0 = time.perf_counter()
-        z = self.stream.normals(n)
-        t1 = time.perf_counter()
-        out = np.empty((n, self.net.output_dim))
-        blocks = for_each_block(n, lambda start, stop: self._block(z[start:stop],
-                                                                   out[start:stop], moments))
-        self.draw_s += t1 - t0
-        self.pass_s += time.perf_counter() - t1
-        self.stage_s += np.sum([times for times, _ in blocks], axis=0)
+        z = stream.normals(n)
+        self.draw_s += time.perf_counter() - t0
         self.drawn += n
-        self.widest = max(self.widest, n)
-        return out, [sums for _, sums in blocks] if moments else None
+        return self.samples(n, lambda start, stop: stream._transform_rows(z[start:stop]))
 
-    def _block(self, z: np.ndarray, out: np.ndarray, moments: bool):
+    def samples(self, n: int, rows_of):
+        """The output rows of n sample rows, each block's from ``rows_of(start,
+        stop)``, and each block's ``_shifted_sums`` in block order."""
         t0 = time.perf_counter()
-        samples = self.stream._transform_rows(z)
+        out = np.empty((n, self.net.output_dim))
+        blocks = for_each_block(n, lambda start, stop: self._block(rows_of, start, stop, out))
+        self.pass_s += time.perf_counter() - t0
+        self.stage_s += np.sum([times for times, _ in blocks], axis=0)
+        self.widest = max(self.widest, n)
+        return out, [sums for _, sums in blocks]
+
+    def _block(self, rows_of, start: int, stop: int, out: np.ndarray):
+        t0 = time.perf_counter()
+        samples, out = rows_of(start, stop), out[start:stop]
         t1 = time.perf_counter()
         x = _features(self.case, samples)
         t2 = time.perf_counter()
         _infer_rows(self.net, x, out)
         t3 = time.perf_counter()
-        sums = _shifted_sums(out) if moments else None
+        sums = _shifted_sums(out)
         return (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3), sums
 
     def log(self, used: int, stop: str = "") -> None:
         """One DEBUG line per run; the workers are those of the widest pass,
         and ``stop`` ends a convergence run's line with the output that
-        decided its stop. A convergence run's moment seconds are its
+        decided its stop. A convergence run's moment seconds also hold its
         stopping-rule folds and final statistics."""
         stages = ", ".join(f"{t:.3g} s {name}" for name, t in zip(self.STAGES, self.stage_s))
         log.debug("popf: %.3g s drawing, %.3g s in the block pass (over blocks: %s); "
@@ -637,12 +638,17 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
 
     Oracle failures drop the sample from every method so per-sample errors
     stay attributable, and ``failures`` maps each dropped row of the draw to
-    its "Type: message"; timings wrap each method's solve loop only.
+    its "Type: message"; TooManyRejections is raised when fewer than two rows
+    survive. The surrogate's rows go through ``run_popf``'s block pass, and
+    its time is the pass's inference stage summed over blocks; the other
+    timings wrap each method's solve loop only.
 
     ``self_check`` substitutes the oracle's own outputs for the surrogate's
     (no inference): every surrogate error column must then come out zero,
     which exercises the metric plumbing end to end.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2 for statistics")
     _check_fits(model, case)
     draw = sample_operating_conditions(case, n_samples, spec, seed).values
     labels = output_labels(case)
@@ -653,39 +659,32 @@ def compare_methods(case: NetworkCase, model: sdae.SdaeModel,
     oracle_time = time.perf_counter() - t0
     work.add(block)
     work.log("compare")
-    if not block.solved.any():
-        raise TooManyRejections("every oracle sample failed; nothing to compare")
-    oracle_vals = block.values
-    kept = draw[block.solved]
+    if work.solves < 2:
+        raise TooManyRejections(f"{work.failed} of {n_samples} oracle samples failed; "
+                                "fewer than 2 are left to compare")
+    oracle_vals, kept = block.values, draw[block.solved]
+    stats = {METHOD_ORACLE: compute_statistics(oracle_vals)}
 
     if self_check:
-        surrogate_vals = oracle_vals.copy()
-        surrogate_time = 0.0
+        surrogate_vals, surrogate_time = oracle_vals, 0.0
+        stats[METHOD_SURROGATE] = stats[METHOD_ORACLE]
     else:
-        x = operating_features(case, kept)
-        t1 = time.perf_counter()
-        surrogate_vals = infer(model, x)
-        surrogate_time = time.perf_counter() - t1
+        run = _SurrogatePass(model, case)
+        surrogate_vals, sums = run.samples(len(kept), lambda start, stop: kept[start:stop])
+        stats[METHOD_SURROGATE] = _merge_moments(sums)
+        surrogate_time = run.stage_s[run.STAGES.index("inferring")]
 
     t3 = time.perf_counter()
     dc_vals = _dc_only_outputs(case, kept)
     dc_time = time.perf_counter() - t3
 
-    method_values = {
-        METHOD_ORACLE: oracle_vals,
-        METHOD_SURROGATE: surrogate_vals,
-        METHOD_DC_ONLY: dc_vals,
-    }
-    stats = {m: compute_statistics(v) for m, v in method_values.items()}
-    errors = {
-        METHOD_SURROGATE: error_metrics(oracle_vals, surrogate_vals, case),
-        METHOD_DC_ONLY: error_metrics(oracle_vals, dc_vals, case),
-    }
-    timings = {
-        METHOD_ORACLE: oracle_time,
-        METHOD_SURROGATE: surrogate_time,
-        METHOD_DC_ONLY: dc_time,
-    }
+    method_values = {METHOD_ORACLE: oracle_vals, METHOD_SURROGATE: surrogate_vals,
+                     METHOD_DC_ONLY: dc_vals}
+    stats[METHOD_DC_ONLY] = compute_statistics(dc_vals)
+    errors = {m: error_metrics(oracle_vals, method_values[m], case)
+              for m in (METHOD_SURROGATE, METHOD_DC_ONLY)}
+    timings = {METHOD_ORACLE: oracle_time, METHOD_SURROGATE: surrogate_time,
+               METHOD_DC_ONLY: dc_time}
 
     if density_labels is None:
         density_labels = default_density_labels(case)

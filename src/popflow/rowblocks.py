@@ -1,5 +1,5 @@
-"""The row blocks of ``popf``'s Monte-Carlo block pass (``pipeline``), on one
-thread per BLAS thread team that fits on the usable cores.
+"""The row blocks of the surrogate block pass (``pipeline``) of ``popf`` and
+``compare``, on one thread per BLAS thread team that fits on the usable cores.
 
 Rows are cut into blocks of ``BLOCK_ROWS`` from row 0, whatever the worker
 count; each block's work writes only that block's rows of an output its

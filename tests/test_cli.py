@@ -410,6 +410,20 @@ def test_compare_self_check_zero_columns(trained, capsys):
     assert all(v == 0.0 for v in err["e_std"])
 
 
+@pytest.mark.parametrize("command, written", [(["popf", "--samples", "50"], "popf_stats.tsv"),
+                                              (["compare"], "report.json")])
+def test_empty_density_indexes_write_no_density_table(trained, capsys, command, written):
+    """``report.density_indexes: []`` plots nothing in either command, and
+    unset it plots the default labels."""
+    cfg, tmp_path = trained
+    out_dir = tmp_path / "out"
+    assert main([*command, "-c", str(cfg), "--set", "report.density_indexes=[]"]) == 0
+    assert (out_dir / written).exists()
+    assert list(out_dir.glob("density_*.tsv")) == []
+    assert main([*command, "-c", str(cfg)]) == 0
+    assert len(list(out_dir.glob("density_*.tsv"))) == 4
+
+
 def test_config_override_precedence(trained, capsys):
     cfg, tmp_path = trained
     assert main(["compare", "-c", str(cfg), "--set", "sampling.n_mcs=60"]) == 0
@@ -421,7 +435,7 @@ def test_config_override_precedence(trained, capsys):
                                                      ("gen-data", "n_train", 1),
                                                      ("popf", "seed", 0), ("popf", "n_mcs", 1),
                                                      ("compare", "seed", 0),
-                                                     ("compare", "n_mcs", 1)])
+                                                     ("compare", "n_mcs", 2)])
 def test_bad_sampling_integer_usage_error_before_case_load(tmp_path, capsys, monkeypatch,
                                                            command, key, minimum):
     """A sampling integer that is not an integer, or is below its minimum,

@@ -739,6 +739,31 @@ def test_compare_drops_failed_rows_like_gen_data(monkeypatch):
     assert np.array_equal(references[0], ds.y[:n - 1])
 
 
+def test_compare_needs_two_samples_before_drawing(tiny_trained, monkeypatch):
+    """One sample cannot give statistics: refused before anything is drawn."""
+    case, _, _, model, _ = tiny_trained
+
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(pipeline, "sample_operating_conditions", no_draw)
+    for self_check in (False, True):
+        with pytest.raises(ValueError, match="at least 2"):
+            compare_methods(case, model, seed=0, n_samples=1, self_check=self_check)
+
+
+def test_compare_refuses_fewer_than_two_oracle_rows(monkeypatch):
+    """With every row's dispatch but the last stalled, one oracle row
+    survives, too few for statistics: a domain error, not a traceback."""
+    n = 4
+    case = bundled_case("case14")   # a fresh object: no remembered active sets
+    rng = np.random.Generator(np.random.PCG64(0))
+    model = sdae.init_model(len(feature_labels(case)), (4,), case.solution_dim(), 0.0, rng)
+    stall_dispatch(monkeypatch, stalled=lambda call: call < n)
+    with pytest.raises(TooManyRejections, match="3 of 4 oracle samples failed"):
+        compare_methods(case, model, seed=5, n_samples=n, self_check=True)
+
+
 def test_compare_density_labels_cover_all_output_classes(tiny_trained):
     case, _, _, model, _ = tiny_trained
     labels = pipeline.default_density_labels(case)

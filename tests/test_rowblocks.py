@@ -1,6 +1,7 @@
-"""Row blocks: sampling, inference and the fused Monte-Carlo pass give the
-same bytes for any worker count, every row is covered once, only the pass
-starts threads, and a block's error reaches the caller."""
+"""Row blocks: sampling, inference and the fused surrogate pass of ``popf``
+and ``compare`` give the same bytes for any worker count, every row is
+covered once, only the pass starts threads, and a block's error reaches the
+caller."""
 
 import sys
 import threading
@@ -8,10 +9,10 @@ import threading
 import numpy as np
 import pytest
 
-from popflow import rowblocks, sdae
+from popflow import pipeline, rowblocks, sdae
 from popflow.errors import NonFiniteLoss
-from popflow.pipeline import (INFER_CHUNK, compute_statistics, infer, operating_features,
-                              run_popf)
+from popflow.pipeline import (INFER_CHUNK, compare_methods, compute_statistics, infer,
+                              operating_features, run_popf)
 from popflow.sampling import CorrelationSpec, sample_operating_conditions
 
 ROW_COUNTS = (1, 511, 513, 4095, 4097, 12345)
@@ -72,6 +73,35 @@ def test_sampling_and_inference_bytes_do_not_depend_on_the_worker_count(
     assert results[0][2] == results[0][1]
 
 
+def test_compare_surrogate_rows_keep_their_bytes(case14, case14_model, monkeypatch):
+    """``compare`` sends the rows the oracle kept, three blocks of them,
+    through the block pass: for 1, 2 and 3 workers the surrogate values are
+    ``infer`` of their features, and its stats ``compute_statistics`` of
+    them, bit for bit."""
+    spec, model = case14_model
+    n = 2 * rowblocks.BLOCK_ROWS + 300
+    candidates = []
+    real_error_metrics = pipeline.error_metrics
+
+    def recording_error_metrics(reference, candidate, case):
+        candidates.append(candidate)
+        return real_error_metrics(reference, candidate, case)
+
+    monkeypatch.setattr(pipeline, "error_metrics", recording_error_metrics)
+    draw = sample_operating_conditions(case14, n, spec, seed=8).values
+    for n_workers in (1, 2, 3):
+        with_workers(monkeypatch, n_workers)
+        candidates.clear()
+        report = compare_methods(case14, model, spec, seed=8, n_samples=n)
+        kept = np.delete(draw, list(report.failures), axis=0)
+        assert len(kept) > 2 * rowblocks.BLOCK_ROWS
+        values = candidates[0]
+        assert values.tobytes() == infer(model, operating_features(case14, kept)).tobytes()
+        stats, want = report.stats["surrogate"], compute_statistics(values)
+        assert stats.mean.tobytes() == want.mean.tobytes()
+        assert stats.std.tobytes() == want.std.tobytes()
+
+
 def test_inference_equals_the_chunked_forward_pass(case14, case14_model, monkeypatch):
     """Inference over blocks gives the bits of running ``forward`` on the
     model's scaling-folded ``inference_copy`` over consecutive INFER_CHUNK
@@ -107,7 +137,8 @@ def test_block_results_come_back_in_block_order(monkeypatch):
 
 def test_only_the_block_pass_starts_threads(case14, case14_model, monkeypatch):
     """Drawing, inference and statistics run on the calling thread even
-    where the block pass of ``run_popf`` gets three workers."""
+    where the block pass of ``compare_methods`` and ``run_popf`` gets three
+    workers."""
     spec, model = case14_model
     with_workers(monkeypatch, 3)
     started = []
@@ -123,6 +154,9 @@ def test_only_the_block_pass_starts_threads(case14, case14_model, monkeypatch):
     inferred = infer(model, operating_features(case14, values))
     compute_statistics(inferred)
     assert started == []
+    compare_methods(case14, model, spec, seed=6, n_samples=rowblocks.BLOCK_ROWS + 300)
+    assert started and all(name.startswith("popflow-rows") for name in started)
+    started.clear()
     run_popf(model, case14, n_samples=n, spec=spec, seed=6)
     assert started
 
