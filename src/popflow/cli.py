@@ -4,9 +4,10 @@ Subcommands: validate, gen-data, train, popf, compare. Every run is driven
 by a JSON config file; ``--set section.key=value`` flags override individual
 entries (values parse as JSON, falling back to plain strings).
 
-Exit codes: 0 success, 1 domain failure (solver, training, validation),
-2 usage or I/O failure. Console tables print 6 significant digits; machine
-files carry 17.
+Exit codes: 0 success, 1 domain failure (solver, training, validation, a
+corrupt checkpoint or dataset), 2 usage or I/O failure (a case or config
+that is not UTF-8 text too). Console tables print 6 significant digits;
+machine files carry 17.
 
 Config keys (all optional except ``case``)::
 
@@ -32,7 +33,7 @@ from pathlib import Path
 
 from . import pipeline, sdae
 from .errors import PopflowError, SchemaError, ValidationError
-from .grid import load_case, parse_case
+from .grid import load_case
 from .ioutil import write_tsv
 from .sampling import CorrelationSpec
 
@@ -50,8 +51,8 @@ def load_config(path: str, overrides) -> dict:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config {path} is not valid UTF-8 JSON: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must be a JSON object")
     for item in overrides or []:
@@ -178,12 +179,10 @@ def _report_options(cfg: dict, case) -> tuple:
 
 def cmd_validate(args) -> int:
     try:
-        text = Path(args.case).read_text(encoding="utf-8")
+        load_case(args.case)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        parse_case(text)
     except SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -217,6 +216,9 @@ def cmd_train(args) -> int:
         dataset = pipeline.load_dataset(dataset_dir)
     except OSError as exc:
         raise UsageError(f"cannot read dataset in {dataset_dir}: {exc}")
+    if dataset.n_rows < 2 * train_cfg.batch_size:
+        raise UsageError(f"dataset in {dataset_dir} has {dataset.n_rows} rows; train.batch_size "
+                         f"{train_cfg.batch_size} needs at least {2 * train_cfg.batch_size}")
 
     start = time.perf_counter()
     model, history, pretrain_losses = pipeline.train_popf_model(dataset, train_cfg)

@@ -34,13 +34,11 @@ class ValidationError(PopflowError):
 class NonConvergence(PopflowError):
     """Newton iteration exhausted max_iter without meeting tolerance."""
 
-    def __init__(self, iterations: int, mismatch: float, context: str = ""):
+    def __init__(self, iterations: int, mismatch: float):
         self.iterations = iterations
         self.mismatch = mismatch
-        msg = f"power flow did not converge after {iterations} iterations (max mismatch {mismatch:.3e} pu)"
-        if context:
-            msg += f" [{context}]"
-        super().__init__(msg)
+        super().__init__(f"power flow did not converge after {iterations} iterations "
+                         f"(max mismatch {mismatch:.3e} pu)")
 
 
 class SingularJacobian(PopflowError):
@@ -80,7 +78,8 @@ class FormatVersionMismatch(PopflowError):
 
 
 class CorruptFile(PopflowError):
-    """A checkpoint failed its structural or checksum verification."""
+    """A checkpoint failed its structural or checksum verification, or a
+    dataset file does not parse or disagrees with the others in row count."""
 
 
 class TooManyRejections(PopflowError):

@@ -466,8 +466,14 @@ def _connected(case: NetworkCase) -> bool:
 
 
 def load_case(path) -> NetworkCase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_case(fh.read())
+    """``parse_case`` of a file; one that is not UTF-8 text is a
+    ``SchemaError`` that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"{path} is not UTF-8 text: {exc}") from None
+    return parse_case(text)
 
 
 def bundled_case(name: str) -> NetworkCase:

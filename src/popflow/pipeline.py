@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sdae
-from .errors import DimensionMismatch, TooManyRejections, ValidationError
+from .errors import CorruptFile, DimensionMismatch, TooManyRejections, ValidationError
 from .grid import PQ, NetworkCase, case_hash
 from .sampling import CorrelationSpec, SampleStream, sample_operating_conditions
 from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OracleBlock, apply_sources, bus_loads,
@@ -294,16 +294,29 @@ def save_dataset(ds: TrainingDataset, directory, case: NetworkCase) -> None:
 
 
 def load_dataset(directory) -> TrainingDataset:
+    """The dataset ``save_dataset`` wrote. A file that does not parse, and a
+    ``Y.tsv`` or ``samples.tsv`` whose row count is not ``X.tsv``'s, raise
+    ``CorruptFile`` naming the file."""
     directory = Path(directory)
     x = _read_matrix(directory / "X.tsv")
     y = _read_matrix(directory / "Y.tsv")
     samples = _read_matrix(directory / "samples.tsv")
-    provenance = json.loads((directory / "provenance.json").read_text(encoding="utf-8"))
+    for name, matrix in (("Y.tsv", y), ("samples.tsv", samples)):
+        if len(matrix) != len(x):
+            raise CorruptFile(f"{directory / name}: {len(matrix)} rows, X.tsv has {len(x)}")
+    path = directory / "provenance.json"
+    try:
+        provenance = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptFile(f"{path}: not UTF-8 JSON: {exc}") from None
     return TrainingDataset(x=x, y=y, samples=samples, provenance=provenance)
 
 
 def _read_matrix(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter="\t", skiprows=1, ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter="\t", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +582,24 @@ def histogram_densities(columns, bins: int):
     """Unit-area histogram densities of several columns over shared bins.
 
     Returns the bin edges, spanning the smallest to the largest value of all
-    columns, and one density array per column.
+    columns, and one density array per column. A range too narrow for
+    ``bins`` bins of finite width and density (a few ulps, or subnormal) is
+    one bin holding all the mass, as a constant column is.
     """
     lo = min(np.min(c) for c in columns)
     hi = max(np.max(c) for c in columns)
-    if lo == hi:
+    if lo != hi:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                edges = np.histogram_bin_edges([], bins=bins, range=(lo, hi))
+                return edges, [np.histogram(c, bins=edges, density=True)[0] for c in columns]
+        except (ValueError, FloatingPointError):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise
+    if hi - lo < 0.5:
         # degenerate range: all mass in one unit-width bin
         return np.array([lo - 0.5, lo + 0.5]), [np.array([1.0]) for _ in columns]
-    edges = np.histogram_bin_edges([], bins=bins, range=(lo, hi))
-    return edges, [np.histogram(c, bins=edges, density=True)[0] for c in columns]
+    return np.array([lo, hi]), [np.array([1.0 / (hi - lo)]) for _ in columns]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ then trains the whole stack on the regression targets with input corruption
 as the only regularizer, early-stopping on validation loss. Both stages use
 RMSProp with momentum blending of the previous applied update.
 
+One ReLU-layer kernel (``_relu_layers``) and one backprop (``_relu_backprop``)
+serve the stack, each autoencoder and the pretraining pass; each ReLU mask is
+read from the activation (``a > 0`` is ``z > 0``), so no pre-activation is kept.
+
 Precision: corruption, forward, backward and the update keep the float
 dtype they are given; normalization and the fine-tuning losses are float64.
 ``pipeline.train_popf_model`` trains in float32, which halves the bytes
@@ -137,10 +141,6 @@ class SdaeModel:
 
     def dims(self) -> tuple:
         return (self.input_dim, *(l.w.shape[0] for l in self.layers), self.output_dim)
-
-
-def relu(x):
-    return np.maximum(x, 0.0)
 
 
 def _floats(x) -> np.ndarray:
@@ -276,40 +276,52 @@ def forward(model: SdaeModel, X: np.ndarray, train: bool = False,
         x_used = corrupt(X, model.corruption_level, rng)
     else:
         x_used = X
-    pre, post = [], []
-    y = _run_layers(model, x_used, pre, post)
-    return y, {"x": x_used, "pre": pre, "post": post}
+    acts = []
+    y = _run_layers(model, x_used, acts)
+    return y, {"x": x_used, "acts": acts}
 
 
-def _run_layers(model: SdaeModel, x: np.ndarray, pre: list | None = None,
-                post: list | None = None) -> np.ndarray:
-    """The stack's layer arithmetic, and the inference kernel: ``relu(a @ w.T
-    + b)`` per hidden layer, then the affine top (see module doc). With
-    ``pre`` and ``post`` every pre-activation and activation is appended to
-    them for backprop; without, each layer's ReLU overwrites its
-    pre-activation, and the output is ``forward(model, x)[0]`` bit for bit.
-    Inference calls it without lists from worker threads.
-
-    The product's dtype is never narrower than the bias's (weights and
-    biases are cast together), so adding the bias in place gives the bits
-    of ``a @ w.T + b``.
+def _run_layers(model: SdaeModel, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The stack's layer arithmetic, and the inference kernel: the ReLU
+    kernel over the hidden layers, then the affine top (see module doc).
+    With ``acts`` every activation, the output last, is appended to it for
+    backprop; with or without, the output is ``forward(model, x)[0]`` bit for
+    bit. Inference calls it without a list from worker threads.
     """
-    a = x
-    for layer in model.layers:
-        z = a @ layer.w.T
-        z += layer.b
-        if pre is None:
-            a = np.maximum(z, 0.0, out=z)
-        else:
-            a = relu(z)
-            pre.append(z)
-            post.append(a)
+    a = _relu_layers(x, [(layer.w, layer.b) for layer in model.layers], acts)
     y = a @ model.top_w.T
     y += model.top_b
-    if pre is not None:
-        pre.append(y)
-        post.append(y)
+    if acts is not None:
+        acts.append(y)
     return y
+
+
+def _relu_layers(a: np.ndarray, pairs, acts: list | None = None) -> np.ndarray:
+    """``a = max(a @ w.T + b, 0)`` for each ``(w, b)`` of ``pairs`` in turn,
+    appending each activation to ``acts`` when given; ``a`` is never written.
+    The product's dtype is never narrower than the bias's (weights and biases
+    are cast together), so the in-place bias and ReLU give the bits of
+    ``np.maximum(a @ w.T + b, 0.0)``."""
+    for w, b in pairs:
+        a = a @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
+        if acts is not None:
+            acts.append(a)
+    return a
+
+
+def _relu_backprop(pairs, x: np.ndarray, acts: list, grad: np.ndarray) -> list:
+    """Gradients ``[g_w, g_b, ...]`` of the ReLU layers ``pairs``, in their
+    order, which ``_relu_layers`` ran on input ``x`` with activations
+    ``acts``, given the loss gradient ``grad`` at the last activation."""
+    grads = []
+    for l in range(len(pairs) - 1, -1, -1):
+        delta = grad * (acts[l] > 0)
+        grads[:0] = (delta.T @ (acts[l - 1] if l else x), delta.sum(axis=0))
+        if l:
+            grad = delta @ pairs[l][0]
+    return grads
 
 
 def mse_loss(y, y_hat) -> float:
@@ -329,27 +341,15 @@ def batch_loss(y, y_hat) -> float:
 
 def backward(model: SdaeModel, cache: dict, y_true: np.ndarray) -> list:
     """Gradients of the batch-averaged loss, ordered like model_params()."""
-    y_hat = cache["post"][-1]
+    *hidden, y_hat = cache["acts"]
     y_true = np.atleast_2d(_floats(y_true))
     if y_true.shape != y_hat.shape:
         raise DimensionMismatch(f"targets {y_true.shape} vs outputs {y_hat.shape}")
-    m = y_hat.shape[0]
-    delta = (y_hat - y_true) / m
-    top_in = cache["post"][-2] if model.layers else cache["x"]
-    grads_top = (delta.T @ top_in, delta.sum(axis=0))
-
-    grads_layers = [None] * len(model.layers)
-    upstream = model.top_w
-    for l in range(len(model.layers) - 1, -1, -1):
-        delta = (delta @ upstream) * (cache["pre"][l] > 0)
-        layer_in = cache["post"][l - 1] if l > 0 else cache["x"]
-        grads_layers[l] = (delta.T @ layer_in, delta.sum(axis=0))
-        upstream = model.layers[l].w
-    out = []
-    for g in grads_layers:
-        out.extend(g)
-    out.extend(grads_top)
-    return out
+    delta = (y_hat - y_true) / y_hat.shape[0]
+    top_in = hidden[-1] if hidden else cache["x"]
+    pairs = [(layer.w, layer.b) for layer in model.layers]
+    return (_relu_backprop(pairs, cache["x"], hidden, delta @ model.top_w)
+            + [delta.T @ top_in, delta.sum(axis=0)])
 
 
 def model_params(model: SdaeModel) -> list:
@@ -468,19 +468,14 @@ def pretrain_layer(layer: DaeLayer, inputs: np.ndarray, cfg: TrainConfig,
 
 
 def _dae_loss_grads(layer: DaeLayer, x_clean: np.ndarray, x_noisy: np.ndarray):
+    """Reconstruction loss (in the batch's dtype) and ``[g_w, g_b, g_wdec,
+    g_bdec]``; encoder and decoder are two layers of the ReLU kernel."""
     m = x_clean.shape[0]
-    z_mid = x_noisy @ layer.w.T + layer.b
-    a = relu(z_mid)
-    z_out = a @ layer.w_dec.T + layer.b_dec
-    recon = relu(z_out)
-    loss = 0.5 * float(np.sum((recon - x_clean) ** 2)) / m
-    d_out = ((recon - x_clean) / m) * (z_out > 0)
-    g_wdec = d_out.T @ a
-    g_bdec = d_out.sum(axis=0)
-    d_mid = (d_out @ layer.w_dec) * (z_mid > 0)
-    g_w = d_mid.T @ x_noisy
-    g_b = d_mid.sum(axis=0)
-    return loss, [g_w, g_b, g_wdec, g_bdec]
+    pairs = [(layer.w, layer.b), (layer.w_dec, layer.b_dec)]
+    acts = []
+    diff = _relu_layers(x_noisy, pairs, acts) - x_clean
+    loss = 0.5 * float(np.sum(diff ** 2)) / m
+    return loss, _relu_backprop(pairs, x_noisy, acts, diff / m)
 
 
 def pretrain_stack(model: SdaeModel, x_train: np.ndarray, cfg: TrainConfig,
@@ -495,7 +490,7 @@ def pretrain_stack(model: SdaeModel, x_train: np.ndarray, cfg: TrainConfig,
     losses = []
     for l, layer in enumerate(model.layers):
         losses.append(pretrain_layer(layer, acts, cfg, rng, context=f"pretraining layer {l}"))
-        acts = relu(acts @ layer.w.T + layer.b)
+        acts = _relu_layers(acts, [(layer.w, layer.b)])
         layer.w_dec = None
         layer.b_dec = None
     return losses

@@ -44,6 +44,69 @@ def denormalize(v, lo, hi):
     return out.reshape(shape)
 
 
+def reference_forward(model, x):
+    """The stack's forward as separate arithmetic: outputs, and a cache that
+    keeps every pre-activation (``pre``) beside every activation (``post``),
+    the affine top last in both."""
+    pre, post = [], []
+    a = x
+    for layer in model.layers:
+        z = a @ layer.w.T
+        z += layer.b
+        a = np.maximum(z, 0.0)
+        pre.append(z)
+        post.append(a)
+    y = a @ model.top_w.T
+    y += model.top_b
+    pre.append(y)
+    post.append(y)
+    return y, {"x": x, "pre": pre, "post": post}
+
+
+def reference_backward(model, cache, y_true):
+    """Gradients of the batch-averaged loss, ordered like ``model_params``,
+    written out per layer with each ReLU mask taken from the pre-activation
+    of ``reference_forward``'s cache."""
+    y_hat = cache["post"][-1]
+    y_true = np.atleast_2d(y_true)
+    m = y_hat.shape[0]
+    delta = (y_hat - y_true) / m
+    top_in = cache["post"][-2] if model.layers else cache["x"]
+    grads_top = (delta.T @ top_in, delta.sum(axis=0))
+
+    grads_layers = [None] * len(model.layers)
+    upstream = model.top_w
+    for l in range(len(model.layers) - 1, -1, -1):
+        delta = (delta @ upstream) * (cache["pre"][l] > 0)
+        layer_in = cache["post"][l - 1] if l > 0 else cache["x"]
+        grads_layers[l] = (delta.T @ layer_in, delta.sum(axis=0))
+        upstream = model.layers[l].w
+    out = []
+    for g in grads_layers:
+        out.extend(g)
+    out.extend(grads_top)
+    return out
+
+
+def reference_dae_loss_grads(layer, x_clean, x_noisy):
+    """One denoising autoencoder's reconstruction loss and its gradients
+    ``[g_w, g_b, g_wdec, g_bdec]``, encoder and decoder written out, each
+    ReLU mask taken from the pre-activation."""
+    m = x_clean.shape[0]
+    z_mid = x_noisy @ layer.w.T + layer.b
+    a = np.maximum(z_mid, 0.0)
+    z_out = a @ layer.w_dec.T + layer.b_dec
+    recon = np.maximum(z_out, 0.0)
+    loss = 0.5 * float(np.sum((recon - x_clean) ** 2)) / m
+    d_out = ((recon - x_clean) / m) * (z_out > 0)
+    g_wdec = d_out.T @ a
+    g_bdec = d_out.sum(axis=0)
+    d_mid = (d_out @ layer.w_dec) * (z_mid > 0)
+    g_w = d_mid.T @ x_noisy
+    g_b = d_mid.sum(axis=0)
+    return loss, [g_w, g_b, g_wdec, g_bdec]
+
+
 def nested_wind_power_curve(speed, params):
     """Reference wind curve: zero below cut-in, cubic ramp below the rated
     speed, rated up to cut-out and zero past it, then clipped to [0, rated]."""

@@ -55,7 +55,7 @@ def end_to_end(case14):
 
 def _activation_pattern(cache):
     # hidden-layer signs only; the top layer is affine (kink-free)
-    return [z > 0 for z in cache["pre"][:-1]]
+    return [a > 0 for a in cache["acts"][:-1]]
 
 
 def test_criterion_01_gradient_oracle():

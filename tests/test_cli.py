@@ -73,6 +73,22 @@ def test_validate_missing_file_exit_two(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command", [["validate", "CASE"], ["popf", "-c", "CASE"],
+                                     ["gen-data", "-c", "CONFIG"]],
+                         ids=["validate", "config", "config-case"])
+def test_file_that_is_not_utf8_exit_two(tmp_path, capsys, command):
+    """A case file, a config file or a config's case that is not UTF-8 text
+    exits 2 with one message line that names the file."""
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{\x00\x81")
+    cfg = write_config(tmp_path, bad)
+    argv = [{"CASE": str(bad), "CONFIG": str(cfg)}.get(arg, arg) for arg in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{bad} is not" in err
+    assert err.startswith("error: " if command[0] == "popf" else "parse error: $: ")
+
+
 def test_validate_malformed_json_exit_two(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{{{", encoding="utf-8")
@@ -286,6 +302,55 @@ def test_bad_train_config_usage_error_before_dataset_load(generated, capsys, mon
     assert main(["train", "-c", str(cfg), "--set", setting]) == 2
     assert message in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_train_too_few_rows_for_two_batches_usage_error(generated, capsys, monkeypatch):
+    """A dataset with fewer rows than two batches exits 2 with one usage line
+    after it loads and before any training work, and writes no file."""
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.pipeline, "train_popf_model", no_training)
+    cfg, tmp_path = generated
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["train", "-c", str(cfg), "--set", "train.batch_size=500"]) == 2
+    assert capsys.readouterr().err == (f"error: dataset in {tmp_path / 'out' / 'dataset'} has "
+                                       f"400 rows; train.batch_size 500 needs at least 1000\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def _replace_cell(text):
+    lines = text.split("\n")
+    lines[2] = "abc" + lines[2][lines[2].index("\t"):]
+    return "\n".join(lines)
+
+
+def _truncate_row(text):
+    lines = text.split("\n")
+    lines[3] = lines[3].rsplit("\t", 1)[0]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name, damage, fault", [
+    ("X.tsv", _replace_cell, "could not convert"),
+    ("Y.tsv", _truncate_row, "number of columns changed"),
+    ("Y.tsv", lambda text: text.rstrip("\n").rsplit("\n", 1)[0] + "\n", "399 rows, X.tsv has 400"),
+    ("provenance.json", lambda text: text[:-3], "not UTF-8 JSON"),
+], ids=["non-numeric-cell", "truncated-row", "missing-row", "bad-json"])
+def test_train_malformed_dataset_exit_one(generated, capsys, name, damage, fault):
+    """A dataset file that does not parse, or a Y.tsv whose row count is not
+    X.tsv's, exits 1 with one CorruptFile line naming the file and the
+    fault, and no checkpoint is written."""
+    cfg, tmp_path = generated
+    path = tmp_path / "out" / "dataset" / name
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "-c", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: CorruptFile: {path}: ") and err.count("\n") == 1
+    assert fault in err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
 def test_train_missing_dataset_exit_two(tmp_path):

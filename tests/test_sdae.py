@@ -1,4 +1,4 @@
-"""Network kernels: activations, normalization, corruption, gradients,
+"""Network kernels: normalization, corruption, gradients,
 optimizer, pretraining, fine-tuning, and the checkpoint format.
 
 Independent oracles used here:
@@ -22,11 +22,12 @@ from popflow.sdae import (RANGE_FLOOR, DaeLayer, SdaeModel, TrainConfig,
                           early_stop, finetune, fit_bounds,
                           forward, init_model, init_opt_state, load_model,
                           model_params, mse_loss, normalize, pretrain_layer,
-                          pretrain_stack, relu, rmsprop_momentum_step,
-                          save_model, _run_layers)
+                          pretrain_stack, rmsprop_momentum_step,
+                          save_model, _dae_loss_grads, _run_layers)
 from popflow.pipeline import infer
 
-from conftest import denormalize
+from conftest import (denormalize, reference_backward, reference_dae_loss_grads,
+                      reference_forward)
 
 
 def new_rng(seed=0):
@@ -51,17 +52,6 @@ def loop_forward(model, x):
             acc += model.top_w[i, j] * a[j]
         final.append(acc)
     return np.array(final)
-
-
-# ---------------------------------------------------------------------------
-# relu
-
-
-def test_relu_examples():
-    assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-    x = np.array([0.5, 3.0, 0.0])
-    assert np.array_equal(relu(x), x)
-    assert np.array_equal(relu(np.array([-5.0, -0.1])), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +253,8 @@ def test_forward_matches_loop_oracle():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_inference_kernel_is_forward_bit_for_bit(dims, rows, model_dtype, x_dtype, seed):
     """The cache-free kernel gives the bits and dtype of ``forward(...)[0]``
-    and of the out-of-place ``relu(a @ w.T + b)`` chain, for every mix of
-    float32 and float64, and leaves its input alone."""
+    and of the out-of-place ``np.maximum(a @ w.T + b, 0.0)`` chain, for
+    every mix of float32 and float64, and leaves its input alone."""
     rng = new_rng(seed)
     model = init_model(dims[0], dims[1:-1], dims[-1], 0.0, rng)
     for layer in model.layers:
@@ -275,7 +265,7 @@ def test_inference_kernel_is_forward_bit_for_bit(dims, rows, model_dtype, x_dtyp
     x_before = x.copy()
     ref = x
     for layer in model.layers:
-        ref = relu(ref @ layer.w.T + layer.b)
+        ref = np.maximum(ref @ layer.w.T + layer.b, 0.0)
     ref = ref @ model.top_w.T + model.top_b
     got = _run_layers(model, x)
     want, _ = forward(model, x)
@@ -389,6 +379,51 @@ def test_backward_matches_finite_differences():
             p[ix] = orig
             fd = (up - down) / (2 * h)
             assert g[ix] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(dims=st.lists(st.integers(1, 9), min_size=3, max_size=5),
+       rows=st.one_of(st.just(1), st.integers(1, 30)),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_gradients_keep_the_bits_of_the_pre_masked_reference(dims, rows, dtype, seed, data):
+    """``backward`` and ``_dae_loss_grads``, which read each ReLU mask from
+    the activation, give the bytes of the loss and of every gradient of the
+    reference copies that read it from the pre-activation: float32 and
+    float64, 1 to 3 hidden layers, one-row batches, and dead layers (encoder
+    or decoder pre-activations all negative)."""
+    rng = new_rng(seed)
+    model = init_model(dims[0], dims[1:-1], dims[-1], 0.0, rng)
+    for layer in model.layers:
+        dead_enc, dead_dec = data.draw(st.tuples(st.booleans(), st.booleans()))
+        layer.b = rng.uniform(-0.5, 0.5, layer.b.shape) - (1e4 if dead_enc else 0.0)
+        layer.b_dec = rng.uniform(-0.5, 0.5, layer.b_dec.shape) - (1e4 if dead_dec else 0.0)
+    model.top_b = rng.uniform(-0.5, 0.5, model.top_b.shape)
+    cast_model(model, dtype)
+    x = rng.uniform(-1.0, 1.0, (rows, dims[0])).astype(dtype)
+    y_true = rng.uniform(-1.0, 1.0, (rows, dims[-1])).astype(dtype)
+
+    y_hat, cache = forward(model, x)
+    ref_hat, ref_cache = reference_forward(model, x)
+    _same_bits([y_hat], [ref_hat])
+    assert (np.float64(batch_loss(y_true, y_hat)).tobytes()
+            == np.float64(batch_loss(y_true, ref_hat)).tobytes())
+    _same_bits(backward(model, cache, y_true), reference_backward(model, ref_cache, y_true))
+
+    for layer in model.layers:
+        x_clean = rng.uniform(0.0, 1.0, (rows, layer.w.shape[1])).astype(dtype)
+        x_noisy = corrupt(x_clean, 0.3, rng)
+        loss, grads = _dae_loss_grads(layer, x_clean, x_noisy)
+        ref_loss, ref_grads = reference_dae_loss_grads(layer, x_clean, x_noisy)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        _same_bits(grads, ref_grads)
 
 
 def test_kernels_keep_the_float_dtype():
