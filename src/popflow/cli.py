@@ -183,9 +183,6 @@ def cmd_validate(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SchemaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValidationError as exc:
         for v in exc.violations:
             print(v)

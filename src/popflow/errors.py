@@ -13,12 +13,12 @@ class PopflowError(Exception):
 class SchemaError(PopflowError):
     """A case document is missing a field or has one of the wrong type.
 
-    Carries the path of the offending element, e.g. ``buses[2].v_min``.
+    Carries the offending element's path, e.g. ``buses[2].v_min``, and file.
     """
 
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+    def __init__(self, path: str, message: str, file=None):
+        self.path, self.message, self.file = path, message, file
+        super().__init__(f"{path}: {message}" if file is None else f"{file}: {path}: {message}")
 
 
 class ValidationError(PopflowError):

@@ -466,14 +466,15 @@ def _connected(case: NetworkCase) -> bool:
 
 
 def load_case(path) -> NetworkCase:
-    """``parse_case`` of a file; one that is not UTF-8 text is a
-    ``SchemaError`` that names it."""
+    """``parse_case`` of a file. Every ``SchemaError`` names the file, one
+    for a file that is not UTF-8 text included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_case(fh.read())
     except UnicodeDecodeError as exc:
         raise SchemaError("$", f"{path} is not UTF-8 text: {exc}") from None
-    return parse_case(text)
+    except SchemaError as exc:
+        raise SchemaError(exc.path, exc.message, file=path) from None
 
 
 def bundled_case(name: str) -> NetworkCase:

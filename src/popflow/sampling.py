@@ -29,10 +29,10 @@ quantile's ODE: ``w' = -phi(s) / (f(x) x)`` and ``w'' = -s w' - (p - (q -
 1) x / (1 - x)) w'^2`` (``f`` the beta density). A value ``|z| = s`` falls in cell ``k = floor(256 s)`` at
 ``u = 256 s - k``, both exact in binary, and is ``x_k exp(P_k(u))``
 clipped to the cell: no special function runs per value, and every node
-returns its table value. Past the last node, and for shapes so small that a
-node underflows or rounds to 1, scipy's ``betaincinv`` answers directly; only
-these rare values import ``scipy.special``. Every value depends on its own
-``z`` only, which keeps draws prefix-stable.
+returns its table value. Past the last node, and on a tail whose nodes would
+underflow or round to 1, the nodes' Newton (``_beta_nodes``) solves each value
+on its own tail. Every value depends on its own ``z`` only, which keeps draws
+prefix-stable.
 
 A draw runs on the calling thread. Inside the Monte-Carlo block pass of
 ``pipeline.run_popf`` the normals are drawn and correlated here
@@ -59,7 +59,7 @@ from .grid import SRC_GAUSSIAN_LOAD, SRC_PV, SRC_WIND, NetworkCase, StochasticSo
 log = logging.getLogger("popflow")
 
 # nodes of |z| for the beta quantile table, s = k / 256 up to 8.30; past the
-# last node betaincinv answers directly
+# last node the nodes' Newton answers directly
 _BETA_NODES_PER_UNIT = 256.0
 _BETA_NODES = np.arange(2126) / _BETA_NODES_PER_UNIT
 
@@ -307,20 +307,22 @@ def _betainc(p: float, q: float, x) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _beta_nodes(p: float, q: float, s: np.ndarray, t: np.ndarray):
-    """The quantiles ``x_k`` of ``I_x(p, q) = t_k = Phi(-s_k)``, ``s_k >= 0``,
-    or None when one lies below the smallest normal float or rounds up to 1.
+def _beta_nodes(p: float, q: float, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The quantiles ``x_k`` of ``I_x(p, q) = t_k = Phi(-s_k)``, ``s_k >= 0``:
+    0 below the smallest normal float, 1 where one rounds up to 1, NaN at NaN.
 
     Newton on ``log x`` (``G = log I``, ``G' = x f(x) / I``) from AS 109's
     closed-form start, whose normal deviate of ``t_k`` is ``s_k`` itself.
     Each node keeps a bracket; a step that leaves it goes halfway to its
     bound in ``log x`` instead. A node stops on its own after a step below
-    2^-40 in ``log x``, where the step's own error is below 1e-24; case14's
-    nodes take 3 to 4 rounds, and 100 is the cap."""
+    2^-40 in ``log x`` (its own error below 1e-24) from a point within 2^-20
+    of ``log t`` (near 1 with ``q < 1``, ``G'`` is so large that steps far from
+    the root are tiny too); case14's nodes take 3 to 4 rounds, 100 is the cap."""
     lo_x, hi_x = _TINY, 1.0 - _EPS / 2
     ends = _betainc(p, q, np.array([lo_x, hi_x]))
-    if not (ends[0] <= t.min() and ends[1] >= t.max()):
-        return None
+    out = np.where(t > ends[1], 1.0, np.where(np.isnan(t), np.nan, 0.0))
+    idx = np.flatnonzero((t >= ends[0]) & (t > 0.0) & (t <= ends[1]))
+    s, t = s[idx], t[idx]
     log_b, _ = _log_beta(p, q)
     with np.errstate(all="ignore"):  # a start out of range is clipped below
         if p > 1.0 and q > 1.0:
@@ -337,26 +339,25 @@ def _beta_nodes(p: float, q: float, s: np.ndarray, t: np.ndarray):
                                   1.0 - 2.0 / (ratio + 1.0)))
     x = np.clip(np.nan_to_num(x, nan=0.5), lo_x, hi_x)
     lo, hi = np.full_like(x, lo_x), np.full_like(x, hi_x)
-    out = np.empty_like(x)
-    idx = np.arange(len(x))
     for _ in range(100):
+        if not len(idx):
+            break
         cdf = _betainc(p, q, x)
         slope = _beta_front(p, q, x) / (1.0 - x)  # x f(x)
         below = cdf < t
         lo = np.where(below, x, lo)
         hi = np.where(cdf > t, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.log(cdf / t) * (cdf / slope)
+            miss = np.log(cdf / t)
+            step = miss * (cdf / slope)
             new = x * np.exp(-step)
-        done = np.abs(step) <= 2.0 ** -40
+        done = (np.abs(step) <= 2.0 ** -40) & (np.abs(miss) <= 2.0 ** -20)
         bounded = done | ((new > lo) & (new < hi))
         new = np.where(bounded, new, np.sqrt(x) * np.sqrt(np.where(below, hi, lo)))
         if done.any():
             out[idx[done]] = new[done]
             keep = ~done
             idx, new, lo, hi, t = idx[keep], new[keep], lo[keep], hi[keep], t[keep]
-            if not len(idx):
-                return out
         x = new
     out[idx] = x
     return out
@@ -413,13 +414,11 @@ def _beta_quantile_of_normal(a: float, b: float, z) -> np.ndarray:
     np.minimum(np.maximum(x, lo, out=x), hi, out=x)
     out = np.where(upper, 1.0 - x, x)
     past = ~(s <= np.where(upper, upper_max, lower_max))
-    if past.any():
-        from scipy.special import betaincinv, ndtr  # here: rarely needed, and slow to import
-
-        i = np.flatnonzero(past & ~upper)
-        out[i] = betaincinv(a, b, ndtr(flat[i]))
-        i = np.flatnonzero(past & upper)
-        out[i] = 1.0 - betaincinv(b, a, ndtr(-flat[i]))
+    for tail, p, q in ((~upper, a, b), (upper, b, a)):
+        i = np.flatnonzero(past & tail)
+        if len(i):
+            x = _beta_nodes(p, q, s[i], _ndtr(-s[i]))
+            out[i] = np.where(upper[i], 1.0 - x, x)
     return out.reshape(z.shape)
 
 
@@ -445,11 +444,11 @@ def _beta_tail_cells(p: float, q: float):
     module doc), one column per node; the last node's column is a cell of
     zero width. A shape so small that some node underflows below the
     smallest normal float or rounds up to 1 gets zeros and covers nothing
-    (-inf), and betaincinv answers that whole tail."""
+    (-inf), and ``_beta_nodes`` answers that whole tail."""
     s = _BETA_NODES
     x = _beta_nodes(p, q, s, _ndtr(-s))
     cells = np.zeros((7, len(s)))
-    if x is None:
+    if not np.all((x > 0.0) & (x < 1.0)):
         return cells, -np.inf
     log_beta, _ = _log_beta(p, q)
     # w' and w'' times h and h^2, the slope in logs: w' = -phi(s) / (f(x) x)

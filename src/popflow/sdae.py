@@ -92,9 +92,10 @@ class TrainConfig:
         for name, value in fractions:
             if not 0 <= value < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+        if not isinstance(self.hidden_sizes, (list, tuple)) or not self.hidden_sizes:
+            raise ValueError(f"hidden_sizes must be a non-empty list of integers, got "
+                             f"{self.hidden_sizes!r}")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        if not self.hidden_sizes:
-            raise ValueError("need at least one hidden layer")
         for name, value, minimum in (*(("every hidden size", h, 1) for h in self.hidden_sizes),
                                      ("batch_size", self.batch_size, 1),
                                      ("epochs_sup", self.epochs_sup, 1),

@@ -12,8 +12,8 @@ Per-case constants (the Ybus pattern, PTDF, constraint rows) live in a
 ``CompiledCase`` that ``compile_case`` builds once per case object.
 
 The dispatch QP has one linear-algebra kernel, the KKT system of the rows
-held at equality (``_DispatchQP.active_set``): it verifies remembered active
-sets on whole blocks and gives every round of the active-set iteration.
+held at equality (``_DispatchQP.active_set``): it verifies remembered sets on
+whole blocks and gives every round of the active-set iteration and its phase 1.
 
 The oracle works on blocks of sample rows (``oracle_block``): the loads of
 the block are mapped once, each remembered dispatch active set is tried on
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -237,6 +237,7 @@ class _DispatchQP:
     limits: np.ndarray
     G: np.ndarray
     H: np.ndarray         # Hessian of the cost, diag(2 a)
+    balance: np.ndarray   # the balance row: 1 per generator, 0 per elastic slack
     names: tuple
 
     def h(self, loads: np.ndarray) -> np.ndarray:
@@ -250,7 +251,7 @@ class _DispatchQP:
         """Rows ``working`` of G held at equality, with their KKT matrix
         ``[[H, C^T], [C, 0]]`` where ``C`` is the balance row over those rows."""
         rows = np.array(working, dtype=int)
-        C = np.vstack([np.ones((1, len(self.p_min))), self.G[rows]])
+        C = np.vstack([self.balance, self.G[rows]])
         k = C.shape[0]
         outside = np.ones(self.G.shape[0], dtype=bool)
         outside[rows] = False
@@ -289,8 +290,19 @@ def _dispatch_qp(case: NetworkCase) -> _DispatchQP:
                        gen_map=gen_map, ptdf=ptdf,
                        limits=np.array([br.p_limit for br in case.branches]),
                        G=np.vstack([-np.eye(ng), np.eye(ng), sens, -sens]),
-                       H=np.diag(2.0 * cost_a),
+                       H=np.diag(2.0 * cost_a), balance=np.ones(ng),
                        names=tuple(names))
+
+
+def _elastic_qp(qp: _DispatchQP) -> _DispatchQP:
+    """``qp`` in elastic form over ``(p, t)``, cost ``sum(t)``: a slack ``-t`` per branch on both
+    its flow rows, then the rows ``-t <= 0`` (``h`` gains zeros); other fields stay ``qp``'s."""
+    ng, nl = len(qp.p_min), len(qp.limits)
+    eye, n = np.eye(nl), ng + nl
+    return replace(qp, cost_a=np.zeros(n), cost_b=np.repeat([0.0, 1.0], [ng, nl]), cost_c=0.0,
+                   G=np.block([[qp.G, np.vstack([np.zeros((2 * ng, nl)), -eye, -eye])],
+                               [np.zeros((nl, ng)), -eye]]),
+                   H=np.zeros((n, n)), balance=np.repeat([1.0, 0.0], [ng, nl]))
 
 
 @dataclass(eq=False)
@@ -321,6 +333,7 @@ class CompiledCase:
     br_b: np.ndarray
     br_shunt: np.ndarray    # half line charging per branch, b_sh / 2
     qp: _DispatchQP
+    elastic: _DispatchQP    # _elastic_qp(qp)
     slack_gens: np.ndarray  # generators at the slack bus
     inj_map: np.ndarray     # gen_map with the slack generators' columns zeroed
     p_load: np.ndarray      # per-bus loads before the sources act
@@ -386,7 +399,7 @@ def _compile(case: NetworkCase) -> CompiledCase:
         br_to=np.array([br.to_bus for br in case.branches], dtype=int),
         br_g=series.real.copy(), br_b=series.imag.copy(),
         br_shunt=np.array([0.5 * br.b_sh for br in case.branches]),
-        qp=qp, slack_gens=slack_gens, inj_map=inj_map,
+        qp=qp, elastic=_elastic_qp(qp), slack_gens=slack_gens, inj_map=inj_map,
         p_load=case.p_load_vector(), q_load=case.q_load_vector(),
         source_rules=tuple(
             (src.bus, math.tan(math.acos(src.params["power_factor"]))
@@ -480,14 +493,12 @@ def _newton(cc: CompiledCase, spec: np.ndarray, live: np.ndarray, tol: float,
             live, vm, va, spec, mismatch = (a[~stop] for a in (live, vm, va, spec, mismatch))
             bus = _BusState(*(a[~stop] for a in bus))
 
-        dx, pivots = _solve_rows(_jacobians(cc, vm, bus), -mismatch)
-        if pivots or not np.isfinite(dx).all():
+        dx = _solve_rows(_jacobians(cc, vm, bus), -mismatch)
+        if not np.isfinite(dx).all():
             bad = ~np.isfinite(dx).all(axis=1)
             for k in np.flatnonzero(bad):
                 flows.errors[int(live[k])] = SingularJacobian(
-                    f"Jacobian factorization failed at iteration {iterations}: "
-                    f"zero pivot in column {pivots[k]}" if k in pivots else
-                    f"Jacobian produced a non-finite step at iteration {iterations}")
+                    f"Jacobian is singular or gave a non-finite step at iteration {iterations}")
             if bad.all():
                 return
             live, vm, va, spec, dx = (a[~bad] for a in (live, vm, va, spec, dx))
@@ -551,25 +562,23 @@ def _jacobians(cc: CompiledCase, vm: np.ndarray, bus: _BusState) -> np.ndarray:
 
 
 def _solve_rows(jac: np.ndarray, rhs: np.ndarray):
-    """Solution of each row's system, one LAPACK gesv per row, and the
-    1-based zero-pivot column of each singular row, whose solution is NaN.
+    """Solution of each row's system, one LAPACK gesv per row; NaN on the
+    rows whose matrix is singular.
 
     A stack holding a singular matrix is solved again row by row, so that
     only the singular rows fail.
     """
     try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0], {}
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
     out = np.full_like(rhs, np.nan)
-    pivots = {}
     for k in range(len(rhs)):
         try:
             out[k] = np.linalg.solve(jac[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError:
-            from scipy.linalg.lapack import dgesv  # here: only names the pivot, slow to import
-            pivots[k] = int(dgesv(jac[k], rhs[k])[-1])
-    return out, pivots
+            pass   # a singular row keeps its NaN
+    return out
 
 
 def _branch_flows(cc: CompiledCase, e: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -656,7 +665,7 @@ def dispatch_block(case: NetworkCase, loads: np.ndarray) -> DispatchBlock:
     while len(todo):
         r, todo = todo[0], todo[1:]
         try:
-            x, working, rounds[r] = _cold_dispatch(qp, float(total[r]), h[r])
+            x, working, rounds[r] = _cold_dispatch(qp, cc.elastic, float(total[r]), h[r])
         except (Infeasible, DispatchStalled) as exc:
             errors[int(r)] = exc
             continue
@@ -681,7 +690,7 @@ def dispatch_block(case: NetworkCase, loads: np.ndarray) -> DispatchBlock:
 def _kkt_rhs(qp: _DispatchQP, active: _ActiveSet, total: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Right-hand sides ``[-cost_b, total, h[working]]`` of the KKT system of
     ``active``, one per entry of ``total`` and row of ``h``."""
-    ng = len(qp.p_min)
+    ng = len(qp.balance)
     rhs = np.empty((len(total), active.kkt.shape[0]))
     rhs[:, :ng] = -qp.cost_b
     rhs[:, ng] = total
@@ -710,53 +719,45 @@ def _verified_rows(qp: _DispatchQP, active: _ActiveSet, total: np.ndarray, h: np
     return ok, p
 
 
-def _feasible_start(qp: _DispatchQP, total: float, h: np.ndarray) -> np.ndarray:
-    p_min, p_max, G = qp.p_min, qp.p_max, qp.G
-    span = p_max - p_min
-    frac = (total - p_min.sum()) / span.sum() if span.sum() > 0 else 0.0
-    p0 = p_min + np.clip(frac, 0.0, 1.0) * span
-    if np.all(G @ p0 - h <= _ACTIVE_TOL):
+def _feasible_start(qp: _DispatchQP, elastic: _DispatchQP, total: float, h: np.ndarray):
+    """A feasible dispatch: the proportional fill ``p0`` where it meets every flow limit,
+    else phase 1, ``_primal_active_set`` on ``elastic`` from ``p0`` with each branch's
+    violation at ``p0`` (0 where none) as its slack; ``sum(t) > 1e-8`` is Infeasible."""
+    span = qp.p_max - qp.p_min
+    frac = (total - qp.p_min.sum()) / span.sum() if span.sum() > 0 else 0.0
+    p0 = qp.p_min + np.clip(frac, 0.0, 1.0) * span
+    over = qp.G @ p0 - h
+    if np.all(over <= _ACTIVE_TOL):
         return p0
-
-    # proportional fill violates a flow limit: phase-1 LP for a feasible point
-    from scipy.optimize import linprog  # here: rarely needed, and slow to import
-    ng = len(p_min)
-    n_rows = G.shape[0] - 2 * ng
-    c = np.concatenate([np.zeros(ng), np.ones(n_rows)])
-    a_ub = np.hstack([G[2 * ng:], -np.eye(n_rows)])
-    a_eq = np.concatenate([np.ones(ng), np.zeros(n_rows)])[None, :]
-    bounds = [(lo, hi) for lo, hi in zip(p_min, p_max)] + [(0, None)] * n_rows
-    res = linprog(c, A_ub=a_ub, b_ub=h[2 * ng:], A_eq=a_eq, b_eq=[total],
-                  bounds=bounds, method="highs")
-    if res.status != 0 or res.fun > 1e-8:
+    ng, nl = len(p0), len(qp.limits)
+    t0 = np.maximum(over[2 * ng:].reshape(2, nl).max(axis=0), 0.0)
+    x, _, _ = _primal_active_set(elastic, total, np.concatenate([h, np.zeros(nl)]),
+                                 np.concatenate([p0, t0]))
+    if x[ng:].sum() > 1e-8:
         raise Infeasible("flow limits cannot be met together with balance and generator limits")
-    p0 = res.x[:ng]
-    # repair the LP's balance rounding so the equality holds to machine precision
-    resid = total - p0.sum()
-    free = (p0 > p_min + 1e-7) & (p0 < p_max - 1e-7)
-    if not np.any(free):
-        free = np.ones(ng, dtype=bool)
-    p0[free] += resid / free.sum()
-    return p0
+    return x[:ng]
 
 
-def _cold_dispatch(qp: _DispatchQP, total: float, h: np.ndarray):
-    """Primal active-set method for one row that no remembered set solves,
-    from ``_feasible_start`` (Nocedal & Wright, *Numerical Optimization*,
-    2006, §16.5).
+def _cold_dispatch(qp: _DispatchQP, elastic: _DispatchQP, total: float, h: np.ndarray):
+    """A row no remembered set solves: ``_primal_active_set`` from ``_feasible_start``."""
+    return _primal_active_set(qp, total, h, _feasible_start(qp, elastic, total, h))
+
+
+def _primal_active_set(qp: _DispatchQP, total: float, h: np.ndarray, x: np.ndarray):
+    """Primal active-set method from the feasible point ``x`` (Nocedal &
+    Wright, *Numerical Optimization*, 2006, §16.5).
 
     Each round solves the working set's KKT system for the subproblem's
     minimizer and multipliers. The working set starts empty and gains only
     rows with ``G_i d > 0`` along a step ``d`` with ``C d = 0``, so its rows
     stay independent and the system is singular only where linear-cost
-    generators leave a flat direction: where ``C`` over their columns has
+    variables leave a flat direction: where ``C`` over their columns has
     rank below their count, which is tested, since a solve of a singular
     system need not raise. Such a round adds ``|y - x|^2 / 2`` over those
-    generators and takes an exact line search on the true cost.
+    variables and takes an exact line search on the true cost.
     Either step stops at the first blocking row, which joins the working set.
     Returns the solution, the final working set (sorted) and the rounds.
     """
-    x = _feasible_start(qp, total, h)
     G, ng = qp.G, len(x)
     flat = np.flatnonzero(qp.cost_a == 0)
     working = []

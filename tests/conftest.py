@@ -227,12 +227,12 @@ def stall_dispatch(monkeypatch, stalled=lambda miss: True):
     misses = [0]
     real_miss = solver._cold_dispatch
 
-    def counted_miss(qp, total, h):
+    def counted_miss(*args):
         misses[0] += 1
         with monkeypatch.context() as mp:
             if stalled(misses[0]):
                 mp.setattr(solver, "_STEP_TOL", -1.0)
-            return real_miss(qp, total, h)
+            return real_miss(*args)
 
     monkeypatch.setattr(solver, "_cold_dispatch", counted_miss)
 

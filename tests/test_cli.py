@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, file outputs, determinism, overrides."""
 
+import ast
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +98,22 @@ def test_validate_malformed_json_exit_two(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", [["validate", "CASE"], ["gen-data", "-c", "CONFIG"]],
+                         ids=["validate", "config-case"])
+@pytest.mark.parametrize("text, fault", [("{{{", "$: not valid JSON: "),
+                                         ('{"format_version": 1}', "$.system: missing required")])
+def test_case_schema_error_names_the_file(tmp_path, capsys, command, text, fault):
+    """A case that does not parse, named directly or by a config, exits 2
+    with one message line that names the file, then the offending element."""
+    bad = tmp_path / "garbage.json"
+    bad.write_text(text, encoding="utf-8")
+    cfg = write_config(tmp_path, bad)
+    argv = [{"CASE": str(bad), "CONFIG": str(cfg)}.get(arg, arg) for arg in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"parse error: {bad}: {fault}")
+
+
 @pytest.mark.parametrize("section, field, value", [("generators", "p_max_mw", math.inf),
                                                    ("branches", "x", math.nan),
                                                    ("buses", "p_load_mw", -math.inf),
@@ -161,22 +180,77 @@ def test_case_without_sources_usage_error_before_drawing(tmp_path, capsys, comma
 
 
 def test_case14_commands_load_no_scipy(tmp_path):
-    """gen-data, train, popf --samples, popf --converge and compare on case14
-    each exit 0 in a fresh process, print nothing to stderr (logging stays
-    quiet by default) and load no scipy module."""
-    case_path = write_case(tmp_path, bundled_case("case14"))
+    """In one fresh process, gen-data, train, popf --samples, popf --converge
+    and compare on case14 each exit 0 and print nothing to stderr (logging
+    stays quiet by default). The same process runs each path that once
+    reached scipy: gen-data on case14 with its branch limits scaled by 0.35,
+    where the proportional fill breaks a flow limit and phase 1 runs, PV
+    values past the quantile table and of a shape whose nodes underflow, and
+    a power flow whose Jacobian is singular. No scipy module is loaded."""
+    case = bundled_case("case14")
+    case_path = write_case(tmp_path, case)
     cfg = write_config(tmp_path, case_path, sampling={
         "n_train": 300, "n_mcs": 60, "seed": 5,
         "correlation": {"area_loads": [[1.0, 0.6], [0.6, 1.0]]}})
-    code = ("import sys; from popflow.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    tight = write_case(tmp_path, dataclasses.replace(case, branches=tuple(
+        dataclasses.replace(br, p_limit=0.35 * br.p_limit) for br in case.branches)),
+        name="tight.json")
+    tight_cfg = tmp_path / "tight_config.json"
+    tight_cfg.write_text(json.dumps({"case": str(tight), "output_dir": str(tmp_path / "tight"),
+                                     "sampling": {"n_train": 600, "seed": 1}}),
+                         encoding="utf-8")
+    singular = write_case(tmp_path, two_bus_case(), name="twobus.json")
+    code = f"""
+import sys
+import numpy as np
+from popflow import solver
+from popflow.cli import main
+from popflow.errors import SingularJacobian
+from popflow.grid import SRC_PV, StochasticSource, load_case
+from popflow.sampling import transform_marginal
+
+for command in (["gen-data"], ["train"], ["popf", "--samples", "5000"],
+                ["popf", "--converge"], ["compare"]):
+    assert main([*command, "-c", {str(cfg)!r}]) == 0, command
+phase_one = []
+cold = solver._primal_active_set
+def counted(qp, total, h, x):
+    phase_one.append(len(x) > len(qp.p_min))
+    return cold(qp, total, h, x)
+solver._primal_active_set = counted
+assert main(["gen-data", "-c", {str(tight_cfg)!r}]) == 0
+assert any(phase_one)
+z = np.array([-40.0, -9.0, -1.0, 1.5, 9.0, 40.0])
+for alpha, beta in ((0.01, 2.0), (2.06, 2.5)):
+    params = {{"alpha": alpha, "beta": beta, "rated": 1.0}}
+    assert np.isfinite(transform_marginal(z, StochasticSource(1, SRC_PV, params))).all()
+try:
+    solver.ac_power_flow(load_case({str(singular)!r}), np.zeros(2), np.array([0.0, -5.0]))
+    raise AssertionError("the Jacobian was not singular")
+except SingularJacobian:
+    pass
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    for command in (["gen-data"], ["train"], ["popf", "--samples", "5000"],
-                    ["popf", "--converge"], ["compare"]):
-        run = subprocess.run([sys.executable, "-c", code, *command, "-c", str(cfg)],
-                             env=env, capture_output=True, text=True)
-        assert (run.returncode, run.stderr) == (0, ""), command
-        assert run.stdout.splitlines()[-1] == "0 []", command
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """scipy is a test dependency only: no file of the package imports it."""
+    package = Path(cli.__file__).parent
+    files = sorted(package.rglob("*.py"))
+    assert len(files) > 5
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path, node.lineno)
 
 
 def test_gen_data_zero_samples_usage_error(tmp_path):
@@ -267,6 +341,7 @@ def test_train_writes_pretraining_losses_and_stop(generated, capsys):
     ("train.hidden_sizes=5", "bad train config"),
     ("train.hidden_sizes=[0]", "every hidden size must be an integer of at least 1, got 0"),
     ("train.hidden_sizes=[8.0]", "every hidden size must be an integer of at least 1, got 8.0"),
+    ('train.hidden_sizes="abc"', "hidden_sizes must be a non-empty list of integers, got 'abc'"),
     ("train.batch_size=2.5", "batch_size must be an integer of at least 1, got 2.5"),
     ("train.batch_size=true", "batch_size must be an integer of at least 1, got True"),
     ("train.epochs_sup=0", "epochs_sup must be an integer of at least 1, got 0"),

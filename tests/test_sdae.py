@@ -9,6 +9,7 @@ Independent oracles used here:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -787,3 +788,14 @@ def test_checkpoint_requires_bounds(tmp_path):
     model = init_model(3, (4,), 2, 0.0, new_rng(102))
     with pytest.raises(ValueError):
         save_model(model, tmp_path / "m.ckpt")
+
+
+@pytest.mark.parametrize("value", ["abc", 5, b"ab", None, [], ()])
+def test_hidden_sizes_must_be_a_list(value):
+    """A string is not split into characters: it, and any other value that
+    is not a non-empty list of sizes, is refused with the whole value in the
+    message."""
+    message = f"hidden_sizes must be a non-empty list of integers, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(hidden_sizes=value)
+    assert TrainConfig(hidden_sizes=[8, 4]).hidden_sizes == (8, 4)
