@@ -226,15 +226,22 @@ def test_criterion_07_voltage_exceedance_ordering(end_to_end):
                        f"(strictly greater)")
 
 
-def test_criterion_08_inference_speedup(end_to_end):
-    _, _, report = end_to_end
-    t_oracle = report.timings[pipeline.METHOD_ORACLE]
-    t_surr = report.timings[pipeline.METHOD_SURROGATE]
+def test_criterion_08_inference_speedup(end_to_end, case14):
+    """Each method's time is the best of five seed-matched reports: on a
+    shared 2-core machine one ~10 ms inference pass or one oracle pass moves
+    by up to half between runs, so a single pair is too noisy to gate."""
+    model, _, report = end_to_end
+    reports = [report] + [compare_methods(case14, model, seed=E2E_MCS_SEED,
+                                          n_samples=E2E_N_MCS) for _ in range(4)]
+    oracle = [r.timings[pipeline.METHOD_ORACLE] for r in reports]
+    surr = [r.timings[pipeline.METHOD_SURROGATE] for r in reports]
+    t_oracle, t_surr = min(oracle), min(surr)
     ratio = t_oracle / t_surr
     ok = ratio >= 50.0 and t_oracle > 0 and t_surr > 0
     report_line(8, ok, f"oracle {t_oracle:.2f}s vs batched inference "
-                       f"{t_surr:.4f}s over {report.n_samples} samples: "
-                       f"{ratio:.0f}x (>= 50x), both timings in the report")
+                       f"{t_surr:.4f}s over {report.n_samples} samples, best of "
+                       f"{len(reports)} reports: {ratio:.0f}x (>= 50x), both "
+                       f"timings in the report")
 
 
 def test_criterion_09_mcs_convergence_rule():

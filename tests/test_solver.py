@@ -10,6 +10,9 @@ Independent oracles used here:
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,6 +339,20 @@ def test_dispatch_round_cap_raises_domain_error(monkeypatch):
     stall_dispatch(monkeypatch)
     with pytest.raises(DispatchStalled, match="did not terminate"):
         solver.dc_opf(two_bus_case(), np.array([0.0, 0.5]))
+
+
+def test_import_leaves_the_lp_solver_unloaded():
+    """``import popflow`` imports neither scipy.optimize nor scipy.linalg,
+    and ``import popflow.cli`` loads no scipy module at all: phase 1 runs on
+    the dispatch's own active-set kernel, so no LP solver is ever loaded."""
+    code = ("import sys, popflow; "
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules); "
+            "import popflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["False False", "[]"]
 
 
 def three_bus_limited_case(limit=0.4):
