@@ -9,7 +9,8 @@ corrupt checkpoint or dataset), 2 usage or I/O failure (a case or config
 that is not UTF-8 text too). Console tables print 6 significant digits;
 machine files carry 17.
 
-Config keys (all optional except ``case``)::
+Config keys (all optional except ``case``, ``sampling.n_train`` for
+``gen-data`` and ``sampling.n_mcs`` for ``popf`` without ``--samples``)::
 
     {
       "case": "path/to/case.json",
@@ -124,10 +125,13 @@ def _paths(cfg: dict):
 
 
 def _sampling_int(cfg: dict, key: str, default: int | None, minimum: int) -> int:
-    """``sampling.<key>`` (``default`` when unset) as an integer of at least
-    ``minimum``; anything else is a usage error, raised before any case
-    load, draw or write."""
-    value = cfg.get("sampling", {}).get(key, default)
+    """``sampling.<key>`` (``default`` when unset; a key without a default
+    is required) as an integer of at least ``minimum``; anything else is a
+    usage error, raised before any case load, draw or write."""
+    sampling = cfg.get("sampling", {})
+    if key not in sampling and default is None:
+        raise UsageError(f"config is missing sampling.{key}, an integer of at least {minimum}")
+    value = sampling.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise UsageError(f"sampling.{key} must be an integer of at least {minimum}, "
                          f"got {value!r}")
@@ -192,7 +196,7 @@ def cmd_validate(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.set)
-    n = _sampling_int(cfg, "n_train", 0, 1)
+    n = _sampling_int(cfg, "n_train", None, 1)
     seed = _sampling_int(cfg, "seed", 0, 0)
     case = _require_case(cfg)
     spec = _correlation_spec(cfg, case)

@@ -53,7 +53,8 @@ import numpy as np
 from . import sdae
 from .errors import CorruptFile, DimensionMismatch, TooManyRejections, ValidationError
 from .grid import PQ, NetworkCase, case_hash
-from .sampling import CorrelationSpec, SampleStream, sample_operating_conditions
+from .sampling import (LABEL_BRANCH, CorrelationSpec, SampleStream,
+                       sample_operating_conditions, stream)
 from .solver import (NEWTON_MAX_ITER, NEWTON_TOL, OracleBlock, apply_sources, bus_loads,
                      compile_case, dispatch_block, dot_rows, oracle_block, solution_layout)
 from .ioutil import atomic_write_text, write_tsv
@@ -204,33 +205,29 @@ def output_labels(case: NetworkCase) -> list:
 
 def generate_training_data(case: NetworkCase, n: int, seed: int,
                            spec: CorrelationSpec | None = None) -> TrainingDataset:
-    """Sample operating conditions and label them with the oracle.
-
-    Samples whose oracle solve fails (infeasible dispatch or non-convergent
-    power flow) are dropped and replaced from a fresh redraw round (see
-    ``sample_operating_conditions``); the drop count lands in the
-    provenance. Raises TooManyRejections once more than half of all draws
-    have failed.
+    """Label the first n rows of ``seed``'s label draw (``LABEL_BRANCH``)
+    that the oracle solves. A row whose solve fails (infeasible dispatch or
+    non-convergent power flow) is dropped and the next rows of the same
+    draw replace it, so an n-row dataset is the first n rows of any longer
+    one; the drop count lands in the provenance. Raises TooManyRejections
+    once more than half of all draws have failed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_observable(case)
-    samples = np.empty((0, case.n_sources))
-    y = np.empty((0, case.solution_dim()))
-    work = _OracleWork()
-    round_no = 0
-    while len(samples) < n:
-        batch = sample_operating_conditions(case, n - len(samples), spec, seed,
-                                            redraw=round_no).values
+    draws = SampleStream(case, spec, seed, LABEL_BRANCH)
+    samples, y, work = [], [], _OracleWork()
+    while work.solves < n:
+        batch = draws.draw(n - work.solves).values
         block = oracle_block(case, batch)
         work.add(block)
-        samples = np.vstack([samples, batch[block.solved]])
-        y = np.vstack([y, block.values])
+        samples.append(batch[block.solved])
+        y.append(block.values)
         if work.failed > work.attempts / 2:
             raise TooManyRejections(
                 f"{work.failed} of {work.attempts} oracle labelling attempts failed")
-        round_no += 1
     work.log("gen-data")
+    samples = np.vstack(samples)
 
     provenance = {
         "case_hash": case_hash(case),
@@ -239,8 +236,8 @@ def generate_training_data(case: NetworkCase, n: int, seed: int,
         "dropped": work.failed,
         "oracle": {"newton_tol": NEWTON_TOL, "newton_max_iter": NEWTON_MAX_ITER},
     }
-    return TrainingDataset(x=operating_features(case, samples), y=y, samples=samples,
-                           provenance=provenance)
+    return TrainingDataset(x=operating_features(case, samples), y=np.vstack(y),
+                           samples=samples, provenance=provenance)
 
 
 class _OracleWork:
@@ -325,8 +322,7 @@ def _read_matrix(path) -> np.ndarray:
 
 def split_indices(n: int, seed: int):
     """Seeded shuffled 5:1 train/validation split (60000 rows -> 50000/10000)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(10,))))
-    perm = rng.permutation(n)
+    perm = stream(seed, 10).permutation(n)
     n_val = n // 6
     return perm[n_val:], perm[:n_val]
 
@@ -352,15 +348,13 @@ def train_popf_model(dataset: TrainingDataset, cfg: sdae.TrainConfig):
     xn_val = sdae.normalize(dataset.x[val_idx], x_lo, x_hi).astype(np.float32)
     yn_val = sdae.normalize(dataset.y[val_idx], y_lo, y_hi).astype(np.float32)
 
-    init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(11,))))
     model = sdae.init_model(dataset.x.shape[1], cfg.hidden_sizes, dataset.y.shape[1],
-                            cfg.corruption_level, init_rng)
+                            cfg.corruption_level, stream(cfg.seed, 11))
     sdae.cast_model(model, np.float32)
-    pre_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(12,))))
-    pretrain_losses = sdae.pretrain_stack(model, xn_train, cfg, pre_rng)
+    pretrain_losses = sdae.pretrain_stack(model, xn_train, cfg, stream(cfg.seed, 12))
     model.corruption_level = cfg.finetune_corruption
-    fine_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(13,))))
-    model, history = sdae.finetune(model, xn_train, yn_train, xn_val, yn_val, cfg, fine_rng)
+    model, history = sdae.finetune(model, xn_train, yn_train, xn_val, yn_val, cfg,
+                                   stream(cfg.seed, 13))
 
     sdae.cast_model(model, np.float64)
     model.x_lo, model.x_hi = x_lo, x_hi
@@ -411,9 +405,9 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     if converge and max_samples < 1:
         raise ValueError("max_samples must be at least 1")
     _check_fits(model, case)
-    run, stream = _SurrogatePass(model, case), SampleStream(case, spec, seed)
+    run, draws = _SurrogatePass(model, case), SampleStream(case, spec, seed)
     if not converge:
-        values, block_sums = run.draw(stream, n_samples)
+        values, block_sums = run.draw(draws, n_samples)
         stats = _merge_moments(block_sums) if n_samples > 1 else None
         run.log(len(values))
         return PopfRunResult(values=values, seconds=run.draw_s + run.pass_s,
@@ -426,7 +420,7 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     sums, collected, converged = None, [], False
     chunk = 4 * INFER_CHUNK
     while run.drawn < max_samples and not converged:
-        rows, _ = run.draw(stream, min(chunk, max_samples - run.drawn))
+        rows, _ = run.draw(draws, min(chunk, max_samples - run.drawn))
         t0 = time.perf_counter()
         used, converged, sums = fold_convergence(sums, rows, cv_threshold)
         run.stage_s[-1] += time.perf_counter() - t0
@@ -457,14 +451,14 @@ class _SurrogatePass:
         self.stage_s = np.zeros(len(self.STAGES))
         self.drawn = self.widest = 0
 
-    def draw(self, stream: SampleStream, n: int):
-        """``samples`` of the next n rows of ``stream``: the normals are drawn
+    def draw(self, draws: SampleStream, n: int):
+        """``samples`` of the next n rows of ``draws``: the normals are drawn
         on this thread, and each block transforms its own."""
         t0 = time.perf_counter()
-        z = stream.normals(n)
+        z = draws.normals(n)
         self.draw_s += time.perf_counter() - t0
         self.drawn += n
-        return self.samples(n, lambda start, stop: stream._transform_rows(z[start:stop]))
+        return self.samples(n, lambda start, stop: draws._transform_rows(z[start:stop]))
 
     def samples(self, n: int, rows_of):
         """The output rows of n sample rows, each block's from ``rows_of(start,

@@ -4,13 +4,14 @@ Draws correlated standard normals (Gaussian copula via Cholesky) and pushes
 them through the per-source marginal transforms. The statistics of a run, its
 stopping rule included, live in ``pipeline``.
 
-Reproducibility contract: the generator is PCG64 and column ``j`` of a draw
-uses the stream ``SeedSequence(seed, spawn_key=(j,))``, so columns can be
-generated in any order (or in parallel) with identical output. Redraw round
-``r >= 1`` (replacements for samples the oracle could not label) uses
-``spawn_key=(j, r)``. SeedSequence pads seeds below 2**128 to four words
-ahead of the key, so for such seeds a redraw stream is one word longer than
-every round-0 stream, and no round-0 draw can reproduce it.
+Reproducibility contract: every generator is PCG64 on ``SeedSequence(seed,
+spawn_key=key)``, built by ``stream(seed, *key)``. Column ``j`` of a
+Monte-Carlo draw (``popf``, ``compare``) takes the key ``(j,)``, column ``j``
+of a label draw (``gen-data``, its replacement rows included) ``(j, 1)``
+(``LABEL_BRANCH``), and training takes ``(10,)`` to ``(13,)`` of
+``train.seed``. So columns can be generated in any order (or in parallel)
+with identical output, and a label draw shares no stream with the
+Monte-Carlo draw of its seed.
 
 The PV marginal inverts the regularized incomplete beta function without
 a special-function call per value (an inverse-CDF table with Hermite
@@ -40,7 +41,8 @@ A draw runs on the calling thread. Inside the Monte-Carlo block pass of
 the transforms are elementwise, so a row's values do not depend on the rows
 transformed with it. A ``SampleStream`` keeps every column's generator
 between draws, so consecutive draws of n1, n2, ... rows are the rows of one
-draw of n1 + n2 + ... rows.
+draw of n1 + n2 + ... rows; ``popf --converge`` draws its chunks, and
+``gen-data`` its replacement rows, this way.
 """
 
 from __future__ import annotations
@@ -99,20 +101,13 @@ class CorrelationSpec:
 # drawing and correlating
 
 
-def _column_generators(d: int, seed: int, redraw: int) -> list:
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-                seed, spawn_key=(j, redraw) if redraw else (j,))))
-            for j in range(d)]
+# the key branch of a label draw: column j of it uses the key (j, 1)
+LABEL_BRANCH = (1,)
 
 
-def _draw_normals(generators: list, n: int) -> np.ndarray:
-    """The next n standard normals of each column's generator."""
-    if n < 1 or not generators:
-        raise ValueError("n and d must be at least 1")
-    out = np.empty((n, len(generators)))
-    for j, rng in enumerate(generators):
-        out[:, j] = rng.standard_normal(n)
-    return out
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 generator of ``seed``'s stream ``key`` (see the module doc)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def correlate(z: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
@@ -485,29 +480,29 @@ def wind_power_curve(speed, params):
 
 def sample_operating_conditions(case: NetworkCase, n: int,
                                 spec: CorrelationSpec | None = None,
-                                seed: int = 0, redraw: int = 0) -> SampleMatrix:
-    """Draw, correlate, and marginal-transform n operating conditions.
-
-    ``redraw`` selects the streams of a redraw round (see module doc).
-    """
-    return SampleStream(case, spec, seed, redraw).draw(n)
+                                seed: int = 0) -> SampleMatrix:
+    """Draw, correlate, and marginal-transform n operating conditions: the
+    first n rows of ``SampleStream(case, spec, seed)``."""
+    return SampleStream(case, spec, seed).draw(n)
 
 
 class SampleStream:
     """One seed's operating conditions, drawn in consecutive pieces.
 
-    Each ``draw`` continues every column's generator where the previous one
+    Column ``j`` draws from ``stream(seed, j, *branch)``: the Monte-Carlo
+    streams by default, the label streams with ``branch=LABEL_BRANCH``. Each
+    ``draw`` continues every column's generator where the previous one
     stopped, so the pieces are the rows of one draw of their total length,
     bit for bit, and no row is drawn twice.
     """
 
     def __init__(self, case: NetworkCase, spec: CorrelationSpec | None = None,
-                 seed: int = 0, redraw: int = 0):
+                 seed: int = 0, branch: tuple = ()):
         if case.n_sources == 0:
             raise ValueError("case has no stochastic sources to sample")
         self.sources = case.sources
         self.spec = spec
-        self._generators = _column_generators(case.n_sources, seed, redraw)
+        self._generators = [stream(seed, j, *branch) for j in range(case.n_sources)]
 
     def draw(self, n: int) -> SampleMatrix:
         """The next n rows: drawn, correlated and transformed on this thread."""
@@ -515,7 +510,11 @@ class SampleStream:
 
     def normals(self, n: int) -> np.ndarray:
         """The next n rows of correlated standard normals, on this thread."""
-        z = _draw_normals(self._generators, n)
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        z = np.empty((n, len(self._generators)))
+        for j, rng in enumerate(self._generators):
+            z[:, j] = rng.standard_normal(n)
         if self.spec is not None and self.spec.groups:
             z = correlate(z, self.spec)
         return z

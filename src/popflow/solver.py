@@ -417,8 +417,13 @@ def ac_power_flow(case: NetworkCase, p_inj: np.ndarray, q_inj: np.ndarray,
 
     ``p_inj``/``q_inj`` are net per-bus injections (generation minus load).
     The P entry at the slack bus and Q entries at slack/PV buses are ignored;
-    those quantities are outputs of the solve.
+    those quantities are outputs of the solve. ``tol`` must be a positive
+    finite number and ``max_iter`` an integer of at least 0.
     """
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer of at least 0, got {max_iter!r}")
     n = case.n_bus
     p_inj = np.asarray(p_inj, dtype=float)
     q_inj = np.asarray(q_inj, dtype=float)
@@ -505,9 +510,6 @@ def _newton(cc: CompiledCase, spec: np.ndarray, live: np.ndarray, tol: float,
 
         va[:, cc.pvpq] += dx[:, :n_angles]
         vm[:, cc.pq] += dx[:, n_angles:]
-
-    for k in live:   # only when max_iter < 0
-        flows.errors[int(k)] = NonConvergence(max_iter, float("nan"))
 
 
 class _BusState(NamedTuple):

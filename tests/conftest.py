@@ -10,14 +10,18 @@ import pytest
 from popflow.grid import (PQ, SLACK, SRC_GAUSSIAN_LOAD, Branch, Bus,
                           Generator, NetworkCase, StochasticSource, bundled_case)
 from popflow.pipeline import DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, fold_convergence
-from popflow.sampling import _column_generators, _draw_normals
 from popflow.sdae import _as_columns
 from popflow.solver import DispatchSolution, build_ybus, compile_case
 
 
-def draw_standard_normals(n, d, seed, redraw=0):
-    """n x d standard normals from the sampler's per-column PCG64 streams."""
-    return _draw_normals(_column_generators(d, seed, redraw), n)
+def draw_standard_normals(n, d, seed, *branch):
+    """n x d standard normals by the documented key rule, built here as an
+    independent reference: column j is PCG64 on ``SeedSequence(seed,
+    spawn_key=(j, *branch))``, so ``(j,)`` for a Monte-Carlo draw and
+    ``(j, 1)`` for a label draw."""
+    return np.column_stack([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j, *branch))))
+        .standard_normal(n) for j in range(d)])
 
 
 def update_convergence(sums, values, threshold=DEFAULT_CV_THRESHOLD,

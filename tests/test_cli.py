@@ -597,6 +597,19 @@ def test_bad_sampling_integer_usage_error_before_case_load(tmp_path, capsys, mon
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("command, key", [("gen-data", "n_train"), ("popf", "n_mcs")])
+def test_missing_sampling_count_usage_error(tmp_path, capsys, command, key):
+    """A count with no default that the config leaves out is named as
+    missing, before the case is loaded."""
+    sampling = {"n_train": 400, "n_mcs": 150, "seed": 5}
+    del sampling[key]
+    cfg = write_config(tmp_path, write_case(tmp_path), sampling=sampling)
+    assert main([command, "-c", str(cfg)]) == 2
+    assert (f"config is missing sampling.{key}, an integer of at least 1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_sampling_not_an_object_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, write_case(tmp_path))
     assert main(["gen-data", "-c", str(cfg), "--set", "sampling=5"]) == 2

@@ -22,8 +22,9 @@ from popflow.pipeline import (EXCEEDANCE_THRESHOLDS, compare_methods,
                               infer, load_dataset, operating_features,
                               output_labels, run_popf, save_dataset,
                               save_report, split_indices, train_popf_model)
-from popflow.sampling import sample_operating_conditions
-from popflow.solver import bus_loads, oracle_opf
+from popflow.sampling import (LABEL_BRANCH, CorrelationSpec, SampleStream,
+                              sample_operating_conditions)
+from popflow.solver import bus_loads, oracle_block, oracle_opf
 
 from conftest import (apply_sample_reference, gaussian_source, make_branch,
                       make_bus, make_case, make_gen, stall_dispatch,
@@ -115,7 +116,8 @@ def test_feature_width_is_twice_pq_count(case14):
 
 
 def test_stalled_dispatch_counts_as_dropped(monkeypatch):
-    """A dispatch that hits its round cap drops the sample and is redrawn."""
+    """A dispatch that hits its round cap drops the sample, and another row
+    replaces it."""
     stall_dispatch(monkeypatch, stalled=lambda call: call == 1)
     ds = generate_training_data(two_bus_case(), 20, seed=4)
     assert ds.n_rows == 20
@@ -141,20 +143,37 @@ def test_unobservable_source_refused_before_labelling(monkeypatch, case14):
     assert calls == []
 
 
-def test_redraw_rounds_use_their_own_streams(monkeypatch):
-    """The replacement for a dropped sample comes from the round-1 streams,
-    not from the round-0 streams of another seed."""
+def test_replacement_rows_continue_the_label_stream(monkeypatch):
+    """The replacement for a dropped sample is the next row of the label
+    stream the dataset is drawn from."""
     stall_dispatch(monkeypatch, stalled=lambda call: call == 1)
     case = two_bus_case()
     ds = generate_training_data(case, 20, seed=4)
     assert ds.provenance["dropped"] == 1
-    first_round = sample_operating_conditions(case, 20, None, 4).values
-    assert np.array_equal(ds.samples[:-1], first_round[1:])
-    replacement = ds.samples[-1]
-    assert np.array_equal(replacement,
-                          sample_operating_conditions(case, 1, None, 4, redraw=1).values[0])
-    assert not np.array_equal(replacement,
-                              sample_operating_conditions(case, 1, None, 4 + 1_000_003).values[0])
+    labels = SampleStream(case, None, 4, LABEL_BRANCH).draw(21).values
+    assert ds.samples.tobytes() == labels[1:].tobytes()
+
+
+def test_datasets_nest_with_a_dropped_row(monkeypatch):
+    """An n-row dataset is the first n rows of a longer one at the same seed,
+    also when a row is dropped and replaced."""
+    datasets = []
+    for n in (40, 70):
+        with monkeypatch.context() as mp:
+            stall_dispatch(mp, stalled=lambda call: call == 1)
+            datasets.append(generate_training_data(bundled_case("case14"), n, seed=9))
+    short, long = datasets
+    assert short.provenance["dropped"] == long.provenance["dropped"] == 1
+    for name in ("samples", "x", "y"):
+        assert getattr(short, name).tobytes() == getattr(long, name)[:40].tobytes(), name
+
+
+def test_label_draw_shares_no_row_with_the_monte_carlo_draw(case14):
+    """gen-data labels rows that popf and compare never draw at one seed."""
+    spec = CorrelationSpec.for_case(case14, {"area_loads": [[1.0, 0.6], [0.6, 1.0]]})
+    ds = generate_training_data(case14, 300, 11, spec)
+    mcs = sample_operating_conditions(case14, 3000, spec, 11).values
+    assert not {tuple(r) for r in ds.samples} & {tuple(r) for r in mcs}
 
 
 def assert_layer_seconds(line):
@@ -171,8 +190,8 @@ def test_oracle_work_goes_to_the_debug_log(caplog, monkeypatch):
     [line] = [r.getMessage() for r in caplog.records if r.name == "popflow"]
     # the first solve stalls, the second runs the active-set iteration (one
     # round: the single generator's KKT target is the balance point), and
-    # the rest reuse the set it found; each of the two redraw rounds runs
-    # one Newton sub-block
+    # the rest reuse the set it found; the first draw and the one replacement
+    # row each run one Newton sub-block
     assert line.startswith("gen-data: 30 oracle solves, 29 warm dispatch hits, "
                            "1 active-set fallbacks, ")
     assert ", 1 active-set rounds, " in line
@@ -717,8 +736,8 @@ def test_compare_refuses_a_model_of_another_case_before_the_oracle(tiny_trained,
 
 def test_compare_drops_failed_rows_like_gen_data(monkeypatch):
     """A failed oracle solve drops its row from compare, which names it in
-    ``failures``; the oracle rows compare keeps are gen-data's labels for the
-    same seed, row 0 dropped in both."""
+    ``failures``, as gen-data drops it from a dataset; the oracle rows
+    compare keeps are ``oracle_block``'s labels of its own draw."""
     n, seed = 12, 5
     references = []
     real_error_metrics = pipeline.error_metrics
@@ -738,14 +757,13 @@ def test_compare_drops_failed_rows_like_gen_data(monkeypatch):
     assert list(report.failures) == [0]
     assert report.failures[0].startswith("DispatchStalled: ")
 
+    kept = sample_operating_conditions(case, n, None, seed).values[1:]
+    assert references[0].tobytes() == oracle_block(bundled_case("case14"), kept).values.tobytes()
+
     with monkeypatch.context() as mp:
         stall_dispatch(mp, stalled=lambda call: call == 1)
         ds = generate_training_data(bundled_case("case14"), n, seed=seed)
-    assert ds.provenance["dropped"] == 1
-    # gen-data appends a redraw for row 0; its first n - 1 rows are rows 1..n-1
-    draw = sample_operating_conditions(case, n, None, seed).values
-    assert np.array_equal(ds.samples[:n - 1], draw[1:])
-    assert np.array_equal(references[0], ds.y[:n - 1])
+    assert ds.provenance["dropped"] == 1 and ds.n_rows == n
 
 
 def test_compare_needs_two_samples_before_drawing(tiny_trained, monkeypatch):

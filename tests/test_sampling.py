@@ -482,6 +482,42 @@ def test_stream_pieces_are_one_draw(case14, sizes, seed):
     assert pieces.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("branch, suffix", [((), ()), (sampling.LABEL_BRANCH, (1,))])
+def test_draws_follow_the_documented_key_rule(case14, branch, suffix):
+    """Column j of a Monte-Carlo draw is PCG64 on ``SeedSequence(seed,
+    spawn_key=(j,))`` (the rule ``bench/checks.draw_samples`` reproduces), and
+    of a label draw on ``(j, 1)``; correlated by the group's Cholesky factor,
+    then transformed."""
+    seed, n = 8_675_309, 300
+    rho = [[1.0, 0.6], [0.6, 1.0]]
+    spec = CorrelationSpec.for_case(case14, {"area_loads": rho})
+    z = draw_standard_normals(n, case14.n_sources, seed, *suffix)
+    group = [j for j, src in enumerate(case14.sources) if src.corr_group == "area_loads"]
+    z[:, group] = z[:, group] @ np.linalg.cholesky(np.array(rho)).T
+    assert SampleStream(case14, spec, seed, branch).normals(n).tobytes() == z.tobytes()
+    values = SampleStream(case14, spec, seed, branch).draw(n).values
+    for j, src in enumerate(case14.sources):
+        assert values[:, j].tobytes() == transform_marginal(z[:, j], src).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 130 + 5])
+def test_label_streams_differ_from_every_other_stream(seed):
+    """With 16 sources the Monte-Carlo column keys reach the training keys
+    ``(10,)``-``(13,)``; no label column reproduces any of them."""
+    case = make_case(
+        buses=[make_bus(0, "slack")] + [make_bus(i, "pq", p=0.1) for i in range(1, 17)],
+        branches=[make_branch(0, i) for i in range(1, 17)],
+        generators=[make_gen(0)],
+        sources=[gaussian_source(i, 0.1, 0.01) for i in range(1, 17)])
+    n = 8
+    labels = SampleStream(case, None, seed, sampling.LABEL_BRANCH).normals(n)
+    others = [SampleStream(case, None, seed).normals(n)]
+    others += [sampling.stream(seed, key).standard_normal((n, 1)) for key in range(10, 14)]
+    others = np.hstack(others)
+    assert labels.shape == (n, 16) and others.shape == (n, 20)
+    assert not np.isin(labels, others).any()
+
+
 def test_sampling_mean_clt_bound():
     case = make_case(
         buses=[make_bus(0, "slack"), make_bus(1, "pq", p=1.0)],

@@ -202,6 +202,27 @@ def test_two_bus_past_loadability_diverges():
         ac_power_flow(case, np.array([0.0, -5.5]), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"tol": float("nan")}, "tol must be a positive finite number"),
+    ({"tol": float("inf")}, "tol must be a positive finite number"),
+    ({"tol": 0.0}, "tol must be a positive finite number"),
+    ({"max_iter": -1}, "max_iter must be an integer of at least 0"),
+    ({"max_iter": 2.5}, "max_iter must be an integer of at least 0")])
+def test_power_flow_refuses_bad_arguments(bad, message):
+    """A tolerance that no mismatch can meet, or that every one meets, and an
+    iteration cap that is no count are bad arguments, not a NonConvergence."""
+    with pytest.raises(ValueError, match=message):
+        ac_power_flow(two_bus_case(), np.array([0.0, -0.5]), np.zeros(2), **bad)
+
+
+def test_power_flow_with_no_iterations_checks_the_flat_start():
+    """``max_iter=0`` solves only a flat start that already meets ``tol``."""
+    flat = ac_power_flow(two_bus_case(), np.zeros(2), np.zeros(2), max_iter=0)
+    assert flat.iterations == 0 and np.array_equal(flat.v_mag, np.ones(2))
+    with pytest.raises(NonConvergence, match="after 0 iterations"):
+        ac_power_flow(two_bus_case(), np.array([0.0, -0.5]), np.zeros(2), max_iter=0)
+
+
 def test_slack_angle_zero_and_residual(case14):
     p_inj = -case14.p_load_vector()
     q_inj = -case14.q_load_vector()
