@@ -255,13 +255,17 @@ def cmd_popf(args) -> int:
     bins, density_labels = _report_options(cfg, case)
 
     model = sdae.load_model(checkpoint)
+    labels = pipeline.output_labels(case)
     if args.converge:
         result = pipeline.run_popf(model, case, spec=spec, seed=seed, converge=True)
+        kept = labels
     else:
-        result = pipeline.run_popf(model, case, n_samples=n, spec=spec, seed=seed)
+        # a run of two or more rows keeps only its density columns; one row is its own statistics
+        kept = density_labels if n > 1 else labels
+        result = pipeline.run_popf(model, case, n_samples=n, spec=spec, seed=seed,
+                                   columns=[labels.index(label) for label in kept])
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = pipeline.output_labels(case)
     stats_path = out_dir / "popf_stats.tsv"
     if result.n_samples < 2:
         write_tsv(stats_path, ["index", "mean", "std"],
@@ -273,7 +277,7 @@ def cmd_popf(args) -> int:
     write_tsv(stats_path, ["index", "mean", "std"], zip(labels, stats.mean, stats.std))
 
     for label in density_labels:
-        col = result.values[:, labels.index(label)]
+        col = result.values[:, kept.index(label)]
         edges, (dens,) = pipeline.histogram_densities([col], bins)
         pipeline.save_density_table(out_dir, label, edges, {"density": dens})
 

@@ -10,22 +10,26 @@ Inference runs the model's ``sdae.inference_copy``, whose first and top
 layers carry the min-max scaling, so rows are never normalized or
 denormalized, in ``INFER_CHUNK`` chunks counted from the first row.
 
-A Monte-Carlo run (``run_popf``) is one block pass: the normals are drawn and
-correlated on the calling thread, then every 4,096-row block transforms its
+A Monte-Carlo run (``run_popf``) is one block pass over 4,096-row blocks:
+the calling thread draws and correlates each block's normals in block order,
+with at most two blocks per worker in flight, and the block transforms its
 marginals, computes its features, runs the folded network on its
-``INFER_CHUNK`` grid, writes its outputs and returns their shifted moment
-sums; no feature matrix spans the run. ``compare_methods`` sends the rows the
-oracle kept through the same pass, each block slicing its own. The pass is
-popflow's only threaded work: its blocks run on one thread per BLAS thread
-team that fits on the usable cores, each writing only its own rows, so
-outputs do not depend on the core count (see ``rowblocks``); ``infer`` runs
-on the calling thread. Each ``--converge`` chunk goes through the same pass
+``INFER_CHUNK`` grid into its worker's reused buffer, sums its shifted
+moments and copies out only the output columns the caller keeps. So a run
+holds one block's buffers per worker plus n times the kept columns; no
+matrix of normals, features or unkept outputs spans it. ``compare_methods``
+sends the rows the oracle kept through the same pass, each block slicing its
+own, and keeps every column. The pass is popflow's only threaded work: its
+blocks run on one thread per BLAS thread team that fits on the usable cores,
+each writing only its own rows, so outputs do not depend on the core count
+(see ``rowblocks``); ``infer`` runs on the calling thread. Each
+``--converge`` chunk goes through the same pass, keeping every column,
 before the stopping rule folds it.
 
 Statistics are block-merged moments: each block sums ``x - shift`` and its
 squares (``shift`` the block's first row), and the calling thread merges the
 blocks in block order, so means and stds have the same bits for any worker
-count, and a run's ``stats`` equal ``compute_statistics`` of its values. A
+count, and a run's ``stats`` equal ``compute_statistics`` of its full rows. A
 ``--converge`` run's stopping rule (``fold_convergence``) carries the same
 ``(count, shift, s1, s2)`` sums from chunk to chunk.
 
@@ -109,9 +113,10 @@ class Statistics:
 
 @dataclass
 class PopfRunResult:
-    """A Monte-Carlo run's outputs; ``seconds`` covers drawing and the block
-    pass, and ``stats`` (None below two rows) equals
-    ``compute_statistics(values)`` bit for bit."""
+    """A Monte-Carlo run's outputs: ``values`` holds the kept output columns
+    of every row (all of them by default; see ``run_popf``), ``seconds`` is
+    the run's wall time, and ``stats`` (None below two rows) covers every
+    column and equals ``compute_statistics`` of the full rows bit for bit."""
 
     values: np.ndarray
     seconds: float
@@ -392,32 +397,36 @@ def _infer_rows(net: sdae.SdaeModel, x: np.ndarray, out: np.ndarray) -> None:
 def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = None,
              spec: CorrelationSpec | None = None, seed: int = 0,
              converge: bool = False, cv_threshold: float = DEFAULT_CV_THRESHOLD,
-             max_samples: int = DEFAULT_MAX_SAMPLES) -> PopfRunResult:
+             max_samples: int = DEFAULT_MAX_SAMPLES, columns: list | None = None) -> PopfRunResult:
     """Monte-Carlo POPF by batched surrogate inference.
 
     Either a fixed sample count or convergence-driven: the run stops once the
     variance coefficient of every output index drops to the threshold, or at
     the sample cap. ``converged`` is true only when the threshold was met.
-    Rows go through one block pass per draw (see the module doc).
+    Rows go through one block pass per draw (see the module doc). The result
+    holds the output ``columns`` (indexes into ``output_labels``; None keeps
+    every one) of each row; its stats and the stopping rule cover every column.
     """
     if not converge and (n_samples is None or n_samples < 1):
         raise ValueError("n_samples must be at least 1 when not convergence-driven")
     if converge and max_samples < 1:
         raise ValueError("max_samples must be at least 1")
+    start = time.perf_counter()
     _check_fits(model, case)
-    run, draws = _SurrogatePass(model, case), SampleStream(case, spec, seed)
+    draws = SampleStream(case, spec, seed)
     if not converge:
+        run = _SurrogatePass(model, case, columns)
         values, block_sums = run.draw(draws, n_samples)
         stats = _merge_moments(block_sums) if n_samples > 1 else None
-        run.log(len(values))
-        return PopfRunResult(values=values, seconds=run.draw_s + run.pass_s,
-                             n_samples=len(values), converged=None, stats=stats)
+        run.log(n_samples)
+        return PopfRunResult(values=values, seconds=time.perf_counter() - start,
+                             n_samples=n_samples, converged=None, stats=stats)
 
     # Rows are drawn in chunks that double from 4 * INFER_CHUNK, each continuing
     # the column streams where the last stopped, so the rows equal those of one
     # max_samples draw and none is drawn twice; every chunk but the capped
     # last one is a multiple of INFER_CHUNK, so inference chunks stay aligned.
-    sums, collected, converged = None, [], False
+    run, sums, collected, converged = _SurrogatePass(model, case), None, [], False
     chunk = 4 * INFER_CHUNK
     while run.drawn < max_samples and not converged:
         rows, _ = run.draw(draws, min(chunk, max_samples - run.drawn))
@@ -434,58 +443,81 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
     worst = int(np.argmax(ratio))
     run.log(len(values), f"; largest stderr/limit {ratio[worst]:.3g}, at "
                          f"{output_labels(case)[worst]}")
-    return PopfRunResult(values=values, seconds=run.draw_s + run.pass_s,
+    return PopfRunResult(values=values if columns is None else values[:, columns],
+                         seconds=time.perf_counter() - start,
                          n_samples=len(values), converged=converged, stats=stats)
 
 
 class _SurrogatePass:
     """Sample rows through the folded network, block by block (see the module
-    doc), with the stage times of the run's DEBUG line."""
+    doc), with the stage times of the run's DEBUG line. A pass returns the
+    output ``columns`` (None: every one) of its rows; its moments cover every
+    column."""
 
     STAGES = ("transforming", "featurizing", "inferring", "summing moments")
 
-    def __init__(self, model: sdae.SdaeModel, case: NetworkCase):
+    def __init__(self, model: sdae.SdaeModel, case: NetworkCase, columns=None):
         self.case = case
         self.net = sdae.inference_copy(model)
-        self.draw_s = self.pass_s = 0.0
+        self.columns = columns
+        self.draw_s = self.pass_s = 0.0   # drawing: seconds summed over blocks
         self.stage_s = np.zeros(len(self.STAGES))
         self.drawn = self.widest = 0
 
     def draw(self, draws: SampleStream, n: int):
-        """``samples`` of the next n rows of ``draws``: the normals are drawn
-        on this thread, and each block transforms its own."""
-        t0 = time.perf_counter()
-        z = draws.normals(n)
-        self.draw_s += time.perf_counter() - t0
+        """``samples`` of the next n rows of ``draws``: the calling thread
+        draws each block's normals, in block order, and the block transforms
+        its own."""
         self.drawn += n
-        return self.samples(n, lambda start, stop: draws._transform_rows(z[start:stop]))
+        return self.samples(n, lambda start, stop: draws.normals(stop - start),
+                            draws._transform_rows)
 
-    def samples(self, n: int, rows_of):
-        """The output rows of n sample rows, each block's from ``rows_of(start,
-        stop)``, and each block's ``_shifted_sums`` in block order."""
+    def samples(self, n: int, block_input, transform=None):
+        """The kept outputs of n sample rows, and each block's
+        ``_shifted_sums`` in block order. ``block_input(start, stop)`` runs
+        on the calling thread, block after block (``rowblocks.for_each_block``),
+        and ``transform`` (None: none) makes its result the block's rows."""
+        def timed_input(start, stop):
+            t0 = time.perf_counter()
+            rows = block_input(start, stop)
+            self.draw_s += time.perf_counter() - t0
+            return rows
+
         t0 = time.perf_counter()
-        out = np.empty((n, self.net.output_dim))
-        blocks = for_each_block(n, lambda start, stop: self._block(rows_of, start, stop, out))
+        width = self.net.output_dim if self.columns is None else len(self.columns)
+        out = np.empty((n, width))
+        # one block's outputs per worker (no more blocks run at once), in one
+        # allocation made here, each reused block after block
+        buffers = list(np.empty((workers(n), min(n, BLOCK_ROWS), self.net.output_dim)))
+        blocks = for_each_block(n, lambda start, stop, rows: self._block(
+            transform, rows, out[start:stop], buffers), timed_input)
         self.pass_s += time.perf_counter() - t0
         self.stage_s += np.sum([times for times, _ in blocks], axis=0)
         self.widest = max(self.widest, n)
         return out, [sums for _, sums in blocks]
 
-    def _block(self, rows_of, start: int, stop: int, out: np.ndarray):
+    def _block(self, transform, rows, out: np.ndarray, buffers: list):
         t0 = time.perf_counter()
-        samples, out = rows_of(start, stop), out[start:stop]
+        samples = rows if transform is None else transform(rows)
         t1 = time.perf_counter()
         x = _features(self.case, samples)
         t2 = time.perf_counter()
-        _infer_rows(self.net, x, out)
+        buffer = buffers.pop()
+        scratch = buffer[:len(out)]
+        outputs = out if self.columns is None else scratch
+        _infer_rows(self.net, x, outputs)
         t3 = time.perf_counter()
-        sums = _shifted_sums(out)
+        if self.columns is not None:
+            out[:] = outputs[:, self.columns]
+        sums = _shifted_sums(outputs, scratch)
+        buffers.append(buffer)
         return (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3), sums
 
     def log(self, used: int, stop: str = "") -> None:
-        """One DEBUG line per run; the workers are those of the widest pass,
-        and ``stop`` ends a convergence run's line with the output that
-        decided its stop. A convergence run's moment seconds also hold its
+        """One DEBUG line per run, its drawing seconds summed over blocks like
+        the stage seconds; the workers are those of the widest pass, and
+        ``stop`` ends a convergence run's line with the output that decided
+        its stop. A convergence run's moment seconds also hold its
         stopping-rule folds and final statistics."""
         stages = ", ".join(f"{t:.3g} s {name}" for name, t in zip(self.STAGES, self.stage_s))
         log.debug("popf: %.3g s drawing, %.3g s in the block pass (over blocks: %s); "
@@ -509,11 +541,12 @@ def compute_statistics(values: np.ndarray) -> Statistics:
                            for start in range(0, len(values), BLOCK_ROWS)])
 
 
-def _shifted_sums(rows: np.ndarray):
+def _shifted_sums(rows: np.ndarray, scratch: np.ndarray | None = None):
     """A block's row count, shift (its first row), and the column sums of
-    ``rows - shift`` and of its squares."""
+    ``rows - shift`` and of its squares; ``rows - shift`` goes to ``scratch``
+    (``rows`` itself allowed) when given."""
     shift = rows[0].copy()
-    d = rows - shift
+    d = np.subtract(rows, shift, out=scratch)
     return len(rows), shift, np.einsum("ij->j", d), np.einsum("ij,ij->j", d, d)
 
 

@@ -5,7 +5,10 @@ Rows are cut into blocks of ``BLOCK_ROWS`` from row 0, whatever the worker
 count; each block's work writes only that block's rows of an output its
 caller allocated, and its result comes back in block order, so every bit is
 independent of the number of workers and of the order the blocks run in.
-One worker, or a single block, runs the work inline on the calling thread.
+Work that must run in block order (``popf`` drawing each block's normals
+from sequential streams) goes in a ``prepare`` step on the calling thread,
+with a bounded number of blocks in flight. One worker, or a single block,
+runs the work inline on the calling thread.
 
 The work is BLAS matrix products: a multi-threaded BLAS already spreads
 each product over the cores, and products issued from several threads at
@@ -53,17 +56,31 @@ def workers(n_rows: int) -> int:
     return max(1, min(_usable_cores() // _blas_threads(), -(-n_rows // BLOCK_ROWS)))
 
 
-def for_each_block(n_rows: int, work) -> list:
+def for_each_block(n_rows: int, work, prepare=None) -> list:
     """``work(start, stop)`` for every block of rows ``[start, stop)``, the
     results in block order.
 
-    An exception raised by a block reaches the caller as it was raised;
-    blocks not yet started are then cancelled.
+    With ``prepare``, each block's work is ``work(start, stop, prepare(start,
+    stop))``, and ``prepare`` runs on the calling thread, block after block
+    in block order, while at most two blocks per worker wait or run (one
+    would leave a worker idle whenever a later block ends before an earlier
+    one): what it returns is held for that many blocks plus the one being
+    prepared.
+
+    An exception raised by a block or by ``prepare`` reaches the caller as it
+    was raised; blocks not yet prepared never start.
     """
-    starts = range(0, n_rows, BLOCK_ROWS)
-    stops = [min(start + BLOCK_ROWS, n_rows) for start in starts]
+    blocks = [(start, min(start + BLOCK_ROWS, n_rows)) for start in range(0, n_rows, BLOCK_ROWS)]
+    if prepare is not None:
+        blocks = ((start, stop, prepare(start, stop)) for start, stop in blocks)
     n_workers = workers(n_rows)
     if n_workers == 1:
-        return list(map(work, starts, stops))
+        return [work(*block) for block in blocks]
+    results, running = [], []
     with ThreadPoolExecutor(n_workers, thread_name_prefix="popflow-rows") as pool:
-        return list(pool.map(work, starts, stops))
+        for block in blocks:
+            if len(running) == 2 * n_workers:
+                results.append(running.pop(0).result())
+            running.append(pool.submit(work, *block))
+        results.extend(future.result() for future in running)
+    return results

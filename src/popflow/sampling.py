@@ -36,10 +36,11 @@ on its own tail. Every value depends on its own ``z`` only, which keeps draws
 prefix-stable.
 
 A draw runs on the calling thread. Inside the Monte-Carlo block pass of
-``pipeline.run_popf`` the normals are drawn and correlated here
-(``SampleStream.normals``) and each row block transforms its own marginals;
-the transforms are elementwise, so a row's values do not depend on the rows
-transformed with it. A ``SampleStream`` keeps every column's generator
+``pipeline.run_popf`` the calling thread draws and correlates each row
+block's normals here (``SampleStream.normals``), block after block, and the
+block transforms its own marginals; correlation and the transforms work row
+by row, so a row's values do not depend on the rows drawn or transformed
+with it. A ``SampleStream`` keeps every column's generator
 between draws, so consecutive draws of n1, n2, ... rows are the rows of one
 draw of n1 + n2 + ... rows; ``popf --converge`` draws its chunks, and
 ``gen-data`` its replacement rows, this way.
@@ -509,7 +510,8 @@ class SampleStream:
         return SampleMatrix(values=self._transform_rows(self.normals(n)))
 
     def normals(self, n: int) -> np.ndarray:
-        """The next n rows of correlated standard normals, on this thread."""
+        """The next n rows of correlated standard normals; consecutive calls
+        must not overlap, for they advance the same generators."""
         if n < 1:
             raise ValueError("n must be at least 1")
         z = np.empty((n, len(self._generators)))

@@ -8,15 +8,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from popflow import cli
+from popflow import cli, pipeline, rowblocks, sdae
 from popflow.cli import main
 from popflow.grid import bundled_case, case_hash, load_case, serialize_case
-from popflow.pipeline import load_dataset
+from popflow.pipeline import default_density_labels, load_dataset, operating_features
+from popflow.sampling import sample_operating_conditions
 from popflow.sdae import TrainConfig
 from popflow.solver import oracle_opf
 
@@ -465,6 +467,80 @@ def test_popf_fixed_samples_and_densities(trained, capsys):
             width = centers[1] - centers[0]
             assert np.sum(dens * width) == pytest.approx(1.0, abs=1e-9)
     assert not list(out_dir.glob("*.tmp"))
+
+
+@pytest.fixture()
+def case14_study(tmp_path, case14):
+    """A case14 config with the README's correlation whose checkpoint is a
+    random network over case14's features: ``popf`` without training."""
+    checkpoint = tmp_path / "model.ckpt"
+    cfg = write_config(tmp_path, write_case(tmp_path, case14), checkpoint=str(checkpoint),
+                       sampling={"seed": 11,
+                                 "correlation": {"area_loads": [[1.0, 0.6], [0.6, 1.0]]}})
+    x = operating_features(case14, sample_operating_conditions(case14, 2000, None, 1).values)
+    rng = np.random.Generator(np.random.PCG64(5))
+    model = sdae.init_model(x.shape[1], (16, 24), case14.solution_dim(), 0.0, rng)
+    model.x_lo, model.x_hi = sdae.fit_bounds(x)
+    model.y_lo = rng.uniform(-1.0, 0.0, case14.solution_dim())
+    model.y_hi = model.y_lo + rng.uniform(0.5, 2.0, case14.solution_dim())
+    sdae.save_model(model, checkpoint)
+    return cfg, tmp_path
+
+
+def test_popf_density_columns_give_the_files_of_full_rows(case14_study, case14, monkeypatch,
+                                                          capsys):
+    """``popf --samples`` keeps only its density columns, over four blocks on
+    three workers, and writes the stats and density tables of a run that
+    keeps every column and selects them afterwards, byte for byte."""
+    cfg, tmp_path = case14_study
+    monkeypatch.setattr(rowblocks, "_usable_cores", lambda: 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    real_run_popf = pipeline.run_popf
+    widths = []
+
+    def recording_run_popf(*args, **kwargs):
+        result = real_run_popf(*args, **kwargs)
+        widths.append(result.values.shape[1])
+        return result
+
+    argv = ["popf", "-c", str(cfg), "--samples", str(3 * rowblocks.BLOCK_ROWS + 5)]
+    monkeypatch.setattr(pipeline, "run_popf", recording_run_popf)
+    assert main([*argv, "--set", f"output_dir={tmp_path / 'kept'}"]) == 0
+
+    def full_rows_run_popf(*args, columns=None, **kwargs):
+        result = recording_run_popf(*args, **kwargs)
+        return dataclasses.replace(result, values=result.values[:, columns])
+
+    monkeypatch.setattr(pipeline, "run_popf", full_rows_run_popf)
+    assert main([*argv, "--set", f"output_dir={tmp_path / 'full'}"]) == 0
+    assert widths == [len(default_density_labels(case14)), case14.solution_dim()]
+    files = sorted(path.name for path in (tmp_path / "full").iterdir())
+    assert "popf_stats.tsv" in files and len(files) == 1 + len(default_density_labels(case14))
+    for name in files:
+        assert (tmp_path / "kept" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_popf_memory_grows_by_the_kept_columns_only(case14_study, case14, monkeypatch, capsys):
+    """On one worker, the traced peak of ``popf --samples`` (tracemalloc sees
+    numpy's allocations) grows from 20,000 to 80,000 rows by at most the
+    bytes of the kept density columns plus 1 MB. Holding every row's outputs
+    would add 60,000 x 40 x 8 bytes, 19 MB, and every row's normals more."""
+    cfg, _ = case14_study
+    monkeypatch.setattr(rowblocks, "_usable_cores", lambda: 1)
+    argv = ["popf", "-c", str(cfg), "--samples"]
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            assert main([*argv, str(n)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert main([*argv, "20000"]) == 0   # builds the cached per-case tables untraced
+    growth = traced_peak(80_000) - traced_peak(20_000)
+    kept_bytes = 60_000 * len(default_density_labels(case14)) * 8
+    assert growth <= kept_bytes + 2 ** 20, (growth, kept_bytes)
 
 
 def test_popf_converge_near_zero_variance(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Row blocks: sampling, inference and the fused surrogate pass of ``popf``
 and ``compare`` give the same bytes for any worker count, every row is
-covered once, only the pass starts threads, and a block's error reaches the
-caller."""
+covered once, blocks are prepared in block order on the calling thread with
+few in flight, only the pass starts threads, and a block's error reaches the
+caller without hanging the pass."""
 
 import sys
 import threading
@@ -13,9 +14,11 @@ from popflow import pipeline, rowblocks, sdae
 from popflow.errors import NonFiniteLoss
 from popflow.pipeline import (INFER_CHUNK, compare_methods, compute_statistics, infer,
                               operating_features, run_popf)
-from popflow.sampling import CorrelationSpec, sample_operating_conditions
+from popflow.sampling import CorrelationSpec, SampleStream, sample_operating_conditions
 
 ROW_COUNTS = (1, 511, 513, 4095, 4097, 12345)
+# a constant, an all-zero and two ranged output columns, out of order
+KEPT_COLUMNS = [17, 3, 0, 4]
 README_CORRELATION = {"area_loads": [[1.0, 0.6], [0.6, 1.0]]}
 
 
@@ -128,6 +131,35 @@ def test_blocks_cover_each_row_once(monkeypatch, n_workers, expect_pool):
     assert all(on_pool) if expect_pool else not any(on_pool)
 
 
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_blocks_are_prepared_in_block_order_on_the_calling_thread(monkeypatch, n_workers):
+    """``prepare`` runs on the calling thread in block order, its result
+    reaches the block's work, and no more blocks than two per worker plus
+    the one being prepared are prepared and not yet done."""
+    with_workers(monkeypatch, n_workers)
+    b = rowblocks.BLOCK_ROWS
+    lock = threading.Lock()
+    prepared, in_flight, most = [], [0], [0]
+
+    def prepare(start, stop):
+        prepared.append((start, threading.current_thread()))
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+        return -start
+
+    def work(start, stop, value):
+        with lock:
+            in_flight[0] -= 1
+        return start, value
+
+    results = rowblocks.for_each_block(11 * b + 3, work, prepare)
+    assert results == [(start, -start) for start in range(0, 12 * b, b)]
+    assert [start for start, _ in prepared] == list(range(0, 12 * b, b))
+    assert all(thread is threading.main_thread() for _, thread in prepared)
+    assert most[0] <= 2 * n_workers + 1
+
+
 def test_block_results_come_back_in_block_order(monkeypatch):
     with_workers(monkeypatch, 3)
     b = rowblocks.BLOCK_ROWS
@@ -216,3 +248,84 @@ def test_an_inference_worker_error_reaches_the_caller_unchanged(case14, case14_m
     with pytest.raises(NonFiniteLoss) as raised:
         run_popf(model, case14, n_samples=3 * rowblocks.BLOCK_ROWS, spec=spec, seed=4)
     assert raised.value is error
+
+
+def run_in_daemon(call, timeout=120.0):
+    """``call()`` on a daemon thread joined with a timeout, so that a hang
+    fails the test instead of stalling the suite; its exception or result."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except Exception as exc:  # handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"the call did not return within {timeout} s"
+    return outcome
+
+
+@pytest.mark.parametrize("stage", ["normals", "_transform_rows"])
+def test_a_failing_block_cannot_hang_the_pass(case14, case14_model, monkeypatch, stage):
+    """The second of five blocks raises while its normals are drawn (on the
+    calling thread) or transformed (on a worker), with three workers:
+    ``run_popf`` raises that exception unchanged and returns."""
+    spec, model = case14_model
+    with_workers(monkeypatch, 3)
+    error = FloatingPointError(f"{stage} of the second block failed")
+    real = getattr(SampleStream, stage)
+    calls = []
+    lock = threading.Lock()
+
+    def failing(self, arg):
+        with lock:
+            calls.append(arg)
+            second = len(calls) == 2
+        if second:
+            raise error
+        return real(self, arg)
+
+    monkeypatch.setattr(SampleStream, stage, failing)
+    outcome = run_in_daemon(lambda: run_popf(model, case14, n_samples=5 * rowblocks.BLOCK_ROWS,
+                                             spec=spec, seed=4))
+    assert outcome.get("error") is error
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 3 * rowblocks.BLOCK_ROWS + 5])
+def test_popf_kept_columns_and_stats_have_the_bytes_of_full_rows(case14, case14_model,
+                                                                 monkeypatch, n, n_workers):
+    """A run keeping some columns, each block drawing its own normals, gives
+    the bytes of ``infer`` on the features of ``sample_operating_conditions``
+    in those columns, and stats of ``compute_statistics`` of the full rows;
+    a run keeping every column gives the full rows. The workers share their
+    output buffers, so a short switch interval makes them interleave often."""
+    spec, model = case14_model
+    with_workers(monkeypatch, n_workers)
+    full = infer(model, operating_features(
+        case14, sample_operating_conditions(case14, n, spec, seed=21).values))
+
+    def run(columns):
+        outcome = run_in_daemon(lambda: run_popf(model, case14, n_samples=n, spec=spec,
+                                                 seed=21, columns=columns))
+        assert "error" not in outcome, outcome
+        return outcome["result"]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        kept, every = run(KEPT_COLUMNS), run(None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert kept.values.tobytes() == full[:, KEPT_COLUMNS].tobytes()
+    assert every.values.tobytes() == full.tobytes()
+    if n > 1:
+        want = compute_statistics(full)
+        for result in (kept, every):
+            assert result.stats.mean.tobytes() == want.mean.tobytes()
+            assert result.stats.std.tobytes() == want.std.tobytes()
+    else:
+        assert kept.stats is None and every.stats is None
