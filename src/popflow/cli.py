@@ -256,14 +256,11 @@ def cmd_popf(args) -> int:
 
     model = sdae.load_model(checkpoint)
     labels = pipeline.output_labels(case)
-    if args.converge:
-        result = pipeline.run_popf(model, case, spec=spec, seed=seed, converge=True)
-        kept = labels
-    else:
-        # a run of two or more rows keeps only its density columns; one row is its own statistics
-        kept = density_labels if n > 1 else labels
-        result = pipeline.run_popf(model, case, n_samples=n, spec=spec, seed=seed,
-                                   columns=[labels.index(label) for label in kept])
+    # a run of two or more rows keeps only its density columns; one row is its own statistics
+    kept = labels if n == 1 else density_labels
+    result = pipeline.run_popf(model, case, n_samples=n, spec=spec, seed=seed,
+                               converge=args.converge,
+                               columns=[labels.index(label) for label in kept])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_path = out_dir / "popf_stats.tsv"

@@ -22,16 +22,16 @@ sends the rows the oracle kept through the same pass, each block slicing its
 own, and keeps every column. The pass is popflow's only threaded work: its
 blocks run on one thread per BLAS thread team that fits on the usable cores,
 each writing only its own rows, so outputs do not depend on the core count
-(see ``rowblocks``); ``infer`` runs on the calling thread. Each
-``--converge`` chunk goes through the same pass, keeping every column,
-before the stopping rule folds it.
+(see ``rowblocks``); ``infer`` runs on the calling thread. ``--converge``
+draws one block at a time through the same pass; the stopping rule folds
+that block's every column, and only the kept columns outlive it.
 
 Statistics are block-merged moments: each block sums ``x - shift`` and its
 squares (``shift`` the block's first row), and the calling thread merges the
 blocks in block order, so means and stds have the same bits for any worker
 count, and a run's ``stats`` equal ``compute_statistics`` of its full rows. A
 ``--converge`` run's stopping rule (``fold_convergence``) carries the same
-``(count, shift, s1, s2)`` sums from chunk to chunk.
+``(count, shift, s1, s2)`` sums over ``INFER_CHUNK`` slices of each block.
 
 Method comparison runs three solvers over one seed-matched sample matrix and
 pools their errors at the fixed ``EXCEEDANCE_THRESHOLDS``:
@@ -422,30 +422,29 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
         return PopfRunResult(values=values, seconds=time.perf_counter() - start,
                              n_samples=n_samples, converged=None, stats=stats)
 
-    # Rows are drawn in chunks that double from 4 * INFER_CHUNK, each continuing
-    # the column streams where the last stopped, so the rows equal those of one
-    # max_samples draw and none is drawn twice; every chunk but the capped
-    # last one is a multiple of INFER_CHUNK, so inference chunks stay aligned.
-    run, sums, collected, converged = _SurrogatePass(model, case), None, [], False
-    chunk = 4 * INFER_CHUNK
-    while run.drawn < max_samples and not converged:
-        rows, _ = run.draw(draws, min(chunk, max_samples - run.drawn))
+    # One block per draw, continuing the column streams, so the rows are those
+    # of one max_samples draw; the rule folds each block in INFER_CHUNK slices
+    # until it fires, and values has room for the cap's kept columns.
+    run, sums, block_sums, converged, n = _SurrogatePass(model, case), None, [], False, 0
+    kept = slice(None) if columns is None else columns
+    values = np.empty((max_samples, model.output_dim if columns is None else len(columns)))
+    while n < max_samples and not converged:
+        rows, (block,) = run.draw(draws, min(BLOCK_ROWS, max_samples - n))
         t0 = time.perf_counter()
-        used, converged, sums = fold_convergence(sums, rows, cv_threshold)
+        used = 0
+        while used < len(rows) and not converged:
+            folded, converged, sums = fold_convergence(
+                sums, rows[used:used + INFER_CHUNK], cv_threshold)
+            used += folded
+        block_sums.append(block if used == len(rows) else _shifted_sums(rows[:used]))
         run.stage_s[-1] += time.perf_counter() - t0
-        collected.append(rows[:used])
-        chunk *= 2
-    values = np.vstack(collected)
-    t0 = time.perf_counter()
-    stats = compute_statistics(values) if len(values) > 1 else None
-    run.stage_s[-1] += time.perf_counter() - t0
+        values[n:n + used] = rows[:used, kept]
+        n += used
     ratio = np.divide(*rule_terms(*sums, cv_threshold))   # standard errors over their limits
     worst = int(np.argmax(ratio))
-    run.log(len(values), f"; largest stderr/limit {ratio[worst]:.3g}, at "
-                         f"{output_labels(case)[worst]}")
-    return PopfRunResult(values=values if columns is None else values[:, columns],
-                         seconds=time.perf_counter() - start,
-                         n_samples=len(values), converged=converged, stats=stats)
+    run.log(n, f"; largest stderr/limit {ratio[worst]:.3g}, at {output_labels(case)[worst]}")
+    return PopfRunResult(values=values[:n], seconds=time.perf_counter() - start, n_samples=n,
+                         converged=converged, stats=_merge_moments(block_sums) if n > 1 else None)
 
 
 class _SurrogatePass:
@@ -503,14 +502,16 @@ class _SurrogatePass:
         x = _features(self.case, samples)
         t2 = time.perf_counter()
         buffer = buffers.pop()
-        scratch = buffer[:len(out)]
-        outputs = out if self.columns is None else scratch
-        _infer_rows(self.net, x, outputs)
-        t3 = time.perf_counter()
-        if self.columns is not None:
-            out[:] = outputs[:, self.columns]
-        sums = _shifted_sums(outputs, scratch)
-        buffers.append(buffer)
+        try:
+            scratch = buffer[:len(out)]
+            outputs = out if self.columns is None else scratch
+            _infer_rows(self.net, x, outputs)
+            t3 = time.perf_counter()
+            if self.columns is not None:
+                out[:] = outputs[:, self.columns]
+            sums = _shifted_sums(outputs, scratch)
+        finally:
+            buffers.append(buffer)
         return (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3), sums
 
     def log(self, used: int, stop: str = "") -> None:
@@ -518,7 +519,7 @@ class _SurrogatePass:
         the stage seconds; the workers are those of the widest pass, and
         ``stop`` ends a convergence run's line with the output that decided
         its stop. A convergence run's moment seconds also hold its
-        stopping-rule folds and final statistics."""
+        stopping-rule folds and the sums of the block where the rule fired."""
         stages = ", ".join(f"{t:.3g} s {name}" for name, t in zip(self.STAGES, self.stage_s))
         log.debug("popf: %.3g s drawing, %.3g s in the block pass (over blocks: %s); "
                   "%d rows drawn, %d used; %d block workers%s",

@@ -489,9 +489,10 @@ def case14_study(tmp_path, case14):
 
 def test_popf_density_columns_give_the_files_of_full_rows(case14_study, case14, monkeypatch,
                                                           capsys):
-    """``popf --samples`` keeps only its density columns, over four blocks on
-    three workers, and writes the stats and density tables of a run that
-    keeps every column and selects them afterwards, byte for byte."""
+    """``popf --samples``, over four blocks on three workers, and ``popf
+    --converge`` keep only their density columns, and each writes the stats
+    and density tables of a run that keeps every column and selects them
+    afterwards, byte for byte."""
     cfg, tmp_path = case14_study
     monkeypatch.setattr(rowblocks, "_usable_cores", lambda: 3)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -503,21 +504,22 @@ def test_popf_density_columns_give_the_files_of_full_rows(case14_study, case14, 
         widths.append(result.values.shape[1])
         return result
 
-    argv = ["popf", "-c", str(cfg), "--samples", str(3 * rowblocks.BLOCK_ROWS + 5)]
-    monkeypatch.setattr(pipeline, "run_popf", recording_run_popf)
-    assert main([*argv, "--set", f"output_dir={tmp_path / 'kept'}"]) == 0
-
     def full_rows_run_popf(*args, columns=None, **kwargs):
         result = recording_run_popf(*args, **kwargs)
         return dataclasses.replace(result, values=result.values[:, columns])
 
-    monkeypatch.setattr(pipeline, "run_popf", full_rows_run_popf)
-    assert main([*argv, "--set", f"output_dir={tmp_path / 'full'}"]) == 0
-    assert widths == [len(default_density_labels(case14)), case14.solution_dim()]
-    files = sorted(path.name for path in (tmp_path / "full").iterdir())
-    assert "popf_stats.tsv" in files and len(files) == 1 + len(default_density_labels(case14))
-    for name in files:
-        assert (tmp_path / "kept" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    for mode in (["--samples", str(3 * rowblocks.BLOCK_ROWS + 5)], ["--converge"]):
+        argv = ["popf", "-c", str(cfg), *mode]
+        widths.clear()
+        for name, run_popf in (("kept", recording_run_popf), ("full", full_rows_run_popf)):
+            monkeypatch.setattr(pipeline, "run_popf", run_popf)
+            assert main([*argv, "--set", f"output_dir={tmp_path / mode[0] / name}"]) == 0
+        assert widths == [len(default_density_labels(case14)), case14.solution_dim()]
+        kept, full = tmp_path / mode[0] / "kept", tmp_path / mode[0] / "full"
+        files = sorted(path.name for path in full.iterdir())
+        assert "popf_stats.tsv" in files and len(files) == 1 + len(default_density_labels(case14))
+        for name in files:
+            assert (kept / name).read_bytes() == (full / name).read_bytes()
 
 
 def test_popf_memory_grows_by_the_kept_columns_only(case14_study, case14, monkeypatch, capsys):
@@ -541,6 +543,39 @@ def test_popf_memory_grows_by_the_kept_columns_only(case14_study, case14, monkey
     growth = traced_peak(80_000) - traced_peak(20_000)
     kept_bytes = 60_000 * len(default_density_labels(case14)) * 8
     assert growth <= kept_bytes + 2 ** 20, (growth, kept_bytes)
+
+
+def test_popf_converge_memory_grows_by_the_kept_columns_only(case14_study, case14, monkeypatch,
+                                                             capsys):
+    """A ``popf --converge`` run held to its cap keeps only its density
+    columns and folds the stopping rule block by block: its traced peak
+    grows from a 20,000- to an 80,000-row cap by at most the bytes of the
+    kept columns plus one block of every output column. Holding every row's
+    outputs would add 60,000 x 40 x 8 bytes, 19 MB, and folding the rule
+    over more rows than a block at once would add more."""
+    cfg, _ = case14_study
+    monkeypatch.setattr(rowblocks, "_usable_cores", lambda: 1)
+    real_run_popf = pipeline.run_popf
+
+    def run_to(cap):
+        monkeypatch.setattr(pipeline, "run_popf", lambda *args, **kwargs: real_run_popf(
+            *args, cv_threshold=1e-9, max_samples=cap, **kwargs))
+        assert main(["popf", "-c", str(cfg), "--converge"]) == 0
+        assert capsys.readouterr().out.startswith(f"{cap} samples in ")
+
+    def traced_peak(cap):
+        tracemalloc.start()
+        try:
+            run_to(cap)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_to(20_000)   # builds the cached per-case tables untraced
+    growth = traced_peak(80_000) - traced_peak(20_000)
+    kept_bytes = 60_000 * len(default_density_labels(case14)) * 8
+    block_bytes = rowblocks.BLOCK_ROWS * case14.solution_dim() * 8
+    assert growth <= kept_bytes + block_bytes, (growth, kept_bytes, block_bytes)
 
 
 def test_popf_converge_near_zero_variance(tmp_path, capsys):

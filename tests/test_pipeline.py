@@ -387,8 +387,9 @@ def test_run_popf_sample_cap_is_not_convergence(tiny_trained):
 
 @pytest.mark.parametrize("threshold, cap", [(0.002, 50_000), (1e-4, 5_000), (1e-4, 100)])
 def test_run_popf_converge_equals_one_draw(tiny_trained, threshold, cap):
-    """Chunked drawing returns the rows of a single draw of the used length,
-    whether the rule fires after the first chunk or the cap stops the run."""
+    """Drawing block by block returns the rows of a single draw of the used
+    length, whether the rule fires after the first 2,048 rows or the cap stops
+    the run."""
     case, _, _, model, _ = tiny_trained
     result = run_popf(model, case, seed=8, converge=True, cv_threshold=threshold,
                       max_samples=cap)
@@ -454,8 +455,8 @@ def test_popf_stage_times_go_to_the_debug_log(tiny_trained, caplog, monkeypatch)
     counts = [tuple(map(int, m.groups()[6:9])) for m in matches]
     stops = [m.groups()[9:] for m in matches]
     assert counts[0] == (700, 700, 1)
-    # the cap stops the run in its second round, which draws only rows
-    # 2049..3000; no call reaches a second row block
+    # the cap stops the run within its first block, which draws only 3000
+    # rows; no call reaches a second row block
     assert capped.converged is False
     assert counts[1] == (3000, 3000, 1)
     # only the convergence run names the output that held it to the cap
@@ -526,14 +527,24 @@ def test_block_moments_of_the_small_example_are_exact():
 @pytest.mark.parametrize("kwargs", [dict(n_samples=2 * rowblocks.BLOCK_ROWS + 300),
                                     dict(n_samples=2), dict(n_samples=1),
                                     dict(converge=True, cv_threshold=1e-3, max_samples=9000),
-                                    dict(converge=True, max_samples=1)])
+                                    dict(converge=True, max_samples=1),
+                                    dict(converge=True, cv_threshold=1e-3, columns=[3, 0])])
 def test_run_popf_stats_are_compute_statistics_of_its_values(tiny_trained, kwargs):
+    """A run's stats are ``compute_statistics`` of its full rows, also when
+    it keeps some columns and its stopping rule fires within a block after
+    full ones."""
     case, _, _, model, _ = tiny_trained
     result = run_popf(model, case, seed=12, **kwargs)
     if result.n_samples < 2:
         assert result.stats is None
         return
-    want = compute_statistics(result.values)
+    full = infer(model, operating_features(
+        case, sample_operating_conditions(case, result.n_samples, None, 12).values))
+    assert result.values.tobytes() == full[:, kwargs.get("columns", slice(None))].tobytes()
+    if "columns" in kwargs:
+        assert result.converged and result.n_samples > rowblocks.BLOCK_ROWS
+        assert result.n_samples % rowblocks.BLOCK_ROWS
+    want = compute_statistics(full)
     assert result.stats.mean.tobytes() == want.mean.tobytes()
     assert result.stats.std.tobytes() == want.std.tobytes()
 

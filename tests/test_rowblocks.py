@@ -294,6 +294,45 @@ def test_a_failing_block_cannot_hang_the_pass(case14, case14_model, monkeypatch,
     assert outcome.get("error") is error
 
 
+def test_blocks_that_fail_inferring_give_their_buffers_back(case14, case14_model, monkeypatch):
+    """With two workers and three blocks, the first block waits in its
+    transform until the other two have raised while inferring, each holding
+    an output buffer; it then finds a buffer of its own, and its error, not
+    a lost buffer's, reaches the caller."""
+    spec, model = case14_model
+    with_workers(monkeypatch, 2)
+    error = NonFiniteLoss("kernel failed")
+    first_normals, failures, lock = [], [], threading.Lock()
+    others_failed = threading.Event()
+    real_normals, real_transform = SampleStream.normals, SampleStream._transform_rows
+
+    def normals(self, n):
+        z = real_normals(self, n)
+        if not first_normals:
+            first_normals.append(z)
+        return z
+
+    def transform(self, z):
+        if z is first_normals[0]:
+            assert others_failed.wait(60), "the later blocks did not fail"
+        return real_transform(self, z)
+
+    def failing_run_layers(*args):
+        with lock:
+            failures.append(args)
+            if len(failures) == 2:
+                others_failed.set()
+        raise error
+
+    monkeypatch.setattr(SampleStream, "normals", normals)
+    monkeypatch.setattr(SampleStream, "_transform_rows", transform)
+    monkeypatch.setattr(sdae, "_run_layers", failing_run_layers)
+    outcome = run_in_daemon(lambda: run_popf(model, case14, n_samples=3 * rowblocks.BLOCK_ROWS,
+                                             spec=spec, seed=4))
+    assert outcome.get("error") is error, outcome
+    assert len(failures) == 3
+
+
 @pytest.mark.parametrize("n_workers", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 3 * rowblocks.BLOCK_ROWS + 5])
 def test_popf_kept_columns_and_stats_have_the_bytes_of_full_rows(case14, case14_model,

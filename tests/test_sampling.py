@@ -460,7 +460,7 @@ def test_sampling_reproducible_hash(case14):
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_draws_are_prefix_stable(case14, n, extra, seed):
     """An n-row draw is the first n rows of any longer draw, bit for bit;
-    run_popf(converge=True) slices its chunks on this."""
+    a run_popf(converge=True) that stops at row n returns an n-row draw."""
     spec = CorrelationSpec.for_case(case14, {"area_loads": [[1.0, 0.6], [0.6, 1.0]]})
     short = sample_operating_conditions(case14, n, spec, seed).values
     long = sample_operating_conditions(case14, n + extra, spec, seed).values
@@ -474,7 +474,7 @@ def test_draws_are_prefix_stable(case14, n, extra, seed):
 @example([1, 1], 138)
 def test_stream_pieces_are_one_draw(case14, sizes, seed):
     """Consecutive draws of a stream are the rows of one draw of their total
-    length, bit for bit; run_popf(converge=True) draws its chunks this way."""
+    length, bit for bit; run_popf(converge=True) draws one block at a time."""
     spec = CorrelationSpec.for_case(case14, {"area_loads": [[1.0, 0.6], [0.6, 1.0]]})
     stream = SampleStream(case14, spec, seed)
     pieces = np.vstack([stream.draw(n).values for n in sizes])
