@@ -43,12 +43,27 @@ def write_tsv(path, header, rows) -> None:
     per row. String cells are written as they are, numbers as ``.17g`` (which
     round-trips a float64 exactly and prints small integers plainly). A float
     matrix is formatted a row at a time with one ``%`` per row, which gives
-    the same text as formatting each cell."""
+    the same text as formatting each cell; a column whose bits are the same
+    in every row is formatted once, into the row format."""
     lines = ["\t".join(header)]
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        row_format = "\t".join(["%.17g"] * rows.shape[1])
-        lines += [row_format % tuple(row.tolist()) for row in rows]
+        if len(rows):
+            fixed = _constant_columns(rows)
+            row_format = "\t".join(("%.17g" % v).replace("%", "%%") if same else "%.17g"
+                                   for v, same in zip(rows[0].tolist(), fixed))
+            lines += [row_format % tuple(row.tolist()) for row in rows[:, ~fixed]]
     else:
         lines += ["\t".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
                   for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _constant_columns(rows: np.ndarray) -> np.ndarray:
+    """Mask of the columns of the float matrix ``rows`` whose bits are the
+    same in every row: -0.0 differs from 0.0, and a NaN from a NaN of other
+    bits. A float as wide as no unsigned integer has none."""
+    try:
+        bits = rows.view(f"u{rows.dtype.itemsize}")
+    except TypeError:
+        return np.zeros(rows.shape[1], dtype=bool)
+    return (bits == bits[:1]).all(axis=0)

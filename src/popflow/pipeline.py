@@ -14,17 +14,21 @@ A Monte-Carlo run (``run_popf``) is one block pass over 4,096-row blocks:
 the calling thread draws and correlates each block's normals in block order,
 with at most two blocks per worker in flight, and the block transforms its
 marginals, computes its features, runs the folded network on its
-``INFER_CHUNK`` grid into its worker's reused buffer, sums its shifted
-moments and copies out only the output columns the caller keeps. So a run
-holds one block's buffers per worker plus n times the kept columns; no
-matrix of normals, features or unkept outputs spans it. ``compare_methods``
-sends the rows the oracle kept through the same pass, each block slicing its
-own, and keeps every column. The pass is popflow's only threaded work: its
-blocks run on one thread per BLAS thread team that fits on the usable cores,
-each writing only its own rows, so outputs do not depend on the core count
-(see ``rowblocks``); ``infer`` runs on the calling thread. ``--converge``
-draws one block at a time through the same pass; the stopping rule folds
-that block's every column, and only the kept columns outlive it.
+``INFER_CHUNK`` grid, sums its shifted moments and copies out only the
+output columns the caller keeps. The features, each chunk's hidden
+activations and the outputs go to buffers its worker reuses block after
+block, and each layer adds its bias from rows repeated once per pass
+(``_bias_rows``): the sums of a broadcast bias, without its loop over rows.
+So a run holds one block's buffers per worker plus n times the kept
+columns; no matrix of normals, features or unkept outputs spans it.
+``compare_methods`` sends the rows the oracle kept through the same pass,
+each block slicing its own, and keeps every column. The pass is popflow's
+only threaded work: its blocks run on one thread per BLAS thread team that
+fits on the usable cores, each writing only its own rows, so outputs do not
+depend on the core count (see ``rowblocks``); ``infer`` runs on the calling
+thread. ``--converge`` draws one block at a time through the same pass,
+whose buffers outlive each draw; the stopping rule folds that block's every
+column, and only the kept columns outlive it.
 
 Statistics are block-merged moments: each block sums ``x - shift`` and its
 squares (``shift`` the block's first row), and the calling thread merges the
@@ -51,6 +55,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,14 +180,15 @@ def _check_fits(model: sdae.SdaeModel, case: NetworkCase) -> None:
             f"{model.input_dim}; was the model trained on a different case?")
 
 
-def _features(case: NetworkCase, samples: np.ndarray) -> np.ndarray:
+def _features(case: NetworkCase, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``operating_features`` of an (n, n_sources) matrix, unchecked: the PQ
-    columns of ``bus_loads``, written in one pass into one array, the base
-    loads broadcast and each source applied to its own column."""
+    columns of ``bus_loads``, written in one pass into one array (the first
+    n rows of ``out`` when given), the base loads broadcast and each source
+    applied to its own column."""
     cc = compile_case(case)
     n_pq = len(cc.pq)
     column = {int(bus): i for i, bus in enumerate(cc.pq)}
-    out = np.empty((len(samples), 2 * n_pq))
+    out = np.empty((len(samples), 2 * n_pq)) if out is None else out[:len(samples)]
     p, q = out[:, :n_pq], out[:, n_pq:]
     p[:] = cc.p_load[cc.pq]
     q[:] = cc.q_load[cc.pq]
@@ -382,16 +388,35 @@ def infer(model: sdae.SdaeModel, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"model expects {model.input_dim} input features, got {x.shape[1]}")
+    net = sdae.inference_copy(model)
     out = np.empty((x.shape[0], model.output_dim))
-    _infer_rows(sdae.inference_copy(model), x, out)
+    _infer_rows(net, x, out, _layer_buffers(net, len(x)), _bias_rows(net, len(x)))
     return out
 
 
-def _infer_rows(net: sdae.SdaeModel, x: np.ndarray, out: np.ndarray) -> None:
+def _layer_buffers(net: sdae.SdaeModel, rows: int) -> list:
+    """Activation buffers of ``net``'s hidden layers for chunks of up to
+    ``rows`` rows."""
+    return [np.empty((min(rows, INFER_CHUNK), layer.w.shape[0])) for layer in net.layers]
+
+
+def _bias_rows(net: sdae.SdaeModel, rows: int) -> list:
+    """Each layer's bias of ``net``, the top's last, repeated down the rows
+    of a chunk of up to ``rows`` rows."""
+    return [np.tile(b, (min(rows, INFER_CHUNK), 1))
+            for b in [layer.b for layer in net.layers] + [net.top_b]]
+
+
+def _infer_rows(net: sdae.SdaeModel, x: np.ndarray, out: np.ndarray, layers: list,
+                biases: list) -> None:
     """``out`` = the folded network ``net`` on ``x``, in ``INFER_CHUNK``
-    chunks counted from the first row."""
+    chunks counted from the first row; each chunk's hidden activations go to
+    the ``_layer_buffers`` ``layers`` and its outputs straight to ``out``,
+    and its biases come from the ``_bias_rows`` ``biases``."""
     for c in range(0, len(x), INFER_CHUNK):
-        out[c:c + INFER_CHUNK] = sdae._run_layers(net, x[c:c + INFER_CHUNK])
+        rows = x[c:c + INFER_CHUNK]
+        sdae._run_layers(net, rows, None, [*layers, out[c:c + INFER_CHUNK]],
+                         [b[:len(rows)] for b in biases])
 
 
 def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = None,
@@ -447,6 +472,15 @@ def run_popf(model: sdae.SdaeModel, case: NetworkCase, n_samples: int | None = N
                          converged=converged, stats=_merge_moments(block_sums) if n > 1 else None)
 
 
+class _BlockBuffers(NamedTuple):
+    """One worker's buffers in a block pass: a block's features, one
+    inference chunk's hidden activations, and the block's outputs."""
+
+    features: np.ndarray
+    layers: list
+    outputs: np.ndarray
+
+
 class _SurrogatePass:
     """Sample rows through the folded network, block by block (see the module
     doc), with the stage times of the run's DEBUG line. A pass returns the
@@ -462,6 +496,8 @@ class _SurrogatePass:
         self.draw_s = self.pass_s = 0.0   # drawing: seconds summed over blocks
         self.stage_s = np.zeros(len(self.STAGES))
         self.drawn = self.widest = 0
+        self.buffers = []   # _BlockBuffers of the widest pass so far, one per worker
+        self.biases = []    # _bias_rows of the net, shared by the workers
 
     def draw(self, draws: SampleStream, n: int):
         """``samples`` of the next n rows of ``draws``: the calling thread
@@ -485,9 +521,17 @@ class _SurrogatePass:
         t0 = time.perf_counter()
         width = self.net.output_dim if self.columns is None else len(self.columns)
         out = np.empty((n, width))
-        # one block's outputs per worker (no more blocks run at once), in one
-        # allocation made here, each reused block after block
-        buffers = list(np.empty((workers(n), min(n, BLOCK_ROWS), self.net.output_dim)))
+        # one block's buffers per worker (no more blocks run at once), each
+        # reused block after block, and pass after pass (a --converge run
+        # passes one block at a time)
+        rows, count = min(n, BLOCK_ROWS), workers(n)
+        if len(self.buffers) < count or len(self.buffers[0].outputs) < rows:
+            self.buffers = [_BlockBuffers(np.empty((rows, self.net.input_dim)),
+                                          _layer_buffers(self.net, rows),
+                                          np.empty((rows, self.net.output_dim)))
+                            for _ in range(count)]
+            self.biases = _bias_rows(self.net, rows)
+        buffers = self.buffers[:count]
         blocks = for_each_block(n, lambda start, stop, rows: self._block(
             transform, rows, out[start:stop], buffers), timed_input)
         self.pass_s += time.perf_counter() - t0
@@ -499,13 +543,13 @@ class _SurrogatePass:
         t0 = time.perf_counter()
         samples = rows if transform is None else transform(rows)
         t1 = time.perf_counter()
-        x = _features(self.case, samples)
-        t2 = time.perf_counter()
         buffer = buffers.pop()
         try:
-            scratch = buffer[:len(out)]
+            x = _features(self.case, samples, buffer.features)
+            t2 = time.perf_counter()
+            scratch = buffer.outputs[:len(out)]
             outputs = out if self.columns is None else scratch
-            _infer_rows(self.net, x, outputs)
+            _infer_rows(self.net, x, outputs, buffer.layers, self.biases)
             t3 = time.perf_counter()
             if self.columns is not None:
                 out[:] = outputs[:, self.columns]

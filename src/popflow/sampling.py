@@ -40,10 +40,11 @@ A draw runs on the calling thread. Inside the Monte-Carlo block pass of
 block's normals here (``SampleStream.normals``), block after block, and the
 block transforms its own marginals; correlation and the transforms work row
 by row, so a row's values do not depend on the rows drawn or transformed
-with it. A ``SampleStream`` keeps every column's generator
-between draws, so consecutive draws of n1, n2, ... rows are the rows of one
-draw of n1 + n2 + ... rows; ``popf --converge`` draws its chunks, and
-``gen-data`` its replacement rows, this way.
+with it. A ``SampleStream`` checks and factors its correlation groups
+once, when it is made, and keeps every column's generator between draws,
+so consecutive draws of n1, n2, ... rows are the rows of one draw of n1 +
+n2 + ... rows; ``popf --converge`` draws its blocks, and ``gen-data`` its
+replacement rows, this way.
 """
 
 from __future__ import annotations
@@ -120,17 +121,30 @@ def correlate(z: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
     many-row matrix routine, so a row's bits do not depend on how many rows
     are correlated with it.
     """
-    out = np.array(z, dtype=float, copy=True)
+    return _apply_factors(z, _cholesky_factors(spec))
+
+
+def _cholesky_factors(spec: CorrelationSpec) -> list:
+    """``(columns, lower Cholesky factor)`` of each group of ``spec`` that
+    has members, checked as ``correlate`` describes."""
+    factors = []
     for name, (members, matrix) in spec.groups.items():
         if not members:
             continue
         if not np.allclose(matrix, matrix.T, atol=1e-12) or not np.allclose(np.diag(matrix), 1.0, atol=1e-12):
             raise NotPositiveDefinite(name)
         try:
-            lower = np.linalg.cholesky(matrix)
+            factors.append((list(members), np.linalg.cholesky(matrix)))
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite(name) from None
-        cols = list(members)
+    return factors
+
+
+def _apply_factors(z: np.ndarray, factors: list) -> np.ndarray:
+    """``z`` with each group's columns multiplied by the transpose of its
+    factor (``_cholesky_factors``), on a copy."""
+    out = np.array(z, dtype=float, copy=True)
+    for cols, lower in factors:
         grouped = z[:, cols]
         if len(grouped) == 1:
             # numpy computes a one-row product with another BLAS routine,
@@ -494,7 +508,8 @@ class SampleStream:
     streams by default, the label streams with ``branch=LABEL_BRANCH``. Each
     ``draw`` continues every column's generator where the previous one
     stopped, so the pieces are the rows of one draw of their total length,
-    bit for bit, and no row is drawn twice.
+    bit for bit, and no row is drawn twice. The groups of ``spec`` are
+    checked and factored here, once, as ``correlate`` checks them.
     """
 
     def __init__(self, case: NetworkCase, spec: CorrelationSpec | None = None,
@@ -502,7 +517,7 @@ class SampleStream:
         if case.n_sources == 0:
             raise ValueError("case has no stochastic sources to sample")
         self.sources = case.sources
-        self.spec = spec
+        self._factors = [] if spec is None else _cholesky_factors(spec)
         self._generators = [stream(seed, j, *branch) for j in range(case.n_sources)]
 
     def draw(self, n: int) -> SampleMatrix:
@@ -517,9 +532,7 @@ class SampleStream:
         z = np.empty((n, len(self._generators)))
         for j, rng in enumerate(self._generators):
             z[:, j] = rng.standard_normal(n)
-        if self.spec is not None and self.spec.groups:
-            z = correlate(z, self.spec)
-        return z
+        return _apply_factors(z, self._factors) if self._factors else z
 
     def _transform_rows(self, z) -> np.ndarray:
         """The marginal transforms of the normals ``z``, column by column."""

@@ -282,29 +282,41 @@ def forward(model: SdaeModel, X: np.ndarray, train: bool = False,
     return y, {"x": x_used, "acts": acts}
 
 
-def _run_layers(model: SdaeModel, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+def _run_layers(model: SdaeModel, x: np.ndarray, acts: list | None = None,
+                out: list | None = None, biases: list | None = None) -> np.ndarray:
     """The stack's layer arithmetic, and the inference kernel: the ReLU
     kernel over the hidden layers, then the affine top (see module doc).
     With ``acts`` every activation, the output last, is appended to it for
     backprop; with or without, the output is ``forward(model, x)[0]`` bit for
-    bit. Inference calls it without a list from worker threads.
+    bit. Inference calls it without a list from worker threads, with ``out``:
+    one buffer per layer, the top last, each of at least ``len(x)`` rows,
+    that the layers write in place of new arrays, and with ``biases``: each
+    layer's bias, the top's last, repeated down ``len(x)`` rows, which adds
+    the same values as the broadcast bias without its loop over rows. Both
+    give the same bits.
     """
-    a = _relu_layers(x, [(layer.w, layer.b) for layer in model.layers], acts)
-    y = a @ model.top_w.T
-    y += model.top_b
+    if biases is None:
+        biases = [layer.b for layer in model.layers] + [model.top_b]
+    hidden, top = (None, None) if out is None else (out[:-1], out[-1][:len(x)])
+    pairs = [(layer.w, b) for layer, b in zip(model.layers, biases)]
+    a = _relu_layers(x, pairs, acts, hidden)
+    y = np.matmul(a, model.top_w.T, out=top)
+    y += biases[-1]
     if acts is not None:
         acts.append(y)
     return y
 
 
-def _relu_layers(a: np.ndarray, pairs, acts: list | None = None) -> np.ndarray:
+def _relu_layers(a: np.ndarray, pairs, acts: list | None = None,
+                 out: list | None = None) -> np.ndarray:
     """``a = max(a @ w.T + b, 0)`` for each ``(w, b)`` of ``pairs`` in turn,
     appending each activation to ``acts`` when given; ``a`` is never written.
-    The product's dtype is never narrower than the bias's (weights and biases
-    are cast together), so the in-place bias and ReLU give the bits of
-    ``np.maximum(a @ w.T + b, 0.0)``."""
-    for w, b in pairs:
-        a = a @ w.T
+    With ``out``, one buffer per pair of at least ``len(a)`` rows, each
+    activation is written into its buffer. The product's dtype is never
+    narrower than the bias's (weights and biases are cast together), so the
+    in-place bias and ReLU give the bits of ``np.maximum(a @ w.T + b, 0.0)``."""
+    for l, (w, b) in enumerate(pairs):
+        a = np.matmul(a, w.T, out=None if out is None else out[l][:len(a)])
         a += b
         np.maximum(a, 0.0, out=a)
         if acts is not None:

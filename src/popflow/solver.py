@@ -19,7 +19,10 @@ The oracle works on blocks of sample rows (``oracle_block``): the loads of
 the block are mapped once, each remembered dispatch active set is tried on
 every unsolved row at once, Newton runs on stacked Jacobians with each row
 frozen as soon as it converges or fails, and the slack correction and cost
-apply to the whole block. Newton works on Ybus's sparsity pattern, as
+apply to the whole block. Every row starts flat (``vm = 1``, ``va = 0``):
+the compiled case holds that start's bus state, mismatch and Jacobian
+inverse, so iteration 0 is one ``dot_rows`` step, and no Jacobian is built
+or solved before iteration 1. Newton works on Ybus's sparsity pattern, as
 MATPOWER's ``newtonpf`` does: bus currents sum gathered neighbours, and
 ``dSbus_dV`` is evaluated at the nonzeros only. ``oracle_opf``, ``dc_opf``
 and ``ac_power_flow`` are one-row calls of the same kernels. A row's bits
@@ -38,7 +41,8 @@ three rules:
   are correctly rounded in every loop.
 - Linear systems go to ``np.linalg.solve`` over the stack, which calls
   LAPACK ``gesv`` once per row. A stack holding a singular matrix is solved
-  again row by row, so that a singular row fails alone.
+  again row by row, so that a singular row fails alone. The flat start's
+  step is the compiled inverse applied by ``dot_rows``.
 
 Row temporaries are bounded: Newton runs over sub-blocks of
 ``_rows_within(n_bus ** 2)`` rows, and ``dot_rows`` slices its rows the same way.
@@ -340,6 +344,10 @@ class CompiledCase:
     q_load: np.ndarray
     source_rules: tuple     # per source: (bus, Q/P = tan(acos(power factor)) of a
                             # Gaussian load, or None for an injecting source)
+    # the flat start (vm = 1, va = 0), the same for every row; _compile sets them
+    flat_bus: _BusState = None        # its bus state, one row
+    flat_mismatch: np.ndarray = None  # its mismatch before the targets are subtracted
+    flat_inverse: np.ndarray = None   # its Jacobian's inverse; None where singular
     warm_sets: tuple = ()
 
 
@@ -390,7 +398,7 @@ def _compile(case: NetworkCase) -> CompiledCase:
     inj_map = qp.gen_map.copy()
     inj_map[:, slack_gens] = 0.0
     series = np.array([1.0 / complex(br.r, br.x) for br in case.branches], dtype=complex)
-    return CompiledCase(
+    cc = CompiledCase(
         slack=slack, pq=pq, pvpq=pvpq, nbr=nbr, nbr_g=nbr_y.real.copy(),
         nbr_b=nbr_y.imag.copy(), nz_row=nz_row, nz_col=nz_col, nz_g=ybus.real[nz_row, nz_col],
         nz_b=ybus.imag[nz_row, nz_col], jac_src=np.flatnonzero(placed),
@@ -405,6 +413,14 @@ def _compile(case: NetworkCase) -> CompiledCase:
             (src.bus, math.tan(math.acos(src.params["power_factor"]))
              if src.kind == SRC_GAUSSIAN_LOAD else None)
             for src in case.sources))
+    vm = np.ones((1, n))
+    cc.flat_bus = _bus_state(cc, vm, np.zeros((1, n)))
+    cc.flat_mismatch = _mismatch(cc, cc.flat_bus)[0]
+    try:
+        cc.flat_inverse = np.linalg.inv(_jacobians(cc, vm, cc.flat_bus)[0])
+    except np.linalg.LinAlgError:
+        pass   # every row fails at iteration 0
+    return cc
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +435,10 @@ def ac_power_flow(case: NetworkCase, p_inj: np.ndarray, q_inj: np.ndarray,
     The P entry at the slack bus and Q entries at slack/PV buses are ignored;
     those quantities are outputs of the solve. ``tol`` must be a positive
     finite number and ``max_iter`` an integer of at least 0.
+
+    The flat start's step comes from the Jacobian inverse compiled with the
+    case (``CompiledCase.flat_inverse``); where that Jacobian is singular,
+    the solve fails at iteration 0 unless the flat start already meets ``tol``.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
@@ -471,15 +491,19 @@ def _newton(cc: CompiledCase, spec: np.ndarray, live: np.ndarray, tol: float,
             max_iter: int, flows: _Flows) -> None:
     """Newton from a flat start on the rows ``live`` of the mismatch targets
     ``spec``, written into ``flows``. A row is frozen as soon as it converges
-    or fails."""
+    or fails. Iteration 0 runs on the compiled flat-start constants."""
     n = flows.v_mag.shape[1]
     n_angles = len(cc.pvpq)
     spec = spec[live]
     vm = np.ones((len(live), n))
     va = np.zeros((len(live), n))
     for iterations in range(max_iter + 1):
-        bus = _bus_state(cc, vm, va)
-        mismatch = np.concatenate([bus.p[:, cc.pvpq], bus.q[:, cc.pq]], axis=1) - spec
+        if iterations:
+            bus = _bus_state(cc, vm, va)
+            mismatch = _mismatch(cc, bus) - spec
+        else:   # the flat start's constants
+            bus = _BusState(*(np.broadcast_to(a, vm.shape) for a in cc.flat_bus))
+            mismatch = cc.flat_mismatch - spec
         max_mis = np.abs(mismatch).max(axis=1, initial=0.0)
         done = max_mis <= tol
         stop = done | (iterations == max_iter) | ~np.isfinite(max_mis)
@@ -498,7 +522,12 @@ def _newton(cc: CompiledCase, spec: np.ndarray, live: np.ndarray, tol: float,
             live, vm, va, spec, mismatch = (a[~stop] for a in (live, vm, va, spec, mismatch))
             bus = _BusState(*(a[~stop] for a in bus))
 
-        dx = _solve_rows(_jacobians(cc, vm, bus), -mismatch)
+        if iterations:
+            dx = _solve_rows(_jacobians(cc, vm, bus), -mismatch)
+        elif cc.flat_inverse is None:
+            dx = np.full_like(mismatch, np.nan)
+        else:
+            dx = dot_rows(cc.flat_inverse, -mismatch)
         if not np.isfinite(dx).all():
             bad = ~np.isfinite(dx).all(axis=1)
             for k in np.flatnonzero(bad):
@@ -533,6 +562,12 @@ def _bus_state(cc: CompiledCase, vm: np.ndarray, va: np.ndarray) -> _BusState:
     i_re = (cc.nbr_g * e_nbr - cc.nbr_b * f_nbr).sum(axis=1)
     i_im = (cc.nbr_g * f_nbr + cc.nbr_b * e_nbr).sum(axis=1)
     return _BusState(c, s, e, f, i_re, i_im, e * i_re + f * i_im, f * i_re - e * i_im)
+
+
+def _mismatch(cc: CompiledCase, bus: _BusState) -> np.ndarray:
+    """The P rows at PV and PQ buses and the Q rows at PQ buses, before the
+    targets are subtracted."""
+    return np.concatenate([bus.p[:, cc.pvpq], bus.q[:, cc.pq]], axis=1)
 
 
 def _jacobians(cc: CompiledCase, vm: np.ndarray, bus: _BusState) -> np.ndarray:

@@ -112,3 +112,20 @@ def test_float_matrix_rows_are_the_per_cell_text(tmp_path_factory, matrix):
     write_tsv(path, header, matrix)
     want = "".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in matrix)
     assert path.read_text(encoding="utf-8") == "\t".join(header) + "\n" + want
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_constant_columns_are_the_per_cell_text(tmp_path, dtype):
+    """Columns the same in every row, in value but not in bits (-0.0 beside
+    0.0, NaNs of two signs), and with a row of their own, give the text of
+    formatting each cell."""
+    nan = np.float64("nan")
+    matrix = np.array([[1.5, 0.0, nan, 7.0, 1e-300, -0.0],
+                       [1.5, -0.0, -nan, 8.0, 1e-300, -0.0],
+                       [1.5, 0.0, nan, 9.0, 1e-300, -0.0]]).astype(dtype)
+    for rows in (matrix, matrix[:1], matrix[:, [0, 4, 5]], matrix[:0]):
+        path = tmp_path / "matrix.tsv"
+        header = [f"c{j}" for j in range(rows.shape[1])]
+        write_tsv(path, header, rows)
+        want = "".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+        assert path.read_text(encoding="utf-8") == "\t".join(header) + "\n" + want

@@ -400,6 +400,18 @@ def test_run_popf_converge_equals_one_draw(tiny_trained, threshold, cap):
     assert np.array_equal(result.values, infer(model, operating_features(case, draw.values)))
 
 
+def test_a_converge_run_allocates_its_block_buffers_once(tiny_trained, monkeypatch):
+    """A convergence run passes one block at a time, and the buffers of its
+    first block serve the later ones: three blocks, one allocation."""
+    case, _, _, model, _ = tiny_trained
+    made, real = [], pipeline._layer_buffers
+    monkeypatch.setattr(pipeline, "_layer_buffers",
+                        lambda net, rows: made.append(rows) or real(net, rows))
+    cap = 2 * rowblocks.BLOCK_ROWS + 5
+    result = run_popf(model, case, seed=8, converge=True, cv_threshold=1e-6, max_samples=cap)
+    assert result.n_samples == cap and made == [rowblocks.BLOCK_ROWS]
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_run_popf_rejects_a_cap_below_one(tiny_trained, cap):
     case, _, _, model, _ = tiny_trained

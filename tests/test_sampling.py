@@ -94,6 +94,25 @@ def test_perfect_correlation_rejected():
         correlate(z, spec)
 
 
+def test_a_stream_factors_each_group_once(monkeypatch):
+    """A stream checks and factors its groups when it is made, not once per
+    draw: a matrix that is not positive definite fails before any draw, and
+    the pieces of a valid stream, a one-row piece among them, keep the bits
+    of ``correlate`` on the same normals."""
+    case, spec = _pair_spec(0.7)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(m) or cholesky(m))
+    stream = SampleStream(case, spec, 5)
+    pieces = np.vstack([stream.normals(n) for n in (1, 7, 300)])
+    assert len(factored) == 1
+    z = draw_standard_normals(308, 2, 5)
+    assert pieces.tobytes() == np.vstack([correlate(z[:1], spec),
+                                          correlate(z[1:], spec)]).tobytes()
+    with pytest.raises(NotPositiveDefinite, match="g"):
+        SampleStream(case, _pair_spec(1.0)[1], 5)
+
+
 def test_empirical_correlation():
     _, spec = _pair_spec(0.8)
     z = correlate(draw_standard_normals(100_000, 2, seed=7), spec)

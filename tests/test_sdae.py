@@ -276,6 +276,31 @@ def test_inference_kernel_is_forward_bit_for_bit(dims, rows, model_dtype, x_dtyp
     assert x.tobytes() == x_before.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(1, 9), min_size=3, max_size=5), rows=st.integers(1, 40),
+       spare=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_inference_kernel_into_buffers_keeps_its_bits(dims, rows, spare, seed):
+    """With a buffer per layer, longer than the input, and each bias repeated
+    down the input's rows, the kernel writes each activation into the first
+    rows of its buffer and returns the top one's, with the bits of the kernel
+    that allocates and broadcasts, one-row inputs included."""
+    rng = new_rng(seed)
+    model = init_model(dims[0], dims[1:-1], dims[-1], 0.0, rng)
+    for layer in model.layers:
+        layer.b = rng.uniform(-0.5, 0.5, layer.b.shape)
+    model.top_b = rng.uniform(-0.5, 0.5, model.top_b.shape)
+    x = rng.uniform(-1.0, 1.0, (rows, dims[0]))
+    buffers = [np.full((rows + spare, width), np.nan) for width in dims[1:]]
+    biases = [np.tile(b, (rows, 1)) for b in [l.b for l in model.layers] + [model.top_b]]
+    got = _run_layers(model, x, None, buffers, biases)
+    assert np.shares_memory(got, buffers[-1]) and got.shape == (rows, dims[-1])
+    acts = []
+    want = _run_layers(model, x, acts)
+    assert got.tobytes() == want.tobytes()
+    for buffer, act in zip(buffers, acts):
+        assert buffer[:rows].tobytes() == act.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(dims=st.lists(st.integers(1, 9), min_size=3, max_size=5), rows=st.integers(1, 40),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())

@@ -840,6 +840,100 @@ def test_a_failing_power_flow_row_fails_alone():
         assert flows.iterations[k] == alone.iterations
 
 
+def assert_rows_are_one_row_solves(case, p, q, max_iter=NEWTON_MAX_ITER):
+    """Each row of a Newton block has the bits of its one-row solve, or
+    fails with its type and message."""
+    flows = _power_flow_rows(compile_case(case), p, q, NEWTON_TOL, max_iter)
+    for k in range(len(p)):
+        call = lambda: ac_power_flow(case, p[k], q[k], max_iter=max_iter)  # noqa: E731
+        if k in flows.errors:
+            assert_same_failure(flows.errors[k], type(flows.errors[k]), call)
+            continue
+        alone = call()
+        for got, want in ((flows.v_mag[k], alone.v_mag), (flows.v_ang[k], alone.v_ang),
+                          (flows.p_branch[k], alone.p_branch)):
+            assert got.tobytes() == want.tobytes()
+        assert flows.p_slack[k] == alone.p_slack
+        assert flows.iterations[k] == alone.iterations
+        assert flows.max_mismatch[k] == alone.max_mismatch
+    return flows
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=140), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=0.0, max_value=8.0))
+def test_injection_rows_do_not_depend_on_their_block(n, seed, spread):
+    """Random case14 injections, scaled loads and generation at the PV buses,
+    give the bits of their one-row solves over one or more Newton
+    sub-blocks, heavy rows that fail included."""
+    case = bundled_case("case14")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scale = rng.uniform(0.0, spread, (n, case.n_bus))
+    p = rng.uniform(0.0, spread, (n, 1)) * compile_case(case).inj_map.sum(axis=1) * 0.4
+    p -= scale * case.p_load_vector()
+    q = -scale * case.q_load_vector()
+    assert_rows_are_one_row_solves(case, p, q)
+
+
+def singular_flat_start_case():
+    """Two buses whose flat-start Jacobian is singular: with series -2j and
+    shunt 1j, dQ/dV at the load bus is 2 - 2 = 0 at vm = 1, va = 0, where Q
+    is -1."""
+    return make_case(buses=[make_bus(0, SLACK), make_bus(1, PQ, p=0.5)],
+                     branches=[make_branch(0, 1, x=0.5, b_sh=2.0)],
+                     generators=[make_gen(0, p_max=6.0)],
+                     sources=[gaussian_source(1, mean=0.5, std=0.05)])
+
+
+def test_a_singular_flat_start_fails_every_row_at_iteration_zero():
+    """Every row the flat start does not already solve fails as
+    SingularJacobian at iteration 0, alone and in a block; the row it solves
+    converges there, with the flat voltages."""
+    case = singular_flat_start_case()
+    assert compile_case(case).flat_inverse is None
+    p = np.array([[0.0, -0.5], [0.0, 0.0], [0.0, 0.0], [0.0, -0.1]])
+    q = np.array([[0.0, -0.1], [0.0, -1.0], [0.0, 0.3], [0.0, -1.0]])
+    flows = assert_rows_are_one_row_solves(case, p, q)
+    assert list(flows.errors) == [0, 2, 3]
+    for error in flows.errors.values():
+        assert type(error) is SingularJacobian
+        assert str(error) == "Jacobian is singular or gave a non-finite step at iteration 0"
+    assert flows.iterations[1] == 0 and flows.v_mag[1].tolist() == [1.0, 1.0]
+
+
+def test_the_flat_start_constants_are_the_first_iteration():
+    """The compiled flat start is the bus state and mismatch that Newton
+    would compute at vm = 1, va = 0, and its inverse inverts that Jacobian."""
+    case = bundled_case("case14")
+    cc = compile_case(case)
+    vm, va = np.ones((3, case.n_bus)), np.zeros((3, case.n_bus))
+    bus = _bus_state(cc, vm, va)
+    for got, want in zip(cc.flat_bus, bus):
+        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+    mismatch = np.concatenate([bus.p[:, cc.pvpq], bus.q[:, cc.pq]], axis=1)
+    assert np.broadcast_to(cc.flat_mismatch, mismatch.shape).tobytes() == mismatch.tobytes()
+    jac = _jacobians(cc, vm[:1], bus)[0]
+    assert np.allclose(cc.flat_inverse @ jac, np.eye(len(jac)), atol=1e-12)
+
+
+def test_no_iterations_keep_their_meaning_in_a_block():
+    """With ``max_iter=0`` a block converges only the rows its flat start
+    already solves, at iteration 0 with flat voltages, and fails the others
+    after 0 iterations, each as alone; with no load every row converges at
+    the flat start."""
+    case = two_bus_case()
+    p = np.array([[0.0, 0.0], [0.0, -0.5], [0.0, 0.0]])
+    q = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, -0.2]])
+    flows = assert_rows_are_one_row_solves(case, p, q, max_iter=0)
+    assert list(flows.errors) == [1, 2]
+    assert all("after 0 iterations" in str(e) for e in flows.errors.values())
+    assert flows.iterations[0] == 0 and flows.v_mag[0].tolist() == [1.0, 1.0]
+    flows = assert_rows_are_one_row_solves(two_bus_case(load=0.0), np.zeros((2, 2)),
+                                           np.zeros((2, 2)))
+    assert not flows.errors and flows.iterations.tolist() == [0, 0]
+    assert flows.v_ang.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
 def test_a_row_past_the_iteration_cap_fails_alone():
     """With max_iter 3 the light rows converge and the heavy one (5
     iterations) stops with the message of its one-row solve."""
