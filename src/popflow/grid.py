@@ -5,22 +5,12 @@ sections. Power quantities in the file are in physical units (MW / Mvar);
 impedances and voltages are per-unit. Parsing converts everything to per-unit
 on ``base_mva`` so the solvers never see a unit again.
 
-File schema
------------
-``system``      ``{"base_mva": float > 0}``
-``buses``       ``{"id": int, "kind": "slack"|"pv"|"pq", "v_min": pu, "v_max": pu,
-                "p_load_mw": MW, "q_load_mvar": Mvar}``
-``branches``    ``{"from_bus": id, "to_bus": id, "r": pu, "x": pu, "b_sh": pu,
-                "p_limit_mw": MW}`` (``b_sh`` is the total line charging, split
-                half to each end)
-``generators``  ``{"bus": id, "p_min_mw": MW, "p_max_mw": MW,
-                "cost_a": $/MW^2h, "cost_b": $/MWh, "cost_c": $/h}``
-``sources``     ``{"bus": id, "kind": ..., "corr_group": str?}`` plus per kind:
-                - ``gaussian_load``: ``mean_mw``, ``std_mw``, ``power_factor``
-                - ``wind``: ``weibull_shape``, ``weibull_scale``, ``cut_in``,
-                  ``rated_speed``, ``cut_out`` (m/s, ``0 <= cut_in <
-                  rated_speed < cut_out``), ``rated_mw``
-                - ``pv``: ``alpha``, ``beta``, ``rated_mw``
+Each element's file fields, the attributes they fill and the unit that
+converts one to the other are listed once, in the field tables below
+(``_BUS_FIELDS`` ... ``_SOURCE_PARAMS``): parsing, serializing and the
+missing-params check all walk them. A branch's ``b_sh`` is the total line
+charging, split half to each end. A wind source requires ``0 <= cut_in <
+rated_speed < cut_out`` (m/s).
 
 Bus ids must be dense 0-based so they double as matrix indices. Slack and PV
 buses regulate their voltage magnitude at 1.0 pu.
@@ -49,18 +39,6 @@ SRC_GAUSSIAN_LOAD = "gaussian_load"
 SRC_WIND = "wind"
 SRC_PV = "pv"
 SOURCE_KINDS = (SRC_GAUSSIAN_LOAD, SRC_WIND, SRC_PV)
-
-# file fields per source kind, in file order; an "_mw" field holds the
-# per-unit param named without the suffix (MW / base_mva)
-_SOURCE_FIELDS = {
-    SRC_GAUSSIAN_LOAD: ("mean_mw", "std_mw", "power_factor"),
-    SRC_WIND: ("weibull_shape", "weibull_scale", "cut_in", "rated_speed", "cut_out", "rated_mw"),
-    SRC_PV: ("alpha", "beta", "rated_mw"),
-}
-
-
-def _param_key(file_field: str) -> str:
-    return file_field.removesuffix("_mw")
 
 
 @dataclass(frozen=True)
@@ -159,10 +137,6 @@ class NetworkCase:
     def q_load_vector(self) -> np.ndarray:
         return np.array([b.q_load for b in self.buses])
 
-    def solution_dim(self) -> int:
-        """Length of one OPF solution vector: cost + voltages + gens + flows."""
-        return 1 + self.n_bus + self.n_gen + self.n_branch
-
 
 # ---------------------------------------------------------------------------
 # schema helpers
@@ -206,6 +180,77 @@ def _array(obj, key, path):
 
 
 # ---------------------------------------------------------------------------
+# field tables
+
+# A unit is (read, to_pu, from_pu): ``read(element, field, path)`` checks and
+# returns the file value, ``to_pu(value, base)`` turns it into the attribute
+# and ``from_pu(attribute, base)`` back, each by the format's own float
+# operations on ``base = base_mva``; None keeps the value as it is.
+_INDEX = (_int, None, None)
+_NUMBER = (_num, None, None)   # per-unit, m/s, $/h or dimensionless
+_MW = (_num, lambda v, base: v / base, lambda v, base: v * base)   # MW or Mvar
+_PER_MW = (_num, lambda v, base: v * base, lambda v, base: v / base)   # $/MWh
+_PER_MW2 = (_num, lambda v, base: v * base * base, lambda v, base: v / (base * base))   # $/MW^2h
+
+
+def _kind(element: str, kinds: tuple) -> tuple:
+    """The unit of a kind field: a string among ``kinds``."""
+    def read(obj, key, path):
+        kind = _str(obj, key, path)
+        if kind not in kinds:
+            raise SchemaError(f"{path}.{key}", f"unknown {element} kind {kind!r}")
+        return kind
+    return read, None, None
+
+
+# (file field, attribute, unit) of each element kind, in file order
+_BUS_FIELDS = (
+    ("id", "id", _INDEX), ("kind", "kind", _kind("bus", BUS_KINDS)),
+    ("v_min", "v_min", _NUMBER), ("v_max", "v_max", _NUMBER),
+    ("p_load_mw", "p_load", _MW), ("q_load_mvar", "q_load", _MW),
+)
+_BRANCH_FIELDS = (
+    ("from_bus", "from_bus", _INDEX), ("to_bus", "to_bus", _INDEX),
+    ("r", "r", _NUMBER), ("x", "x", _NUMBER), ("b_sh", "b_sh", _NUMBER),
+    ("p_limit_mw", "p_limit", _MW),
+)
+_GENERATOR_FIELDS = (
+    ("bus", "bus", _INDEX), ("p_min_mw", "p_min", _MW), ("p_max_mw", "p_max", _MW),
+    ("cost_a", "cost_a", _PER_MW2), ("cost_b", "cost_b", _PER_MW), ("cost_c", "cost_c", _NUMBER),
+)
+# a source's bus and kind come first, then its kind's params (into
+# ``params``), then an optional string ``corr_group``
+_SOURCE_FIELDS = (("bus", "bus", _INDEX), ("kind", "kind", _kind("source", SOURCE_KINDS)))
+_SOURCE_PARAMS = {
+    SRC_GAUSSIAN_LOAD: (("mean_mw", "mean", _MW), ("std_mw", "std", _MW),
+                        ("power_factor", "power_factor", _NUMBER)),
+    SRC_WIND: (("weibull_shape", "weibull_shape", _NUMBER),
+               ("weibull_scale", "weibull_scale", _NUMBER), ("cut_in", "cut_in", _NUMBER),
+               ("rated_speed", "rated_speed", _NUMBER), ("cut_out", "cut_out", _NUMBER),
+               ("rated_mw", "rated", _MW)),
+    SRC_PV: (("alpha", "alpha", _NUMBER), ("beta", "beta", _NUMBER), ("rated_mw", "rated", _MW)),
+}
+_SECTIONS = (("buses", Bus, _BUS_FIELDS), ("branches", Branch, _BRANCH_FIELDS),
+             ("generators", Generator, _GENERATOR_FIELDS),
+             ("sources", StochasticSource, _SOURCE_FIELDS))
+
+
+def _read_fields(obj, table, path, base) -> dict:
+    """Attribute -> value of one document element, by ``table``."""
+    out = {}
+    for name, attr, (read, to_pu, _) in table:
+        value = read(obj, name, path)
+        out[attr] = value if to_pu is None else to_pu(value, base)
+    return out
+
+
+def _write_fields(values: dict, table, base) -> dict:
+    """File field -> value of one element's attribute ``values``, by ``table``."""
+    return {name: values[attr] if from_pu is None else from_pu(values[attr], base)
+            for name, attr, (_, _, from_pu) in table}
+
+
+# ---------------------------------------------------------------------------
 # parse / serialize
 
 
@@ -231,64 +276,21 @@ def parse_case(text: str) -> NetworkCase:
     if base <= 0:
         raise SchemaError("$.system.base_mva", "must be positive")
 
-    buses = []
-    for i, raw in enumerate(_array(doc, "buses", "$")):
-        path = f"$.buses[{i}]"
-        kind = _str(raw, "kind", path)
-        if kind not in BUS_KINDS:
-            raise SchemaError(f"{path}.kind", f"unknown bus kind {kind!r}")
-        buses.append(Bus(
-            id=_int(raw, "id", path),
-            kind=kind,
-            v_min=_num(raw, "v_min", path),
-            v_max=_num(raw, "v_max", path),
-            p_load=_num(raw, "p_load_mw", path) / base,
-            q_load=_num(raw, "q_load_mvar", path) / base,
-        ))
+    elements = {}
+    for section, make, table in _SECTIONS:
+        items = []
+        for i, raw in enumerate(_array(doc, section, "$")):
+            path = f"$.{section}[{i}]"
+            values = _read_fields(raw, table, path, base)
+            if make is StochasticSource:
+                values["params"] = _read_fields(raw, _SOURCE_PARAMS[values["kind"]], path, base)
+                corr = values["corr_group"] = raw.get("corr_group")
+                if corr is not None and not isinstance(corr, str):
+                    raise SchemaError(f"{path}.corr_group", "must be a string when present")
+            items.append(make(**values))
+        elements[section] = tuple(items)
 
-    branches = []
-    for i, raw in enumerate(_array(doc, "branches", "$")):
-        path = f"$.branches[{i}]"
-        branches.append(Branch(
-            from_bus=_int(raw, "from_bus", path),
-            to_bus=_int(raw, "to_bus", path),
-            r=_num(raw, "r", path),
-            x=_num(raw, "x", path),
-            b_sh=_num(raw, "b_sh", path),
-            p_limit=_num(raw, "p_limit_mw", path) / base,
-        ))
-
-    generators = []
-    for i, raw in enumerate(_array(doc, "generators", "$")):
-        path = f"$.generators[{i}]"
-        generators.append(Generator(
-            bus=_int(raw, "bus", path),
-            p_min=_num(raw, "p_min_mw", path) / base,
-            p_max=_num(raw, "p_max_mw", path) / base,
-            # file coefficients are $/MW^2h and $/MWh; per-unit power scales them up
-            cost_a=_num(raw, "cost_a", path) * base * base,
-            cost_b=_num(raw, "cost_b", path) * base,
-            cost_c=_num(raw, "cost_c", path),
-        ))
-
-    sources = []
-    for i, raw in enumerate(_array(doc, "sources", "$")):
-        path = f"$.sources[{i}]"
-        kind = _str(raw, "kind", path)
-        if kind not in SOURCE_KINDS:
-            raise SchemaError(f"{path}.kind", f"unknown source kind {kind!r}")
-        params = {}
-        for name in _SOURCE_FIELDS[kind]:
-            value = _num(raw, name, path)
-            params[_param_key(name)] = value / base if name.endswith("_mw") else value
-        corr = raw.get("corr_group")
-        if corr is not None and not isinstance(corr, str):
-            raise SchemaError(f"{path}.corr_group", "must be a string when present")
-        sources.append(StochasticSource(bus=_int(raw, "bus", path), kind=kind,
-                                        params=params, corr_group=corr))
-
-    case = NetworkCase(base_mva=base, buses=tuple(buses), branches=tuple(branches),
-                       generators=tuple(generators), sources=tuple(sources))
+    case = NetworkCase(base_mva=base, **elements)
     violations = validate_case(case)
     if violations:
         raise ValidationError(violations)
@@ -298,38 +300,14 @@ def parse_case(text: str) -> NetworkCase:
 def serialize_case(case: NetworkCase) -> str:
     """Render a NetworkCase back to its document form (inverse of parse_case)."""
     base = case.base_mva
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "system": {"base_mva": base},
-        "buses": [
-            {"id": b.id, "kind": b.kind, "v_min": b.v_min, "v_max": b.v_max,
-             "p_load_mw": b.p_load * base, "q_load_mvar": b.q_load * base}
-            for b in case.buses
-        ],
-        "branches": [
-            {"from_bus": br.from_bus, "to_bus": br.to_bus, "r": br.r, "x": br.x,
-             "b_sh": br.b_sh, "p_limit_mw": br.p_limit * base}
-            for br in case.branches
-        ],
-        "generators": [
-            {"bus": g.bus, "p_min_mw": g.p_min * base, "p_max_mw": g.p_max * base,
-             "cost_a": g.cost_a / (base * base), "cost_b": g.cost_b / base,
-             "cost_c": g.cost_c}
-            for g in case.generators
-        ],
-        "sources": [_serialize_source(s, base) for s in case.sources],
-    }
+    doc = {"format_version": FORMAT_VERSION, "system": {"base_mva": base}}
+    for section, _, table in _SECTIONS:
+        doc[section] = [_write_fields(vars(e), table, base) for e in getattr(case, section)]
+    for out, s in zip(doc["sources"], case.sources):
+        out.update(_write_fields(s.params, _SOURCE_PARAMS[s.kind], base))
+        if s.corr_group is not None:
+            out["corr_group"] = s.corr_group
     return json.dumps(doc, indent=1)
-
-
-def _serialize_source(s: StochasticSource, base: float) -> dict:
-    out = {"bus": s.bus, "kind": s.kind}
-    for name in _SOURCE_FIELDS[s.kind]:
-        value = s.params[_param_key(name)]
-        out[name] = value * base if name.endswith("_mw") else value
-    if s.corr_group is not None:
-        out["corr_group"] = s.corr_group
-    return out
 
 
 def case_hash(case: NetworkCase) -> str:
@@ -419,7 +397,7 @@ def _non_finite(entity: str, fields: dict) -> list:
 def _source_violations(s: StochasticSource) -> list:
     p = s.params
     out = []
-    missing = [k for k in map(_param_key, _SOURCE_FIELDS.get(s.kind, ())) if k not in p]
+    missing = [attr for _, attr, _ in _SOURCE_PARAMS.get(s.kind, ()) if attr not in p]
     if missing:
         return [f"missing params {missing}"]
     if s.kind == SRC_GAUSSIAN_LOAD:

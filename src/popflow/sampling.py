@@ -112,21 +112,11 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def correlate(z: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
-    """Impose each group's correlation with its lower Cholesky factor.
-
-    Columns outside every group pass through untouched. Matrices are checked
-    for symmetry and unit diagonal; a failed factorization raises
-    NotPositiveDefinite naming the group. Every product runs through the
-    many-row matrix routine, so a row's bits do not depend on how many rows
-    are correlated with it.
-    """
-    return _apply_factors(z, _cholesky_factors(spec))
-
-
 def _cholesky_factors(spec: CorrelationSpec) -> list:
     """``(columns, lower Cholesky factor)`` of each group of ``spec`` that
-    has members, checked as ``correlate`` describes."""
+    has members. Each matrix is checked for symmetry and unit diagonal; a
+    failed check or factorization raises NotPositiveDefinite naming the
+    group."""
     factors = []
     for name, (members, matrix) in spec.groups.items():
         if not members:
@@ -141,8 +131,11 @@ def _cholesky_factors(spec: CorrelationSpec) -> list:
 
 
 def _apply_factors(z: np.ndarray, factors: list) -> np.ndarray:
-    """``z`` with each group's columns multiplied by the transpose of its
-    factor (``_cholesky_factors``), on a copy."""
+    """``z`` with each group's correlation imposed, on a copy: the group's
+    columns multiplied by the transpose of its factor (``_cholesky_factors``).
+    Columns outside every group pass through untouched. Every product runs
+    through the many-row matrix routine, so a row's bits do not depend on how
+    many rows are correlated with it."""
     out = np.array(z, dtype=float, copy=True)
     for cols, lower in factors:
         grouped = z[:, cols]
@@ -509,7 +502,7 @@ class SampleStream:
     ``draw`` continues every column's generator where the previous one
     stopped, so the pieces are the rows of one draw of their total length,
     bit for bit, and no row is drawn twice. The groups of ``spec`` are
-    checked and factored here, once, as ``correlate`` checks them.
+    checked and factored here, once, by ``_cholesky_factors``.
     """
 
     def __init__(self, case: NetworkCase, spec: CorrelationSpec | None = None,

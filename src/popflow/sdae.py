@@ -530,11 +530,7 @@ def finetune(model: SdaeModel, x_train, y_train, x_val, y_val,
     params = model_params(model)
     opt = init_opt_state(params, cfg.eta_sup, cfg.momentum)
 
-    best_val = np.inf
-    best_snapshot = [p.copy() for p in params]
-    since_best = 0
     history = []
-
     for epoch in range(cfg.epochs_sup):
         order = rng.permutation(n)
         total = 0.0
@@ -554,14 +550,11 @@ def finetune(model: SdaeModel, x_train, y_train, x_val, y_val,
             raise NonFiniteLoss(f"validation loss diverged at epoch {epoch}")
         history.append((epoch, train_loss, val_loss))
 
-        if val_loss < best_val:
-            best_val = val_loss
+        best, reason = early_stop(history, cfg.patience)
+        if best == epoch:
             best_snapshot = [p.copy() for p in params]
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+        elif reason == "early stop":
+            break
 
     for p, snap in zip(params, best_snapshot):
         p[...] = snap
@@ -569,10 +562,14 @@ def finetune(model: SdaeModel, x_train, y_train, x_val, y_val,
 
 
 def early_stop(history, patience: int):
-    """Best epoch of a fine-tuning history, and why the run stopped: "early
-    stop" when ``patience`` epochs followed the best one, else "epoch cap"."""
+    """Best epoch of a fine-tuning history (the first with the lowest
+    validation loss), and why the run stopped: "early stop" when ``patience``
+    epochs, and at least one, followed the best one, else "epoch cap". At
+    patience 0 a run stops at its first epoch that does not improve, and one
+    that improves at every epoch reaches the cap. ``finetune`` stops by this
+    rule."""
     best = min(history, key=lambda row: row[2])[0]
-    return best, "early stop" if history[-1][0] - best >= patience else "epoch cap"
+    return best, "early stop" if history[-1][0] - best >= max(patience, 1) else "epoch cap"
 
 
 def save_history(history, path) -> None:
@@ -600,6 +597,12 @@ def save_stop(history, patience: int, path) -> None:
 # checkpoint format
 
 
+def _checkpoint_arrays(model: SdaeModel) -> list:
+    """The arrays of a checkpoint body, in file order: the input and output
+    bounds, then the ``model_params`` order."""
+    return [model.x_lo, model.x_hi, model.y_lo, model.y_hi, *model_params(model)]
+
+
 def save_model(model: SdaeModel, path) -> None:
     """Binary little-endian checkpoint with a trailing 64-bit checksum."""
     if model.x_lo is None or model.y_lo is None:
@@ -610,13 +613,8 @@ def save_model(model: SdaeModel, path) -> None:
     body += struct.pack("<II", CHECKPOINT_VERSION, len(model.layers))
     body += struct.pack(f"<{len(dims)}I", *dims)
     body += struct.pack("<d", model.corruption_level)
-    for arr in (model.x_lo, model.x_hi, model.y_lo, model.y_hi):
+    for arr in _checkpoint_arrays(model):
         body += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    for layer in model.layers:
-        body += np.ascontiguousarray(layer.w, dtype="<f8").tobytes()
-        body += np.ascontiguousarray(layer.b, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(model.top_w, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(model.top_b, dtype="<f8").tobytes()
     body += hashlib.blake2b(bytes(body), digest_size=8).digest()
     atomic_write_bytes(Path(path), bytes(body))
 
@@ -640,28 +638,19 @@ def load_model(path) -> SdaeModel:
         off += 4 * (n_layers + 2)
         corruption = struct.unpack_from("<d", body, off)[0]
         off += 8
-
-        def take(count):
-            nonlocal off
-            arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).copy()
-            off += 8 * count
-            return arr
-
+        # an empty model of the header's dims, filled in file order; dims too
+        # large to allocate are malformed too
         d_in, d_out = dims[0], dims[-1]
-        x_lo, x_hi = take(d_in), take(d_in)
-        y_lo, y_hi = take(d_out), take(d_out)
-        layers = []
-        fan_in = d_in
-        for width in dims[1:-1]:
-            w = take(width * fan_in).reshape(width, fan_in)
-            b = take(width)
-            layers.append(DaeLayer(w=w, b=b, w_dec=None, b_dec=None))
-            fan_in = width
-        top_w = take(d_out * fan_in).reshape(d_out, fan_in)
-        top_b = take(d_out)
-    except (struct.error, ValueError) as exc:
+        layers = [DaeLayer(w=np.empty((width, fan_in)), b=np.empty(width), w_dec=None, b_dec=None)
+                  for fan_in, width in zip(dims[:-2], dims[1:-1])]
+        model = SdaeModel(layers=layers, top_w=np.empty((d_out, dims[-2])), top_b=np.empty(d_out),
+                          corruption_level=corruption, x_lo=np.empty(d_in), x_hi=np.empty(d_in),
+                          y_lo=np.empty(d_out), y_hi=np.empty(d_out))
+        for arr in _checkpoint_arrays(model):
+            arr[...] = np.frombuffer(body, dtype="<f8", count=arr.size, offset=off).reshape(arr.shape)
+            off += 8 * arr.size
+    except (struct.error, ValueError, MemoryError) as exc:
         raise CorruptFile(f"{path}: malformed checkpoint body: {exc}") from None
     if off != len(body):
         raise CorruptFile(f"{path}: {len(body) - off} unexpected trailing bytes")
-    return SdaeModel(layers=layers, top_w=top_w, top_b=top_b, corruption_level=corruption,
-                     x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi)
+    return model

@@ -105,9 +105,6 @@ class OpfSolution:
     dispatch_rounds: int = 0
     newton_iterations: int = 0
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.cost], self.v_mag, self.p_gen, self.p_branch))
-
 
 @dataclass(frozen=True)
 class DispatchBlock:
@@ -128,8 +125,8 @@ class DispatchBlock:
 class OracleBlock:
     """Oracle solves of a block of sample rows.
 
-    ``values`` holds the solution vectors (the ``OpfSolution.as_vector``
-    layout) of the rows in the mask ``solved``, in row order. ``rounds`` and
+    ``values`` holds the solution vectors, indexed by ``solution_layout``, of
+    the rows in the mask ``solved``, in row order. ``rounds`` and
     ``iterations`` hold every row's active-set rounds (0 where a remembered
     set solved its dispatch) and Newton iterations. ``errors`` maps each
     failed row to its exception, in row order; ``newton_blocks`` counts the

@@ -10,8 +10,25 @@ import pytest
 from popflow.grid import (PQ, SLACK, SRC_GAUSSIAN_LOAD, Branch, Bus,
                           Generator, NetworkCase, StochasticSource, bundled_case)
 from popflow.pipeline import DEFAULT_CV_THRESHOLD, DEFAULT_MAX_SAMPLES, fold_convergence
+from popflow.sampling import _apply_factors, _cholesky_factors
 from popflow.sdae import _as_columns
 from popflow.solver import DispatchSolution, build_ybus, compile_case
+
+
+def solution_dim(case):
+    """Length of one OPF solution vector: cost + voltages + gens + flows."""
+    return 1 + case.n_bus + case.n_gen + case.n_branch
+
+
+def as_vector(sol):
+    """One ``OpfSolution`` as its solution vector (``solver.solution_layout``)."""
+    return np.concatenate(([sol.cost], sol.v_mag, sol.p_gen, sol.p_branch))
+
+
+def correlate(z, spec):
+    """``z`` with the correlation groups of ``spec`` imposed, as a
+    ``SampleStream`` imposes them on its normals."""
+    return _apply_factors(z, _cholesky_factors(spec))
 
 
 def draw_standard_normals(n, d, seed, *branch):

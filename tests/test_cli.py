@@ -22,7 +22,7 @@ from popflow.sampling import sample_operating_conditions
 from popflow.sdae import TrainConfig
 from popflow.solver import oracle_opf
 
-from conftest import stall_dispatch, two_bus_case
+from conftest import as_vector, solution_dim, stall_dispatch, two_bus_case
 
 
 def write_case(tmp_path, case=None, name="case.json"):
@@ -158,7 +158,7 @@ def test_gen_data_rows_equal_solves_alone(tmp_path, capsys):
     ds = load_dataset(tmp_path / "out" / "dataset")
     for i in (0, 17, 39):
         alone = oracle_opf(load_case(case_path), ds.samples[i])
-        assert np.array_equal(alone.as_vector(), ds.y[i])
+        assert np.array_equal(as_vector(alone), ds.y[i])
 
 
 @pytest.mark.parametrize("command", [["gen-data"], ["popf", "--samples", "20"],
@@ -479,10 +479,10 @@ def case14_study(tmp_path, case14):
                                  "correlation": {"area_loads": [[1.0, 0.6], [0.6, 1.0]]}})
     x = operating_features(case14, sample_operating_conditions(case14, 2000, None, 1).values)
     rng = np.random.Generator(np.random.PCG64(5))
-    model = sdae.init_model(x.shape[1], (16, 24), case14.solution_dim(), 0.0, rng)
+    model = sdae.init_model(x.shape[1], (16, 24), solution_dim(case14), 0.0, rng)
     model.x_lo, model.x_hi = sdae.fit_bounds(x)
-    model.y_lo = rng.uniform(-1.0, 0.0, case14.solution_dim())
-    model.y_hi = model.y_lo + rng.uniform(0.5, 2.0, case14.solution_dim())
+    model.y_lo = rng.uniform(-1.0, 0.0, solution_dim(case14))
+    model.y_hi = model.y_lo + rng.uniform(0.5, 2.0, solution_dim(case14))
     sdae.save_model(model, checkpoint)
     return cfg, tmp_path
 
@@ -514,7 +514,7 @@ def test_popf_density_columns_give_the_files_of_full_rows(case14_study, case14, 
         for name, run_popf in (("kept", recording_run_popf), ("full", full_rows_run_popf)):
             monkeypatch.setattr(pipeline, "run_popf", run_popf)
             assert main([*argv, "--set", f"output_dir={tmp_path / mode[0] / name}"]) == 0
-        assert widths == [len(default_density_labels(case14)), case14.solution_dim()]
+        assert widths == [len(default_density_labels(case14)), solution_dim(case14)]
         kept, full = tmp_path / mode[0] / "kept", tmp_path / mode[0] / "full"
         files = sorted(path.name for path in full.iterdir())
         assert "popf_stats.tsv" in files and len(files) == 1 + len(default_density_labels(case14))
@@ -574,7 +574,7 @@ def test_popf_converge_memory_grows_by_the_kept_columns_only(case14_study, case1
     run_to(20_000)   # builds the cached per-case tables untraced
     growth = traced_peak(80_000) - traced_peak(20_000)
     kept_bytes = 60_000 * len(default_density_labels(case14)) * 8
-    block_bytes = rowblocks.BLOCK_ROWS * case14.solution_dim() * 8
+    block_bytes = rowblocks.BLOCK_ROWS * solution_dim(case14) * 8
     assert growth <= kept_bytes + block_bytes, (growth, kept_bytes, block_bytes)
 
 

@@ -26,8 +26,8 @@ from popflow.sampling import (LABEL_BRANCH, CorrelationSpec, SampleStream,
                               sample_operating_conditions)
 from popflow.solver import bus_loads, oracle_block, oracle_opf
 
-from conftest import (apply_sample_reference, gaussian_source, make_branch,
-                      make_bus, make_case, make_gen, stall_dispatch,
+from conftest import (apply_sample_reference, as_vector, gaussian_source, make_branch,
+                      make_bus, make_case, make_gen, solution_dim, stall_dispatch,
                       two_bus_case)
 
 
@@ -208,7 +208,7 @@ def test_oracle_sub_blocks_go_to_the_debug_log(caplog, tmp_path):
     with caplog.at_level(logging.DEBUG, logger="popflow"):
         generate_training_data(case, 131, seed=6)
         rng = np.random.Generator(np.random.PCG64(0))
-        model = sdae.init_model(len(feature_labels(case)), (4,), case.solution_dim(), 0.0, rng)
+        model = sdae.init_model(len(feature_labels(case)), (4,), solution_dim(case), 0.0, rng)
         report = compare_methods(case, model, seed=7, n_samples=65, self_check=True)
     lines = [r.getMessage() for r in caplog.records if r.name == "popflow"]
     gen_data, compare = [line for line in lines if "oracle solves" in line]
@@ -248,7 +248,7 @@ def test_dataset_reproducible(case14):
 def test_dataset_rows_reverify_against_oracle(case14):
     ds = generate_training_data(case14, 25, seed=2)
     for row, y in zip(ds.samples, ds.y):
-        again = oracle_opf(case14, row).as_vector()
+        again = as_vector(oracle_opf(case14, row))
         assert np.allclose(again, y, atol=1e-10)
 
 
@@ -626,7 +626,7 @@ def test_density_matches_normal_pdf():
 
 
 def test_error_metrics_identity_is_zero(case14, rng):
-    values = rng.uniform(0.5, 1.5, size=(50, case14.solution_dim()))
+    values = rng.uniform(0.5, 1.5, size=(50, solution_dim(case14)))
     metrics = error_metrics(values, values, case14)
     assert np.all(metrics.e_mean == 0.0)
     assert np.all(metrics.e_std == 0.0)
@@ -639,7 +639,7 @@ def test_error_metrics_take_the_moments_of_compute_statistics(case14):
     are the relative errors of compute_statistics, bit for bit, over more
     rows than one statistics block."""
     rng = np.random.Generator(np.random.PCG64(21))
-    d = case14.solution_dim()
+    d = solution_dim(case14)
     reference = rng.uniform(1e3, 2e3, size=(rowblocks.BLOCK_ROWS + 700, d))
     candidate = reference + rng.normal(0.0, 3.0, size=reference.shape)
     metrics = error_metrics(reference, candidate, case14)
@@ -650,7 +650,7 @@ def test_error_metrics_take_the_moments_of_compute_statistics(case14):
 
 def test_exceedance_fraction_example():
     case = two_bus_case()
-    d = case.solution_dim()
+    d = solution_dim(case)
     reference = np.tile(np.linspace(1.0, 2.0, d), (3, 1)) * 5000.0
     candidate = reference.copy()
     candidate[:, 0] += np.array([500.0, 1500.0, 2500.0])  # cost column errors
@@ -670,7 +670,7 @@ def test_exceedance_threshold_defaults():
 
 def test_zero_reference_mean_flagged_absolute():
     case = two_bus_case()
-    d = case.solution_dim()
+    d = solution_dim(case)
     rng = np.random.Generator(np.random.PCG64(3))
     reference = rng.uniform(0.5, 1.5, size=(6, d))
     reference[:, 2] = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]  # mean exactly zero
@@ -683,7 +683,7 @@ def test_zero_reference_mean_flagged_absolute():
 
 def test_exceedance_per_index_breakdown():
     case = two_bus_case()
-    d = case.solution_dim()
+    d = solution_dim(case)
     reference = np.ones((4, d))
     candidate = reference.copy()
     candidate[:, 1] += 0.02   # one voltage column exceeds 0.01 pu everywhere
@@ -695,7 +695,7 @@ def test_exceedance_per_index_breakdown():
 def test_mw_thresholds_convert_per_unit():
     """3 MW on a 100 MVA base pools as 0.03 pu."""
     case = two_bus_case()
-    d = case.solution_dim()
+    d = solution_dim(case)
     reference = np.ones((4, d))
     candidate = reference.copy()
     gen_col = 1 + case.n_bus  # layout: cost, v_mag, p_gen, p_branch
@@ -772,7 +772,7 @@ def test_compare_drops_failed_rows_like_gen_data(monkeypatch):
     monkeypatch.setattr(pipeline, "error_metrics", recording_error_metrics)
     case = bundled_case("case14")   # a fresh object: no remembered active sets
     rng = np.random.Generator(np.random.PCG64(0))
-    model = sdae.init_model(len(feature_labels(case)), (4,), case.solution_dim(), 0.0, rng)
+    model = sdae.init_model(len(feature_labels(case)), (4,), solution_dim(case), 0.0, rng)
     with monkeypatch.context() as mp:
         stall_dispatch(mp, stalled=lambda call: call == 1)
         report = compare_methods(case, model, seed=seed, n_samples=n, self_check=True)
@@ -808,7 +808,7 @@ def test_compare_refuses_fewer_than_two_oracle_rows(monkeypatch):
     n = 4
     case = bundled_case("case14")   # a fresh object: no remembered active sets
     rng = np.random.Generator(np.random.PCG64(0))
-    model = sdae.init_model(len(feature_labels(case)), (4,), case.solution_dim(), 0.0, rng)
+    model = sdae.init_model(len(feature_labels(case)), (4,), solution_dim(case), 0.0, rng)
     stall_dispatch(monkeypatch, stalled=lambda call: call < n)
     with pytest.raises(TooManyRejections, match="3 of 4 oracle samples failed"):
         compare_methods(case, model, seed=5, n_samples=n, self_check=True)

@@ -16,6 +16,8 @@ from popflow.pipeline import (INFER_CHUNK, compare_methods, compute_statistics, 
                               operating_features, run_popf)
 from popflow.sampling import CorrelationSpec, SampleStream, sample_operating_conditions
 
+from conftest import solution_dim
+
 ROW_COUNTS = (1, 511, 513, 4095, 4097, 12345)
 # a constant, an all-zero and two ranged output columns, out of order
 KEPT_COLUMNS = [17, 3, 0, 4]
@@ -29,12 +31,12 @@ def case14_model(case14):
     spec = CorrelationSpec.for_case(case14, README_CORRELATION)
     x = operating_features(case14, sample_operating_conditions(case14, 2000, spec, 1).values)
     rng = np.random.Generator(np.random.PCG64(5))
-    model = sdae.init_model(x.shape[1], (16, 24), case14.solution_dim(), 0.0, rng)
+    model = sdae.init_model(x.shape[1], (16, 24), solution_dim(case14), 0.0, rng)
     for layer in model.layers:
         layer.b = rng.uniform(-0.5, 0.5, layer.b.shape)
     model.x_lo, model.x_hi = sdae.fit_bounds(x)
-    model.y_lo = rng.uniform(-1.0, 0.0, case14.solution_dim())
-    model.y_hi = model.y_lo + rng.uniform(0.5, 2.0, case14.solution_dim())
+    model.y_lo = rng.uniform(-1.0, 0.0, solution_dim(case14))
+    model.y_hi = model.y_lo + rng.uniform(0.5, 2.0, solution_dim(case14))
     model.y_hi[3] = model.y_lo[3]
     model.y_lo[4] = model.y_hi[4] = 0.0
     return spec, model

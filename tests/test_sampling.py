@@ -18,11 +18,10 @@ from popflow import sampling
 from popflow.errors import NotPositiveDefinite
 from popflow.grid import SRC_PV, SRC_WIND, StochasticSource
 from popflow.pipeline import _merge_moments, fold_convergence
-from popflow.sampling import (CorrelationSpec, SampleStream, correlate,
-                              sample_operating_conditions, transform_marginal,
-                              wind_power_curve)
+from popflow.sampling import (CorrelationSpec, SampleStream, sample_operating_conditions,
+                              transform_marginal, wind_power_curve)
 
-from conftest import (draw_standard_normals, gaussian_source, make_branch, make_bus,
+from conftest import (correlate, draw_standard_normals, gaussian_source, make_branch, make_bus,
                       make_case, make_gen, nested_wind_power_curve, update_convergence)
 
 

@@ -8,6 +8,7 @@ Independent oracles used here:
 - an eigen-decomposition PCA residual floor for the linear-autoencoder case
 """
 
+import hashlib
 import math
 import re
 
@@ -724,6 +725,30 @@ def test_early_stop_reason():
     assert early_stop(history, 3) == (1, "epoch cap")
 
 
+def test_finetune_at_patience_zero_runs_to_the_cap_while_every_epoch_improves():
+    """Patience 0 stops at the first epoch that does not improve; a run whose
+    every epoch improves reaches the cap, and reports it: an early stop needs
+    an epoch after the best one."""
+    assert early_stop([(0, 1, .5), (1, 1, .4), (2, 1, .3)], 0) == (2, "epoch cap")
+    assert early_stop([(0, 1, .5), (1, 1, .4), (2, 1, .45)], 0) == (1, "early stop")
+    x, y = _toy_supervised()
+    cfg = TrainConfig(hidden_sizes=(6,), epochs_sup=6, batch_size=20,
+                      corruption_level=0.0, eta_sup=3e-3, patience=0)
+    model = init_model(2, (6,), 2, 0.0, new_rng(85))
+    model, history = finetune(model, x[:40], y[:40], x[40:], y[40:], cfg, new_rng(86))
+    val_losses = [row[2] for row in history]
+    assert all(b < a for a, b in zip(val_losses, val_losses[1:]))
+    assert len(history) == cfg.epochs_sup
+    assert early_stop(history, cfg.patience) == (cfg.epochs_sup - 1, "epoch cap")
+
+    frozen = TrainConfig(hidden_sizes=(4,), epochs_sup=50, batch_size=20,
+                         corruption_level=0.0, eta_sup=1e-300, patience=0)
+    model = init_model(2, (4,), 2, 0.0, new_rng(83))
+    model, history = finetune(model, x[:40], y[:40], x[40:], y[40:], frozen, new_rng(84))
+    assert len(history) == 2
+    assert early_stop(history, frozen.patience) == (0, "early stop")
+
+
 def test_finetune_regresses_toy_map_under_two_percent():
     """Regression bound on a tiny one-input map through the full pipeline."""
     rng = new_rng(90)
@@ -777,6 +802,36 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert again.dims() == model.dims()
 
 
+CHECKPOINT_SHA256 = "120cf5ae83c73dfdb7a49a7e0ba2d3f2dd55608113f0f13e41dfe06c41091478"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    """A hand-built model (no training, so no BLAS rounding) saves to pinned
+    bytes, and loads back to the same arrays bit for bit."""
+    dims = (3, 4, 2, 5)
+    model = SdaeModel(
+        layers=[DaeLayer(w=np.arange(12.0).reshape(4, 3) / 7 - 0.5, b=np.array([0.25, -1.0, 0.0, 3.5]),
+                         w_dec=None, b_dec=None),
+                DaeLayer(w=-np.arange(8.0).reshape(2, 4) / 3, b=np.array([1e-300, -2.5]),
+                         w_dec=None, b_dec=None)],
+        top_w=np.arange(10.0).reshape(5, 2) * 0.1, top_b=np.linspace(-1.0, 1.0, 5),
+        corruption_level=0.1,
+        x_lo=np.array([0.0, 1.0, -2.0]), x_hi=np.array([1.0, 1.0, 3.0]),
+        y_lo=np.zeros(5), y_hi=np.arange(1.0, 6.0) / 9)
+    assert model.dims() == dims
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
+    again = load_model(path)
+    assert again.dims() == dims and again.corruption_level == model.corruption_level
+    for name in ("x_lo", "x_hi", "y_lo", "y_hi", "top_w", "top_b"):
+        assert getattr(again, name).tobytes() == getattr(model, name).tobytes(), name
+        assert getattr(again, name).shape == getattr(model, name).shape, name
+    for layer, loaded in zip(model.layers, again.layers):
+        assert loaded.w.tobytes() == layer.w.tobytes() and loaded.w.shape == layer.w.shape
+        assert loaded.b.tobytes() == layer.b.tobytes() and loaded.w_dec is None
+
+
 def test_checkpoint_truncation_detected(tmp_path):
     model = _trained_like_model()
     path = tmp_path / "model.ckpt"
@@ -795,6 +850,19 @@ def test_checkpoint_bitflip_detected(tmp_path):
     data[len(data) // 2] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptFile):
+        load_model(path)
+
+
+def test_checkpoint_dims_beyond_the_body_detected(tmp_path):
+    """A header whose dims no array can hold, under a valid checksum, is a
+    malformed body; no array of those dims is filled."""
+    model = _trained_like_model()
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    body = bytearray(path.read_bytes()[:-8])
+    body[16:24] = (2 ** 32 - 1).to_bytes(4, "little") * 2   # input width, first layer width
+    path.write_bytes(bytes(body) + hashlib.blake2b(bytes(body), digest_size=8).digest())
+    with pytest.raises(CorruptFile, match="malformed checkpoint body"):
         load_model(path)
 
 

@@ -29,9 +29,10 @@ from popflow.solver import (NEWTON_MAX_ITER, NEWTON_TOL, _bus_state, _feasible_s
                             compile_case, dc_opf, dispatch_block, oracle_block, oracle_opf,
                             solution_layout)
 
-from conftest import (apply_sample_reference, dispatch_kkt_residual, gaussian_source,
-                      make_branch, make_bus, make_case, make_gen, power_flow_mismatch,
-                      series_losses, stall_dispatch, two_bus_case)
+from conftest import (apply_sample_reference, as_vector, dispatch_kkt_residual,
+                      gaussian_source, make_branch, make_bus, make_case, make_gen,
+                      power_flow_mismatch, series_losses, solution_dim, stall_dispatch,
+                      two_bus_case)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +687,7 @@ def test_oracle_zero_variance_deterministic(case14):
     sample = np.array([s.params.get("mean", 0.1) for s in case14.sources])
     a = oracle_opf(case14, sample)
     b = oracle_opf(case14, sample)
-    assert np.array_equal(a.as_vector(), b.as_vector())
+    assert np.array_equal(as_vector(a), as_vector(b))
 
 
 def test_oracle_reports_its_work(case14):
@@ -695,7 +696,7 @@ def test_oracle_reports_its_work(case14):
     first = oracle_opf(case, sample)
     again = oracle_opf(case, sample)
     assert first.dispatch_rounds > 0 and again.dispatch_rounds == 0
-    assert np.array_equal(first.as_vector(), again.as_vector())
+    assert np.array_equal(as_vector(first), as_vector(again))
     p_load, q_load = apply_sample_reference(case14, sample)
     p_inj = -p_load
     for i, gen in enumerate(case14.generators):
@@ -713,8 +714,8 @@ def test_oracle_lossless_network_conserves_power():
 def test_oracle_vector_layout(case14):
     sample = np.array([s.params.get("mean", 0.1) for s in case14.sources])
     sol = oracle_opf(case14, sample)
-    vec = sol.as_vector()
-    assert vec.shape == (case14.solution_dim(),)
+    vec = as_vector(sol)
+    assert vec.shape == (solution_dim(case14),)
     layout = solution_layout(case14)
     assert vec[layout["cost"]][0] == sol.cost
     assert np.array_equal(vec[layout["v_mag"]], sol.v_mag)
@@ -799,7 +800,7 @@ def test_rows_of_a_large_block_equal_one_row_solves(case14):
     whole = assert_blocks_are_one_pass(case14, samples, [0, 1, 7, n // 2, n])
     assert whole.solved.all() and whole.newton_blocks == -(-n // 65)
     for row, y in zip(samples, whole.values):
-        assert np.array_equal(oracle_opf(case14, row).as_vector(), y)
+        assert np.array_equal(as_vector(oracle_opf(case14, row)), y)
 
 
 @settings(max_examples=12, deadline=None)
@@ -812,7 +813,7 @@ def test_rows_do_not_depend_on_their_block(n, fractions, seed):
     cuts = sorted({0, n, *(int(f * n) for f in fractions)})
     whole = assert_blocks_are_one_pass(case, samples, cuts)
     for i in {0, n - 1, *(min(c, n - 1) for c in cuts)}:
-        assert np.array_equal(oracle_opf(fresh_copy(case), samples[i]).as_vector(),
+        assert np.array_equal(as_vector(oracle_opf(fresh_copy(case), samples[i])),
                               whole.values[i])
 
 
@@ -959,7 +960,7 @@ def test_a_failing_oracle_row_fails_alone():
     assert_same_failure(block.errors[3], Infeasible,
                         lambda: oracle_opf(two_bus_case(limit=8.0), samples[3]))
     for y, row in zip(block.values, samples[[0, 2]]):
-        assert np.array_equal(oracle_opf(two_bus_case(limit=8.0), row).as_vector(), y)
+        assert np.array_equal(as_vector(oracle_opf(two_bus_case(limit=8.0), row)), y)
 
 
 @settings(max_examples=60, deadline=None)
